@@ -217,8 +217,8 @@ def jacobians(w: GruWeights, x, u):
     u = _check_vec("u", u, w.m)
     az = w.W_z @ u + w.U_z @ x + w.b_z
     af = w.W_f @ u + w.U_f @ x + w.b_f
-    z = kernels.sigmoid_vec(az)
-    f = kernels.sigmoid_vec(af)
+    z = kernels.logistic(az)
+    f = kernels.logistic(af)
     ar = w.W_r @ u + w.U_r @ (f * x) + w.b_r
     r = np.tanh(ar)
     dz = z * (1.0 - z)

@@ -124,15 +124,6 @@ class ExperimentConfig:
         return np.random.default_rng(children[idx])
 
 
-def paper_scale_config() -> ExperimentConfig:
-    """Full-scale profile: 5060 samples, 200 epochs, N_p = 75."""
-    cfg = ExperimentConfig()
-    cfg.data = DataConfig(n_samples=5060, test_n_samples=2000)
-    cfg.train = TrainSection(epochs=200, T_s=1000, tau=5, batch_size=8, lr=2e-3)
-    cfg.controller = mpc.ControllerConfig(N_c=20, N_p=75)
-    return cfg
-
-
 def _params_for(cfg: ExperimentConfig) -> plant_sim.PhParams:
     if cfg.plant_params:
         return plant_sim.load_params(cfg.plant_params)

@@ -1,361 +1,213 @@
 """Hot numerical kernels: GRU rollouts, truncated-BPTT gradients, the pH
 reactor integrator, and the shooting-based optimal control evaluations.
 
-When numba is importable and ``GRUMPC_NO_NUMBA`` is not set, everything here
-is JIT-compiled at import (``cache=True``, so the compile cost is paid once
-per machine) and the elementary primitives use explicit loops, which beat
-BLAS dispatch at these matrix sizes.  With the flag set, the primitives are
-swapped for vectorized NumPy twins and the orchestrating kernels run as
-plain Python: same results, reduced speed, useful for verification.
-``benchmarks/bench_kernels.py`` compares the two paths.
+Plain NumPy, built on four shared pieces:
+cell                one GRU update; the z and f gates come from one matmul
+                    over the stacked [W_z U_z; W_f U_f] (see stack_gates)
+                    and the logistic is computed as 0.5 + 0.5 tanh(a/2).
+                    It takes a single vector or a matrix of rows.
+cell_vjp            the vector-Jacobian product of that update.
+augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
+                    xi+ = xi + y0 - y, under free moves for i < N_c and the
+                    auxiliary law v = -K (xa - xa_eq) after that, through the
+                    prediction horizon and the terminal tail.
+augmented_adjoint   the reverse pass over the same horizon.
+
+Every public kernel is a short caller of these.  Batched work (training
+sequences, terminal-set samples) runs as rows of one cell call.
 """
 
 import math
-import os
 
 import numpy as np
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("GRUMPC_NO_NUMBA", "0").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
+# the backend flag perfbench records: every kernel here is plain NumPy
 NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit as _njit
 
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if NUMBA_ENABLED:
-    def jit(fn):
-        return _njit(cache=True)(fn)
-else:
-    def jit(fn):
-        return fn
+# rows per cell call in terminal_samples_check; bounds its working memory
+TERMINAL_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
-# elementary primitives: loop style under numba, vectorized otherwise
+# the GRU cell and its vector-Jacobian product
 # ---------------------------------------------------------------------------
 
-if NUMBA_ENABLED:
+def logistic(a):
+    """Logistic function as 0.5 + 0.5 tanh(a/2): no overflow at any a."""
+    return 0.5 + 0.5 * np.tanh(0.5 * a)
 
-    @jit
-    def sigmoid_vec(a):
-        """Stable logistic function: separate branches avoid exp overflow."""
-        out = np.empty_like(a)
-        for i in range(a.shape[0]):
-            v = a[i]
-            if v >= 0.0:
-                out[i] = 1.0 / (1.0 + math.exp(-v))
-            else:
-                e = math.exp(v)
-                out[i] = e / (1.0 + e)
-        return out
 
-    @jit
-    def matvec(A, x):
-        out = np.empty(A.shape[0])
-        for i in range(A.shape[0]):
-            s = 0.0
-            for j in range(A.shape[1]):
-                s += A[i, j] * x[j]
-            out[i] = s
-        return out
+def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
+    """Cell parameters (G, b_zf, Wr, Ur, br) with G = [Wz Uz; Wf Uf]."""
+    return np.block([[Wz, Uz], [Wf, Uf]]), np.concatenate((bz, bf)), Wr, Ur, br
 
-    @jit
-    def matvec_t(A, x):
-        """A.T @ x without materializing the transpose."""
-        out = np.zeros(A.shape[1])
-        for i in range(A.shape[0]):
-            v = x[i]
-            for j in range(A.shape[1]):
-                out[j] += A[i, j] * v
-        return out
 
-    @jit
-    def quad_form(e, M):
-        s = 0.0
-        for i in range(M.shape[0]):
-            r = 0.0
-            for j in range(M.shape[1]):
-                r += M[i, j] * e[j]
-            s += e[i] * r
-        return s
+def cell(x, u, G, bzf, Wr, Ur, br):
+    """One update x+ = z*x + (1-z)*tanh(Wr u + Ur (f*x) + br).
 
-    @jit
-    def outer_add(M, a, b):
-        for i in range(a.shape[0]):
-            v = a[i]
-            for j in range(b.shape[0]):
-                M[i, j] += v * b[j]
+    x and u are vectors or matrices of rows.  Returns (x+, z, f, r).
+    """
+    n = x.shape[-1]
+    zf = logistic(np.concatenate((u, x), axis=-1) @ G.T + bzf)
+    z, f = zf[..., :n], zf[..., n:]
+    r = np.tanh(u @ Wr.T + (f * x) @ Ur.T + br)
+    return z * x + (1.0 - z) * r, z, f, r
 
-    @jit
-    def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
-        """One state update x+ = z*x + (1-z)*tanh(Wr u + Ur (f*x) + br)."""
-        n = x.shape[0]
-        m = u.shape[0]
-        z = np.empty(n)
-        h = np.empty(n)
-        out = np.empty(n)
-        for i in range(n):
-            az = bz[i]
-            af = bf[i]
-            for j in range(m):
-                az += Wz[i, j] * u[j]
-                af += Wf[i, j] * u[j]
-            for j in range(n):
-                az += Uz[i, j] * x[j]
-                af += Uf[i, j] * x[j]
-            if az >= 0.0:
-                z[i] = 1.0 / (1.0 + math.exp(-az))
-            else:
-                e = math.exp(az)
-                z[i] = e / (1.0 + e)
-            if af >= 0.0:
-                f = 1.0 / (1.0 + math.exp(-af))
-            else:
-                e = math.exp(af)
-                f = e / (1.0 + e)
-            h[i] = f * x[i]
-        for i in range(n):
-            ar = br[i]
-            for j in range(m):
-                ar += Wr[i, j] * u[j]
-            for j in range(n):
-                ar += Ur[i, j] * h[j]
-            out[i] = z[i] * x[i] + (1.0 - z[i]) * math.tanh(ar)
-        return out
 
-    @jit
-    def gru_cell_cached(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
-        """Same as gru_cell but also returns the gate activations."""
-        n = x.shape[0]
-        m = u.shape[0]
-        z = np.empty(n)
-        f = np.empty(n)
-        r = np.empty(n)
-        h = np.empty(n)
-        out = np.empty(n)
-        for i in range(n):
-            az = bz[i]
-            af = bf[i]
-            for j in range(m):
-                az += Wz[i, j] * u[j]
-                af += Wf[i, j] * u[j]
-            for j in range(n):
-                az += Uz[i, j] * x[j]
-                af += Uf[i, j] * x[j]
-            if az >= 0.0:
-                z[i] = 1.0 / (1.0 + math.exp(-az))
-            else:
-                e = math.exp(az)
-                z[i] = e / (1.0 + e)
-            if af >= 0.0:
-                f[i] = 1.0 / (1.0 + math.exp(-af))
-            else:
-                e = math.exp(af)
-                f[i] = e / (1.0 + e)
-            h[i] = f[i] * x[i]
-        for i in range(n):
-            ar = br[i]
-            for j in range(m):
-                ar += Wr[i, j] * u[j]
-            for j in range(n):
-                ar += Ur[i, j] * h[j]
-            r[i] = math.tanh(ar)
-            out[i] = z[i] * x[i] + (1.0 - z[i]) * r[i]
-        return out, z, f, r
+def cell_vjp(lam, x, u, z, f, r, G, bzf, Wr, Ur, br):
+    """Pull lam = dJ/dx+ back through one cell.
 
-    @jit
-    def gru_vjp(lam, x, u, z, f, r, Wz, Uz, Wf, Uf, Wr, Ur):
-        """Vector-Jacobian product of one step: lam = dJ/dx+ in, returns
-        (dJ/dx, dJ/du, da_z, da_f, da_r)."""
-        n = x.shape[0]
-        m = u.shape[0]
-        da_r = np.empty(n)
-        da_z = np.empty(n)
-        for i in range(n):
-            da_r[i] = lam[i] * (1.0 - z[i]) * (1.0 - r[i] * r[i])
-            da_z[i] = lam[i] * (x[i] - r[i]) * z[i] * (1.0 - z[i])
-        dh = np.zeros(n)
-        for i in range(n):
-            v = da_r[i]
-            for j in range(n):
-                dh[j] += Ur[i, j] * v
-        da_f = np.empty(n)
-        for i in range(n):
-            da_f[i] = dh[i] * x[i] * f[i] * (1.0 - f[i])
-        gx = np.empty(n)
-        for j in range(n):
-            s = lam[j] * z[j] + dh[j] * f[j]
-            for i in range(n):
-                s += Uz[i, j] * da_z[i] + Uf[i, j] * da_f[i]
-            gx[j] = s
-        gu = np.zeros(m)
-        for i in range(n):
-            vz = da_z[i]
-            vf = da_f[i]
-            vr = da_r[i]
-            for j in range(m):
-                gu[j] += Wz[i, j] * vz + Wf[i, j] * vf + Wr[i, j] * vr
-        return gx, gu, da_z, da_f, da_r
+    Returns (dJ/dx, dJ/du, dJ/da_zf, dJ/da_r), the last two with respect to
+    the gate pre-activations; rows in, rows out.
+    """
+    m = u.shape[-1]
+    da_r = lam * (1.0 - z) * (1.0 - r * r)
+    dh = da_r @ Ur
+    da_zf = np.concatenate((lam * (x - r) * z * (1.0 - z),
+                            dh * x * f * (1.0 - f)), axis=-1)
+    g = da_zf @ G
+    return lam * z + dh * f + g[..., m:], g[..., :m] + da_r @ Wr, da_zf, da_r
 
-else:
 
-    def sigmoid_vec(a):
-        """Stable logistic function: separate branches avoid exp overflow."""
-        out = np.empty_like(a)
-        pos = a >= 0.0
-        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-        e = np.exp(a[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
+    """One state update from the nine weight arrays."""
+    return cell(x, u, *stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br))[0]
 
-    def matvec(A, x):
-        return A @ x
 
-    def matvec_t(A, x):
-        return A.T @ x
+# ---------------------------------------------------------------------------
+# the integrator-augmented model: one rollout, one adjoint
+# ---------------------------------------------------------------------------
 
-    def quad_form(e, M):
-        return float(e @ (M @ e))
+def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
+    """Roll the augmented model T steps from xa0 (a vector or rows).
 
-    def outer_add(M, a, b):
-        M += np.outer(a, b)
+    Step i applies the free move V[i] for i < len(V) and the auxiliary law
+    v = -K (xa - xa_eq), law = (K, xa_eq), after that.  With box_offset,
+    the offset xi~ - xi of the controller's integrator from the model's,
+    each free move is first clamped so that xi~ + v stays in [-1, 1].
+    Returns the states (T+1, ..., n+p), the moves applied (T, ..., p) and
+    the cache (U, Z, F, R) of cell inputs and gates for the adjoint.
+    """
+    n = Uo.shape[1]
+    K, xa_eq = law
+    XA = np.empty((T + 1,) + xa0.shape)
+    XA[0] = xa0
+    moves = np.empty((T,) + xa0.shape[:-1] + bo.shape)
+    U = np.empty_like(moves)
+    Z, F, R = (np.empty((T,) + xa0.shape[:-1] + (n,)) for _ in range(3))
+    for i in range(T):
+        x, xi = XA[i, ..., :n], XA[i, ..., n:]
+        if i >= len(V):
+            v = (xa_eq - XA[i]) @ K.T
+        elif box_offset is None:
+            v = V[i]
+        else:
+            v = np.clip(V[i], -1.0 - (xi + box_offset), 1.0 - (xi + box_offset))
+        moves[i] = v
+        U[i] = v + xi
+        XA[i + 1, ..., :n], Z[i], F[i], R[i] = cell(x, U[i], *cellp)
+        XA[i + 1, ..., n:] = xi + y0 - (x @ Uo.T + bo)
+    return XA, moves, (U, Z, F, R)
 
-    def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
-        """One state update x+ = z*x + (1-z)*tanh(Wr u + Ur (f*x) + br)."""
-        z = sigmoid_vec(Wz @ u + Uz @ x + bz)
-        f = sigmoid_vec(Wf @ u + Uf @ x + bf)
-        r = np.tanh(Wr @ u + Ur @ (f * x) + br)
-        return z * x + (1.0 - z) * r
 
-    def gru_cell_cached(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
-        """Same as gru_cell but also returns the gate activations."""
-        z = sigmoid_vec(Wz @ u + Uz @ x + bz)
-        f = sigmoid_vec(Wf @ u + Uf @ x + bf)
-        r = np.tanh(Wr @ u + Ur @ (f * x) + br)
-        return z * x + (1.0 - z) * r, z, f, r
+def augmented_adjoint(cellp, Uo, K, XA, cache, gXA, gV, Nc):
+    """Gradient with respect to the free moves of a cost over one rollout.
 
-    def gru_vjp(lam, x, u, z, f, r, Wz, Uz, Wf, Uf, Wr, Ur):
-        """Vector-Jacobian product of one step: lam = dJ/dx+ in, returns
-        (dJ/dx, dJ/du, da_z, da_f, da_r)."""
-        da_r = lam * (1.0 - z) * (1.0 - r * r)
-        da_z = lam * (x - r) * z * (1.0 - z)
-        dh = Ur.T @ da_r
-        da_f = dh * x * f * (1.0 - f)
-        gx = lam * z + dh * f + Uz.T @ da_z + Uf.T @ da_f
-        gu = Wz.T @ da_z + Wf.T @ da_f + Wr.T @ da_r
-        return gx, gu, da_z, da_f, da_r
+    gXA (T+1, n+p) and gV (T, p) hold the cost's direct partials with
+    respect to the states and the moves; the reverse pass adds what flows
+    through the dynamics and, for i >= Nc, through the auxiliary law.
+    """
+    n = Uo.shape[1]
+    U, Z, F, R = cache
+    grad = np.empty((Nc, gV.shape[1]))
+    lam = gXA[-1]
+    for i in range(len(U) - 1, -1, -1):
+        gx, gu, _, _ = cell_vjp(lam[:n], XA[i, :n], U[i], Z[i], F[i], R[i], *cellp)
+        dv = gu + gV[i]
+        nxt = gXA[i] + np.concatenate((gx - lam[n:] @ Uo, gu + lam[n:]))
+        if i < Nc:
+            grad[i] = dv
+        else:
+            nxt -= dv @ K
+        lam = nxt
+    return grad
 
 
 # ---------------------------------------------------------------------------
 # GRU rollouts and the truncated-BPTT loss/gradient
 # ---------------------------------------------------------------------------
 
-@jit
+def _scan(cellp, x0, U):
+    """States (T+1, ..., n) and gates (Z, F, R) under inputs U (T, ..., m)."""
+    X = np.empty((len(U) + 1,) + x0.shape)
+    X[0] = x0
+    Z, F, R = (np.empty((len(U),) + x0.shape) for _ in range(3))
+    for k in range(len(U)):
+        X[k + 1], Z[k], F[k], R[k] = cell(X[k], U[k], *cellp)
+    return X, (Z, F, R)
+
+
 def gru_rollout(x0, useq, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     """Open-loop state trajectory; row 0 is x0, row k+1 the state after u[k]."""
-    T = useq.shape[0]
-    n = x0.shape[0]
-    X = np.empty((T + 1, n))
-    X[0] = x0
-    x = x0.copy()
-    for k in range(T):
-        x = gru_cell(x, useq[k], Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        X[k + 1] = x
-    return X
+    return _scan(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), x0, useq)[0]
 
 
-@jit
+def _output_errors(X, Yb, Tw, Uo, bo):
+    """Output errors (T, B, p) of time-major states X, zero in the washout."""
+    E = np.zeros((len(X) - 1,) + Yb.shape[::2])
+    E[Tw:] = X[Tw + 1:] @ Uo.T + bo - Yb[:, Tw:].transpose(1, 0, 2)
+    return E
+
+
 def tbptt_loss_batch(Ub, Yb, X0b, Tw,
                      Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Sum over sequences of the washed-out mean squared simulation error.
 
     Ub: (B, T, m) inputs, Yb: (B, T, p) targets, X0b: (B, n) initial states.
     Sample k of sequence b is the output after k+1 state updates; the first
-    Tw samples are not penalized.
+    Tw samples are not penalized.  The B sequences run as rows.
     """
-    B, T, _ = Ub.shape
-    c = 1.0 / (T - Tw)
-    total = 0.0
-    for b in range(B):
-        x = X0b[b].copy()
-        for k in range(T):
-            x = gru_cell(x, Ub[b, k], Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-            if k >= Tw:
-                e = matvec(Uo, x) + bo - Yb[b, k]
-                total += c * np.dot(e, e)
-    return total
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    X, _ = _scan(cellp, X0b, Ub.transpose(1, 0, 2))
+    E = _output_errors(X, Yb, Tw, Uo, bo)
+    return np.sum(E * E) / (Ub.shape[1] - Tw)
 
 
-@jit
 def tbptt_loss_grad_batch(Ub, Yb, X0b, Tw,
                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Loss of tbptt_loss_batch plus its exact reverse-mode weight gradient."""
     B, T, m = Ub.shape
     n = Uz.shape[0]
-    p = bo.shape[0]
-    c = 1.0 / (T - Tw)
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    U = np.ascontiguousarray(Ub.transpose(1, 0, 2))
+    X, (Z, F, R) = _scan(cellp, X0b, U)
+    E = _output_errors(X, Yb, Tw, Uo, bo)
+    dE = (2.0 / (T - Tw)) * E
 
-    dWz = np.zeros((n, m)); dUz = np.zeros((n, n)); dbz = np.zeros(n)
-    dWf = np.zeros((n, m)); dUf = np.zeros((n, n)); dbf = np.zeros(n)
-    dWr = np.zeros((n, m)); dUr = np.zeros((n, n)); dbr = np.zeros(n)
-    dUo = np.zeros((p, n)); dbo = np.zeros(p)
+    # reverse pass over time; the weight gradients are summed afterwards
+    dX = dE @ Uo
+    DZF = np.empty((T, B, 2 * n))
+    DR = np.empty((T, B, n))
+    lam = np.zeros((B, n))
+    for k in range(T - 1, -1, -1):
+        lam, _, DZF[k], DR[k] = cell_vjp(lam + dX[k], X[k], U[k], Z[k], F[k],
+                                         R[k], *cellp)
 
-    X = np.empty((T + 1, n))
-    Z = np.empty((T, n)); F = np.empty((T, n)); R = np.empty((T, n))
-    E = np.zeros((T, p))
+    def outer_sum(A, C):
+        return A.reshape(-1, A.shape[-1]).T @ C.reshape(-1, C.shape[-1])
 
-    total = 0.0
-    for b in range(B):
-        X[0] = X0b[b]
-        x = X0b[b].copy()
-        for k in range(T):
-            x, z, f, r = gru_cell_cached(x, Ub[b, k],
-                                         Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-            X[k + 1] = x
-            Z[k] = z; F[k] = f; R[k] = r
-            if k >= Tw:
-                e = matvec(Uo, x) + bo - Yb[b, k]
-                E[k] = e
-                total += c * np.dot(e, e)
-
-        lam = np.zeros(n)
-        for k in range(T - 1, -1, -1):
-            if k >= Tw:
-                de = 2.0 * c * E[k]
-                outer_add(dUo, de, X[k + 1])
-                dbo += de
-                lam = lam + matvec_t(Uo, de)
-            xk = X[k]
-            uk = Ub[b, k]
-            gx, _, da_z, da_f, da_r = gru_vjp(lam, xk, uk, Z[k], F[k], R[k],
-                                              Wz, Uz, Wf, Uf, Wr, Ur)
-            outer_add(dWz, da_z, uk)
-            outer_add(dUz, da_z, xk)
-            dbz += da_z
-            outer_add(dWf, da_f, uk)
-            outer_add(dUf, da_f, xk)
-            dbf += da_f
-            outer_add(dWr, da_r, uk)
-            outer_add(dUr, da_r, F[k] * xk)
-            dbr += da_r
-            lam = gx
-
-    return total, dWz, dUz, dbz, dWf, dUf, dbf, dWr, dUr, dbr, dUo, dbo
+    dG = outer_sum(DZF, np.concatenate((U, X[:-1]), axis=-1))
+    dbzf = DZF.sum(axis=(0, 1))
+    return (np.sum(E * E) / (T - Tw),
+            dG[:n, :m], dG[:n, m:], dbzf[:n], dG[n:, :m], dG[n:, m:], dbzf[n:],
+            outer_sum(DR, U), outer_sum(DR, F * X[:-1]), DR.sum(axis=(0, 1)),
+            outer_sum(dE, X[1:]), dE.sum(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
 # pH reactor physics
 # ---------------------------------------------------------------------------
 
-@jit
 def ph_rhs(x1, x2, x3, u, d,
            q1, A1, zlvl, Cv4, nexp, Wa1, Wb1, Wa2, Wb2, Wa3, Wb3):
     """Right-hand side of the reactor ODE; u is the base flow, d the buffer."""
@@ -366,7 +218,6 @@ def ph_rhs(x1, x2, x3, u, d,
     return dx1, dx2, dx3
 
 
-@jit
 def rk4_ph(x1, x2, x3, u, d, tau, substeps,
            q1, A1, zlvl, Cv4, nexp, Wa1, Wb1, Wa2, Wb2, Wa3, Wb3):
     """Classical RK4 over tau seconds with zero-order-hold inputs."""
@@ -388,7 +239,6 @@ def rk4_ph(x1, x2, x3, u, d, tau, substeps,
     return x1, x2, x3
 
 
-@jit
 def ph_c_residual(x1, x2, y, pK1, pK2):
     """Implicit charge balance c(x, y); its root in y is the pH."""
     num = 1.0 + 2.0 * 10.0 ** (y - pK2)
@@ -396,7 +246,6 @@ def ph_c_residual(x1, x2, y, pK1, pK2):
     return x1 + 10.0 ** (y - 14.0) - 10.0 ** (-y) + x2 * num / den
 
 
-@jit
 def ph_c_residual_dy(x1, x2, y, pK1, pK2):
     ln10 = math.log(10.0)
     a = 10.0 ** (y - pK2)
@@ -409,7 +258,6 @@ def ph_c_residual_dy(x1, x2, y, pK1, pK2):
     return ln10 * (10.0 ** (y - 14.0) + 10.0 ** (-y)) + x2 * dfrac
 
 
-@jit
 def ph_output_solve(x1, x2, pK1, pK2):
     """pH from the implicit output map: bisection on [0, 14], Newton polish.
 
@@ -451,7 +299,6 @@ def ph_output_solve(x1, x2, pK1, pK2):
     return y
 
 
-@jit
 def ph_run(x1, x2, x3, useq, dseq, tau, substeps,
            q1, A1, zlvl, Cv4, nexp, Wa1, Wb1, Wa2, Wb2, Wa3, Wb3, pK1, pK2):
     """Simulate K samples: states after each hold period and the pH there."""
@@ -475,231 +322,93 @@ def ph_run(x1, x2, x3, useq, dseq, tau, substeps,
 # finite-horizon optimal control evaluations (single shooting)
 # ---------------------------------------------------------------------------
 
-@jit
+def _quad(E, M):
+    """e' M e for every row e of E."""
+    return np.sum(E * (E @ M.T), axis=-1)
+
+
+def _box_excess(W):
+    """Signed excess of W over [-1, 1] and the largest violation (>= 0)."""
+    return W - np.clip(W, -1.0, 1.0), np.max(np.abs(W), initial=1.0) - 1.0
+
+
+def _fhocp_cost(XA, V, xi_off, xa_eq, Qmat, Rmat, Qlq, Pi, omega,
+                Nc, Np, mu_box, mu_term):
+    """Penalized cost of one rollout and its direct partials.
+
+    Stage cost e'Q e + v'R v on the free moves and e'Q_lq e under the law,
+    through the prediction horizon and the terminal tail alike; the box
+    penalty on xi~ + v = xi + xi_off + v for i < Np; the terminal penalty
+    at state Np.  Returns (J_pen, J, box_viol, term_viol, gXA, gV).
+    """
+    T, p = V.shape
+    E = XA - xa_eq
+    gXA = np.zeros_like(XA)
+    gXA[:Nc] = E[:Nc] @ Qmat.T
+    gXA[Nc:T] = E[Nc:T] @ Qlq.T
+    gV = np.zeros_like(V)
+    gV[:Nc] = V[:Nc] @ Rmat.T
+    J = float(np.sum(E * gXA) + np.sum(V * gV))
+    gXA *= 2.0
+    gV *= 2.0
+
+    over, box_viol = _box_excess(XA[:Np, -p:] + xi_off + V[:Np])
+    pen = mu_box * np.sum(over * over)
+    gXA[:Np, -p:] += 2.0 * mu_box * over
+    gV[:Np] += 2.0 * mu_box * over
+
+    PeN = Pi @ E[Np]
+    s = float(E[Np] @ PeN) - omega
+    if s > 0.0:
+        pen += mu_term * s * s
+        gXA[Np] += (4.0 * mu_term * s) * PeN
+    return J + pen, J, float(box_viol), max(s, 0.0), gXA, gV
+
+
 def augmented_rollout_cached(xa0, V, y0,
                              Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Roll the integrator-augmented model under an explicit v sequence."""
-    Np = V.shape[0]
-    n = Uz.shape[0]
-    na = xa0.shape[0]
-    XA = np.empty((Np + 1, na))
-    Z = np.empty((Np, n)); F = np.empty((Np, n)); R = np.empty((Np, n))
-    XA[0] = xa0
-    for i in range(Np):
-        x = XA[i, :n]
-        xi = XA[i, n:]
-        u = V[i] + xi
-        xn, z, f, r = gru_cell_cached(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        XA[i + 1, :n] = xn
-        XA[i + 1, n:] = xi + y0 - y
-        Z[i] = z; F[i] = f; R[i] = r
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    XA, _, (_, Z, F, R) = augmented_rollout(cellp, Uo, bo, y0, xa0, V,
+                                            (None, None), len(V))
     return XA, Z, F, R
 
 
-@jit
 def vf_rollout(xaN, y0, Klq, xa_eq, Qlq, Nf,
                Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Truncated cost-to-go of the auxiliary-law closed loop from xaN."""
-    n = Uz.shape[0]
-    chi = xaN.copy()
-    vf = 0.0
-    for _ in range(Nf):
-        e = chi - xa_eq
-        vf += quad_form(e, Qlq)
-        vlq = -matvec(Klq, e)
-        x = chi[:n]
-        xi = chi[n:]
-        u = vlq + xi
-        xn = gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        nxt = np.empty_like(chi)
-        nxt[:n] = xn
-        nxt[n:] = xi + y0 - y
-        chi = nxt
-    return vf
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    XA, _, _ = augmented_rollout(cellp, Uo, bo, y0, xaN, (), (Klq, xa_eq), Nf)
+    return float(np.sum(_quad(XA[:-1] - xa_eq, Qlq)))
 
 
-@jit
 def fhocp_forward(vflat, xa_init, xi_init, y0,
                   Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                   Klq, xa_eq, Qmat, Rmat, Qlq, Pi, omega,
                   Nc, Np, Nf, mu_box, mu_term):
     """Penalized shooting objective; returns (J_pen, J, box_viol, term_viol)."""
-    n = Uz.shape[0]
-    p = bo.shape[0]
-    na = xa_init.shape[0]
-    xa = xa_init.copy()
-    xit = xi_init.copy()
-    J = 0.0
-    pen = 0.0
-    box_viol = 0.0
-    for i in range(Np):
-        e = xa - xa_eq
-        if i < Nc:
-            v = vflat[i * p:(i + 1) * p].copy()
-            J += quad_form(e, Qmat) + quad_form(v, Rmat)
-        else:
-            v = -matvec(Klq, e)
-            J += quad_form(e, Qlq)
-        w = xit + v
-        for j in range(p):
-            ab = abs(w[j]) - 1.0
-            if ab > box_viol:
-                box_viol = ab
-            if ab > 0.0:
-                pen += mu_box * ab * ab
-        x = xa[:n]
-        xi = xa[n:]
-        u = v + xi
-        xn = gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        nxt = np.empty(na)
-        nxt[:n] = xn
-        nxt[n:] = xi + y0 - y
-        xit = xit + y0 - y
-        xa = nxt
-    eN = xa - xa_eq
-    s = quad_form(eN, Pi) - omega
-    term_viol = s if s > 0.0 else 0.0
-    if s > 0.0:
-        pen += mu_term * s * s
-    J += vf_rollout(xa, y0, Klq, xa_eq, Qlq, Nf,
-                    Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo)
-    return J + pen, J, box_viol, term_viol
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
+                                 (Klq, xa_eq), Np + Nf)
+    return _fhocp_cost(XA, V, xi_init - xa_init[len(bz):], xa_eq, Qmat, Rmat,
+                       Qlq, Pi, omega, Nc, Np, mu_box, mu_term)[:4]
 
 
-@jit
 def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                            Klq, xa_eq, Qmat, Rmat, Qlq, Pi, omega,
                            Nc, Np, Nf, mu_box, mu_term):
     """fhocp_forward plus the exact gradient of the penalized objective."""
-    n = Uz.shape[0]
-    p = bo.shape[0]
-    na = xa_init.shape[0]
-
-    XA = np.empty((Np + 1, na))
-    XI = np.empty((Np + 1, p))
-    V = np.empty((Np, p))
-    Z = np.empty((Np, n)); F = np.empty((Np, n)); R = np.empty((Np, n))
-    XA[0] = xa_init
-    XI[0] = xi_init
-    J = 0.0
-    pen = 0.0
-    box_viol = 0.0
-    for i in range(Np):
-        e = XA[i] - xa_eq
-        if i < Nc:
-            v = vflat[i * p:(i + 1) * p].copy()
-            J += quad_form(e, Qmat) + quad_form(v, Rmat)
-        else:
-            v = -matvec(Klq, e)
-            J += quad_form(e, Qlq)
-        V[i] = v
-        w = XI[i] + v
-        for j in range(p):
-            ab = abs(w[j]) - 1.0
-            if ab > box_viol:
-                box_viol = ab
-            if ab > 0.0:
-                pen += mu_box * ab * ab
-        x = XA[i, :n]
-        xi = XA[i, n:]
-        u = v + xi
-        xn, z, f, r = gru_cell_cached(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        XA[i + 1, :n] = xn
-        XA[i + 1, n:] = xi + y0 - y
-        XI[i + 1] = XI[i] + y0 - y
-        Z[i] = z; F[i] = f; R[i] = r
-
-    eN = XA[Np] - xa_eq
-    s = quad_form(eN, Pi) - omega
-    term_viol = s if s > 0.0 else 0.0
-    if s > 0.0:
-        pen += mu_term * s * s
-
-    # terminal cost rollout with caches for its adjoint
-    CHI = np.empty((Nf + 1, na))
-    Zc = np.empty((Nf, n)); Fc = np.empty((Nf, n)); Rc = np.empty((Nf, n))
-    CHI[0] = XA[Np]
-    vf = 0.0
-    for jj in range(Nf):
-        e = CHI[jj] - xa_eq
-        vf += quad_form(e, Qlq)
-        vlq = -matvec(Klq, e)
-        x = CHI[jj, :n]
-        xi = CHI[jj, n:]
-        u = vlq + xi
-        xn, z, f, r = gru_cell_cached(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        CHI[jj + 1, :n] = xn
-        CHI[jj + 1, n:] = xi + y0 - y
-        Zc[jj] = z; Fc[jj] = f; Rc[jj] = r
-    J += vf
-
-    # adjoint of the terminal cost
-    g = np.zeros(na)
-    for jj in range(Nf - 1, -1, -1):
-        e = CHI[jj] - xa_eq
-        vlq = -matvec(Klq, e)
-        x = CHI[jj, :n]
-        xi = CHI[jj, n:]
-        u = vlq + xi
-        lam_x = g[:n].copy()
-        lam_xi = g[n:].copy()
-        gx, gu, _, _, _ = gru_vjp(lam_x, x, u, Zc[jj], Fc[jj], Rc[jj],
-                                  Wz, Uz, Wf, Uf, Wr, Ur)
-        gnew = np.empty(na)
-        gnew[:n] = gx - matvec_t(Uo, lam_xi)
-        gnew[n:] = gu + lam_xi
-        gnew -= matvec_t(Klq, gu)
-        gnew += 2.0 * matvec(Qlq, e)
-        g = gnew
-
-    lam = g
-    if s > 0.0:
-        lam = lam + (4.0 * mu_term * s) * matvec(Pi, eN)
-    lam_xit = np.zeros(p)
-
-    grad = np.zeros(Nc * p)
-    for i in range(Np - 1, -1, -1):
-        x = XA[i, :n]
-        xi = XA[i, n:]
-        e = XA[i] - xa_eq
-        v = V[i]
-        u = v + xi
-        w = XI[i] + v
-        pen_w = np.zeros(p)
-        for j in range(p):
-            if w[j] > 1.0:
-                pen_w[j] = 2.0 * mu_box * (w[j] - 1.0)
-            elif w[j] < -1.0:
-                pen_w[j] = 2.0 * mu_box * (w[j] + 1.0)
-        lam_xp = lam[:n].copy()
-        lam_xip = lam[n:].copy()
-        gx, gu, _, _, _ = gru_vjp(lam_xp, x, u, Z[i], F[i], R[i],
-                                  Wz, Uz, Wf, Uf, Wr, Ur)
-        dv = gu + pen_w
-        if i < Nc:
-            dv = dv + 2.0 * matvec(Rmat, v)
-        newlam = np.empty(na)
-        newlam[:n] = gx - matvec_t(Uo, lam_xip) - matvec_t(Uo, lam_xit)
-        newlam[n:] = gu + lam_xip
-        if i < Nc:
-            newlam += 2.0 * matvec(Qmat, e)
-            grad[i * p:(i + 1) * p] = dv
-        else:
-            newlam += 2.0 * matvec(Qlq, e)
-            newlam -= matvec_t(Klq, dv)
-        lam = newlam
-        lam_xit = lam_xit + pen_w
-
-    return J + pen, J, grad, box_viol, term_viol
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    XA, V, cache = augmented_rollout(cellp, Uo, bo, y0, xa_init,
+                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
+    Jp, J, box_viol, term_viol, gXA, gV = _fhocp_cost(
+        XA, V, xi_init - xa_init[len(bz):], xa_eq, Qmat, Rmat, Qlq, Pi, omega,
+        Nc, Np, mu_box, mu_term)
+    grad = augmented_adjoint(cellp, Uo, Klq, XA, cache, gXA, gV, Nc)
+    return Jp, J, grad.ravel(), box_viol, term_viol
 
 
-@jit
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
                        Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                        Klq, xa_eq, Nc, Np):
@@ -709,77 +418,32 @@ def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
     [-1 - xi~(i), 1 - xi~(i)] before advancing.  The auxiliary-law tail is
     left untouched; its residual box violation is returned.
     """
-    n = Uz.shape[0]
-    p = bo.shape[0]
-    na = xa_init.shape[0]
-    vout = vflat.copy()
-    xa = xa_init.copy()
-    xit = xi_init.copy()
-    tail_viol = 0.0
-    for i in range(Np):
-        e = xa - xa_eq
-        if i < Nc:
-            v = vout[i * p:(i + 1) * p].copy()
-            for j in range(p):
-                lo = -1.0 - xit[j]
-                hi = 1.0 - xit[j]
-                if v[j] < lo:
-                    v[j] = lo
-                elif v[j] > hi:
-                    v[j] = hi
-            vout[i * p:(i + 1) * p] = v
-        else:
-            v = -matvec(Klq, e)
-            w = xit + v
-            for j in range(p):
-                ab = abs(w[j]) - 1.0
-                if ab > tail_viol:
-                    tail_viol = ab
-        x = xa[:n]
-        xi = xa[n:]
-        u = v + xi
-        xn = gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        nxt = np.empty(na)
-        nxt[:n] = xn
-        nxt[n:] = xi + y0 - y
-        xit = xit + y0 - y
-        xa = nxt
-    return vout, xa, tail_viol
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    xi_off = xi_init - xa_init[len(bz):]
+    XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
+                                 (Klq, xa_eq), Np, box_offset=xi_off)
+    _, tail_viol = _box_excess(XA[Nc:Np, len(bz):] + xi_off + V[Nc:])
+    return V[:Nc].ravel(), XA[Np], float(tail_viol)
 
 
-@jit
 def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Evaluate the terminal-set membership conditions at offsets E.
 
     Row k of E is a deviation from the equilibrium.  Returns per sample the
     total-input overshoot max(|xi + v_lq|) - 1 and the Lyapunov-decrease
-    left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2.
+    left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2.  The rows
+    go through the cell in blocks of TERMINAL_BLOCK.
     """
-    M = E.shape[0]
-    n = Uz.shape[0]
-    input_over = np.empty(M)
-    decrease_lhs = np.empty(M)
-    for k in range(M):
-        e = E[k]
-        xa = xa_eq + e
-        vlq = -matvec(Klq, e)
-        x = xa[:n]
-        xi = xa[n:]
-        w = vlq + xi
-        over = -1e300
-        for j in range(w.shape[0]):
-            ov = abs(w[j]) - 1.0
-            if ov > over:
-                over = ov
-        input_over[k] = over
-        u = vlq + xi
-        xn = gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-        y = matvec(Uo, x) + bo
-        nxt = np.empty_like(xa)
-        nxt[:n] = xn
-        nxt[n:] = xi + y0 - y
-        en = nxt - xa_eq
-        decrease_lhs[k] = quad_form(en, Pi) - quad_form(e, Pi) + gamma * np.dot(e, e)
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    input_over = np.empty(len(E))
+    decrease_lhs = np.empty(len(E))
+    for lo in range(0, len(E), TERMINAL_BLOCK):
+        e = E[lo:lo + TERMINAL_BLOCK]
+        XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_eq + e, (),
+                                     (Klq, xa_eq), 1)
+        block = slice(lo, lo + len(e))
+        input_over[block] = np.max(np.abs(XA[0, :, len(bz):] + V[0]), axis=1) - 1.0
+        decrease_lhs[block] = (_quad(XA[1] - xa_eq, Pi) - _quad(e, Pi)
+                               + gamma * np.sum(e * e, axis=1))
     return input_over, decrease_lhs

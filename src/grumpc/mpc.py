@@ -72,9 +72,10 @@ class LinearizedAugmented:
 def steady_state(w: GruWeights, u_const, max_steps=50000, tol=1e-13):
     """Steady state under a constant input, by rollout to convergence."""
     u = np.atleast_1d(np.asarray(u_const, dtype=np.float64))
+    cellp = kernels.stack_gates(*w.arrays())
     x = np.zeros(w.n)
     for _ in range(max_steps):
-        xn = kernels.gru_cell(x, u, *w.arrays())
+        xn = kernels.cell(x, u, *cellp)[0]
         if np.max(np.abs(xn - x)) < tol:
             return xn
         x = xn
@@ -498,28 +499,12 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
         raise FhocpInfeasibleError(best["viol"])
 
     vbest = best["v"]
-    XA, _, _, _ = kernels.augmented_rollout_cached(
-        xa0, _expand_plan(vbest, w, ing, Nc, Np, xa0), y0, *args_model)
+    XA, _, _ = kernels.augmented_rollout(
+        kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, y0, xa0,
+        vbest.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
     return FhocpSolution(v=vbest.reshape(Nc, p), trajectory=XA,
                          cost=best["cost"], iterations=iters, feasible=True,
                          max_violation=best["viol"])
-
-
-def _expand_plan(vflat, w, ing, Nc, Np, xa0):
-    """Explicit v sequence over the whole horizon (free moves + tail law)."""
-    p = w.p
-    V = np.zeros((Np, p))
-    xa = xa0.copy()
-    for i in range(Np):
-        e = xa - ing.eq.xa0
-        v = vflat[i * p:(i + 1) * p] if i < Nc else -(ing.K_lq @ e)
-        V[i] = v
-        x = xa[:w.n]
-        xi = xa[w.n:]
-        xn = kernels.gru_cell(x, v + xi, *w.arrays())
-        y = w.U_o @ x + w.b_o
-        xa = np.concatenate([xn, xi + ing.eq.y0 - y])
-    return V
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,

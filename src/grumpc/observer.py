@@ -99,10 +99,10 @@ def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
     e_xi = xi_meas - est.xi
     u_hat = v + est.xi
 
-    z = kernels.sigmoid_vec(w.W_z @ u_hat + w.U_z @ est.x + w.b_z
-                            + g.L_zxi @ e_xi + g.L_zy @ e_y)
-    f = kernels.sigmoid_vec(w.W_f @ u_hat + w.U_f @ est.x + w.b_f
-                            + g.L_fxi @ e_xi + g.L_fy @ e_y)
+    z = kernels.logistic(w.W_z @ u_hat + w.U_z @ est.x + w.b_z
+                         + g.L_zxi @ e_xi + g.L_zy @ e_y)
+    f = kernels.logistic(w.W_f @ u_hat + w.U_f @ est.x + w.b_f
+                         + g.L_fxi @ e_xi + g.L_fy @ e_y)
     r = np.tanh(w.W_r @ u_hat + w.U_r @ (f * est.x) + w.b_r)
     x_next = z * est.x + (1.0 - z) * r
     xi_next = est.xi + y0 - y_hat + g.L_xiy @ e_y + g.L_xixi @ e_xi

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +172,6 @@ def test_cli_exit_codes(tmp_path):
 
 
 def _write_tiny_config(tmp_path):
-    import dataclasses
     doc = dataclasses.asdict(tiny_config())
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
@@ -185,6 +186,23 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     bad.write_text(json.dumps({"data": {"bogus_key": 1}}))
     with pytest.raises(CommandError, match="bogus_key"):
         ExperimentConfig.load(bad)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_desk_config_file_equals_code_defaults():
+    # the JSON round trip turns the code's tuples (hold_range) into lists,
+    # as loading the file does
+    doc = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
+    assert ExperimentConfig.load(CONFIGS / "desk.json") == ExperimentConfig.from_dict(doc)
+
+
+def test_paper_config_holds_the_full_scale_profile():
+    cfg = ExperimentConfig.load(CONFIGS / "paper.json")
+    assert cfg.data.n_samples == 5060
+    assert cfg.train.epochs == 200
+    assert cfg.controller.N_p == 75
 
 
 def test_module_entrypoint_help():

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from grumpc import gru_model, kernels, mpc, observer
+from grumpc import gru_model, harness, kernels, mpc, observer, sysid
 from grumpc.mpc import (ControllerConfig, FhocpConfig, UnreachableReferenceError,
                         build_ingredients, check_design_assumptions,
                         find_equilibrium, linearize_augmented, lq_gain,
@@ -242,6 +244,20 @@ def test_terminal_radius_sampled_soundness(small_setup):
         nxt, _ = observer.augmented_step(w, s, vlq, eq.y0)
         en = nxt.stacked() - eq.xa0
         assert en @ ing.Pi @ en <= ing.omega + 1e-9
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+
+
+@pytest.mark.parametrize("ph, omega", [(7.0, 6.4), (7.2, 3.2768)])
+def test_terminal_radius_on_pinned_model(ph, omega):
+    # the radii the sampled check accepted for the benchmark's pinned model
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    ctl = mpc.RecedingHorizonController(w, observer.load_gains(FIXTURE / "gains.json"),
+                                        harness.ExperimentConfig().controller)
+    assert ctl.ingredients_for(nmap.normalize_y([ph])).omega == pytest.approx(
+        omega, rel=1e-12)
 
 
 def test_terminal_cost_zero_at_equilibrium(small_setup):
