@@ -37,8 +37,10 @@ class TerminalSetError(RuntimeError):
 
 
 class FhocpInfeasibleError(RuntimeError):
-    def __init__(self, violation):
+    def __init__(self, violation, evals=0, tail_steps=0):
         self.violation = violation
+        self.evals = evals
+        self.tail_steps = tail_steps
         super().__init__(f"no feasible plan found (min violation {violation:.3e})")
 
 
@@ -255,19 +257,43 @@ def lyapunov_Pi(lin: LinearizedAugmented, K_lq, Q_tilde, tol=1e-14):
 _HALTON_CACHE: dict = {}
 
 
+def _primes(count):
+    """The first count primes."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def halton_points(count, dim, skip=0):
+    """Points skip .. skip+count-1 of the unscrambled Halton sequence.
+
+    Coordinate j is the radical inverse of the point index in the j-th
+    prime base, its digits summed from the least significant one on, the
+    same arithmetic as scipy.stats.qmc.Halton(scramble=False).
+    """
+    pts = np.zeros((count, dim))
+    for j, base in enumerate(_primes(dim)):
+        q = np.arange(skip, skip + count)
+        scale = 1.0 / base
+        while np.any(q > 0):
+            pts[:, j] += (q % base) * scale
+            scale /= base
+            q //= base
+    return pts
+
+
 def _halton_directions(count, dim, skip=0):
     """Deterministic low-discrepancy unit directions (Halton -> Gaussian)."""
     key = (count, dim, skip)
     cached = _HALTON_CACHE.get(key)
     if cached is not None:
         return cached
-    from scipy.stats import qmc
     from scipy.special import ndtri
-    h = qmc.Halton(d=dim, scramble=False)
-    if skip:
-        h.fast_forward(skip)
-    pts = h.random(count)
-    pts = np.clip(pts, 1e-12, 1.0 - 1e-12)
+    pts = np.clip(halton_points(count, dim, skip), 1e-12, 1.0 - 1e-12)
     g = ndtri(pts)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
@@ -316,7 +342,10 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma,
 
 
 def terminal_cost(w: GruWeights, eq: Equilibrium, K_lq, Q_lq, x_aN, N_f=1000):
-    """Truncated auxiliary-law cost-to-go from x_aN (deviation coordinates)."""
+    """Auxiliary-law cost-to-go from x_aN, summed until it has converged.
+
+    N_f caps the number of steps (see kernels.TAIL_RTOL).
+    """
     vf = kernels.vf_rollout(np.asarray(x_aN, dtype=np.float64), eq.y0,
                             np.ascontiguousarray(K_lq, dtype=np.float64),
                             eq.xa0, np.ascontiguousarray(Q_lq, dtype=np.float64),
@@ -392,6 +421,8 @@ class FhocpSolution:
     iterations: int
     feasible: bool
     max_violation: float
+    evals: int = 0           # objective evaluations, with or without gradient
+    tail_steps: int = 0      # longest terminal tail rolled (<= N_f)
 
 
 def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
@@ -419,10 +450,23 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
     omega_tol = ctol * max(1.0, ing.omega)
 
     best = {"cost": np.inf, "v": None, "viol": np.inf, "traj": None}
+    work = {"evals": 0, "tail_steps": 0}
+
+    def counted(out):
+        work["evals"] += 1
+        work["tail_steps"] = max(work["tail_steps"], out[-1])
+        return out[:-1]
+
+    def forward(vflat, mu_box, mu_term):
+        return counted(kernels.fhocp_forward(
+            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term))
+
+    def forward_backward(vflat, mu_box, mu_term):
+        return counted(kernels.fhocp_forward_backward(
+            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term))
 
     def consider(vflat):
-        _, Jc, bviol, tviol = kernels.fhocp_forward(
-            vflat, xa0, xi0, y0, *args_model, *args_prob, 0.0, 0.0)
+        _, Jc, bviol, tviol = forward(vflat, 0.0, 0.0)
         viol = max(bviol, tviol / max(1.0, ing.omega))
         feasible = bviol <= ctol and tviol <= omega_tol
         if feasible and Jc < best["cost"]:
@@ -431,8 +475,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
         return feasible, Jc
 
     def strictly_feasible(vflat):
-        _, _, bviol, tviol = kernels.fhocp_forward(
-            vflat, xa0, xi0, y0, *args_model, *args_prob, 0.0, 0.0)
+        _, _, bviol, tviol = forward(vflat, 0.0, 0.0)
         return bviol <= 0.0 and tviol <= 0.0
 
     if warm_start is not None:
@@ -448,8 +491,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
     budget = max(5, cfg.max_iters // rounds)
     for mu in cfg.mu_schedule:
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
-        Jp, _, g, _, _ = kernels.fhocp_forward_backward(
-            v, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
+        Jp, _, g, _, _ = forward_backward(v, mu_box, mu_term)
         alpha = 1.0 / max(np.linalg.norm(g), 1.0)
         g_prev = None
         v_prev = None
@@ -469,8 +511,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
             a = alpha
             for _ in range(40):
                 v_try = v - a * g
-                Jp_try, _, _, _ = kernels.fhocp_forward(
-                    v_try, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
+                Jp_try, _, _, _ = forward(v_try, mu_box, mu_term)
                 if Jp_try <= Jp - 1e-4 * a * gn2:
                     accepted = True
                     break
@@ -480,8 +521,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
             stall = stall + 1 if Jp - Jp_try < 1e-12 * (1.0 + abs(Jp)) else 0
             v_prev, g_prev = v.copy(), g.copy()
             v = v_try
-            Jp, _, g, _, _ = kernels.fhocp_forward_backward(
-                v, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
+            Jp, _, g, _, _ = forward_backward(v, mu_box, mu_term)
             iters += 1
             if stall >= 3:
                 break
@@ -496,7 +536,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
             break
 
     if best["v"] is None:
-        raise FhocpInfeasibleError(best["viol"])
+        raise FhocpInfeasibleError(best["viol"], **work)
 
     vbest = best["v"]
     XA, _, _ = kernels.augmented_rollout(
@@ -504,7 +544,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
         vbest.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
     return FhocpSolution(v=vbest.reshape(Nc, p), trajectory=XA,
                          cost=best["cost"], iterations=iters, feasible=True,
-                         max_violation=best["viol"])
+                         max_violation=best["viol"], **work)
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
@@ -543,6 +583,8 @@ class ControllerConfig:
     r_weight: float = 1.0
     q_tilde_weight: float = 10.0
     gamma: float = 0.01
+    # cap on the terminal tail: it ends once its cost has converged
+    # (kernels.TAIL_RTOL), after 99-124 steps on the pinned benchmark model
     N_f: int = 1000
     ref_filter_window: int = 12
     max_iters: int = 200
@@ -566,6 +608,8 @@ class StepInfo:
     iterations: int
     feasible: bool
     fallback: bool
+    evals: int = 0           # objective evaluations of the solve
+    tail_steps: int = 0      # longest terminal tail of the solve
 
 
 class RecedingHorizonController:
@@ -591,6 +635,7 @@ class RecedingHorizonController:
         self.xi: np.ndarray | None = None
         self._warm = None
         self.fallback_count = 0
+        self.dropout_count = 0
 
     def ingredients_for(self, y0) -> TerminalIngredients:
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -623,6 +668,12 @@ class RecedingHorizonController:
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
         ing = self.ingredients_for(y0)
         cfg = self.cfg.fhocp()
+        # a non-finite measurement is a dropout: the observer and the
+        # integrator take the model's predicted output in its place
+        if not np.all(np.isfinite(y_meas)):
+            self.dropout_count += 1
+            log.warning("non-finite measurement %s; using the model output", y_meas)
+            y_meas = gru_model.gru_output(self.w, self.est.x)
 
         fallback = False
         try:
@@ -632,6 +683,7 @@ class RecedingHorizonController:
             v = sol.v[0].copy()
             self._warm = shifted_warm_start(sol, ing, self.w, cfg)
             cost, iters, feas = sol.cost, sol.iterations, True
+            evals, tail_steps = sol.evals, sol.tail_steps
         except FhocpInfeasibleError as exc:
             # auxiliary law on the estimate, clipped into the input box
             fallback = True
@@ -641,10 +693,12 @@ class RecedingHorizonController:
             v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
             self._warm = None
             cost, iters, feas = np.nan, 0, False
+            evals, tail_steps = exc.evals, exc.tail_steps
 
         u = np.clip(v + self.xi, -1.0, 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
-                        feasible=feas, fallback=fallback)
+                        feasible=feas, fallback=fallback, evals=evals,
+                        tail_steps=tail_steps)
 
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error

@@ -136,8 +136,11 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
 
     rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))
     assert rows[0] == ["k", "y_ref", "y_meas", "u_applied", "v", "xi",
-                       "cost", "solve_iters", "feasible"]
+                       "cost", "solve_iters", "feasible", "evals", "tail_steps"]
     assert len(rows) - 1 == int(0.25 * 3600 / 10)
+    # every solve evaluates the objective; no tail runs past the cap N_f
+    assert all(int(r[9]) >= 1 and 0 <= int(r[10]) <= cfg.controller.N_f
+               for r in rows[1:])
 
     files = harness.cmd_plot_export(tmp_path / "closed_loop.csv", tmp_path / "figs")
     assert set(files) == {"fig_output.csv", "fig_tracking_error.csv",
@@ -152,6 +155,46 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
                                                abs=1e-15)
     # bounds columns constant at the actuator limits
     assert all(float(r[2]) == 11.2 and float(r[3]) == 17.2 for r in in_rows[1:])
+
+
+def test_closed_loop_survives_a_nan_measurement(tmp_path, monkeypatch):
+    # one non-finite measurement in a disturbed model-plant loop is a
+    # dropout: every applied input stays finite and the loop settles as it
+    # does without the fault
+    cfg = tiny_config()
+    seed_certified_artifacts(tmp_path, cfg)
+    w = gru_model.load_weights(tmp_path / "weights.json")
+    nmap = sysid.NormalizationMap.load(tmp_path / "normalization.json")
+    y_mid = 0.5 * (gru_model.gru_output(w, mpc.steady_state(w, [-1.0]))[0]
+                   + gru_model.gru_output(w, mpc.steady_state(w, [1.0]))[0])
+    cfg.scenario.reference_program = [[0.0, float(nmap.denormalize_y([y_mid])[0])]]
+    cfg.controller.N_f = 60
+    cfg.scenario.duration_h = 0.12
+    cfg.scenario.disturbances = [[0.01, 0.02, "input-additive", 0.3]]
+
+    def run(out, nan_at):
+        measure = harness._ModelPlant.measure
+        calls = []
+
+        def faulty(plant):
+            calls.append(1)
+            return float("nan") if len(calls) - 1 == nan_at else measure(plant)
+        monkeypatch.setattr(harness._ModelPlant, "measure", faulty)
+        metrics = harness.cmd_run_closed_loop(cfg, out)
+        monkeypatch.setattr(harness._ModelPlant, "measure", measure)
+        rows = list(csv.reader(open(out / "closed_loop.csv")))[1:]
+        return metrics, np.array([float(r[3]) for r in rows])
+
+    clean, u_clean = run(tmp_path, None)
+    faulty, u_faulty = run(tmp_path, 6)
+    assert clean["dropout_ticks"] == 0 and faulty["dropout_ticks"] == 1
+    assert np.all(np.isfinite(u_faulty))
+    assert faulty["constraint_violations"] == 0 and faulty["fallback_ticks"] == 0
+    np.testing.assert_array_equal(u_faulty[:6], u_clean[:6])
+    assert np.any(u_faulty[6:] != u_clean[6:])
+    bound = 1e-3 * float(nmap.y_half[0])
+    assert clean["max_settled_error"] < bound
+    assert faulty["max_settled_error"] < bound
 
 
 def test_plot_export_rejects_malformed(tmp_path):

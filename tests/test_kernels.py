@@ -5,10 +5,12 @@ and the auxiliary law v = -K (xa - xa_eq), with the costs summed explicitly,
 so that a kernel and its reference share no code beyond the GRU cell.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from grumpc import gru_model, kernels, mpc, observer
+from grumpc import gru_model, harness, kernels, mpc, observer, sysid
 from grumpc.observer import AugmentedState
 
 from conftest import scaled_certified_weights
@@ -59,32 +61,33 @@ def forward_backward(w, ing, vflat, xa0, xi0, mu_box, mu_term, omega=None):
                                           *prob, N_C, N_P, N_F, mu_box, mu_term)
 
 
-def reference_fhocp(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None):
+def reference_fhocp(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None,
+                    Nc=N_C, Np=N_P):
     """Step-by-step rollout over N_p + N_f steps with explicit cost sums.
 
     Returns (states, moves, J_pen, J, box_viol, term_viol).
     """
     n = w.n
     omega = ing.omega if omega is None else omega
-    V = vflat.reshape(N_C, w.p)
+    V = vflat.reshape(Nc, w.p)
     s = AugmentedState(xa0[:n].copy(), xa0[n:].copy())
     xit = xi0.copy()
     states, moves = [s.stacked()], []
     J = pen = box_viol = term_viol = 0.0
-    for i in range(N_P + Nf):
-        if i == N_P:
+    for i in range(Np + Nf):
+        if i == Np:
             eN = s.stacked() - ing.eq.xa0
             term = eN @ ing.Pi @ eN - omega
             term_viol = max(term, 0.0)
             pen += mu_term * term_viol ** 2
         e = s.stacked() - ing.eq.xa0
-        if i < N_C:
+        if i < Nc:
             v = V[i]
             J += e @ ing.Q @ e + v @ ing.R @ v
         else:
             v = -(ing.K_lq @ e)
             J += e @ ing.Q_lq @ e
-        if i < N_P:
+        if i < Np:
             excess = np.abs(xit + v) - 1.0
             box_viol = max(box_viol, np.max(excess))
             pen += mu_box * np.sum(np.maximum(excess, 0.0) ** 2)
@@ -107,9 +110,107 @@ def test_fhocp_forward_matches_stepwise_reference(setup):
         vflat = rng.normal(0.0, scale, N_C * w.p)
         ref = reference_fhocp(w, ing, vflat, xa0, xi0, mu, 2 * mu, omega=omega)
         got = forward(w, ing, vflat, xa0, xi0, mu, 2 * mu, omega=omega)
-        np.testing.assert_allclose(got, ref[2:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[:4], ref[2:], rtol=0, atol=1e-12)
+        assert got[4] == N_F          # the tail has not converged: it runs to the cap
         if mu:
             assert ref[4] > 0 and ref[5] > 0      # both penalties active
+
+
+def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, Np):
+    """Reverse pass over a reference rollout, step by step, built on
+    gru_model.jacobians instead of the kernels' cell VJP."""
+    n, p = w.n, w.p
+    xi_off = xi0 - states[0, n:]
+    lam = np.zeros(n + p)                    # the last state carries no cost
+    grad = np.empty((Nc, p))
+    for i in range(len(moves) - 1, -1, -1):
+        e, v = states[i] - ing.eq.xa0, moves[i]
+        gx = 2.0 * (ing.Q if i < Nc else ing.Q_lq) @ e
+        gv = 2.0 * ing.R @ v if i < Nc else np.zeros(p)
+        if i < Np:
+            wbox = states[i, n:] + xi_off + v
+            over = 2.0 * mu_box * (wbox - np.clip(wbox, -1.0, 1.0))
+            gx[n:] += over
+            gv = gv + over
+        if i == Np:
+            s = e @ ing.Pi @ e - omega
+            if s > 0:
+                gx += 4.0 * mu_term * s * (ing.Pi @ e)
+        Jx, Ju, _ = gru_model.jacobians(w, states[i, :n], v + states[i, n:])
+        gv = gv + Ju.T @ lam[:n]
+        gx[:n] += Jx.T @ lam[:n] - w.U_o.T @ lam[n:]
+        gx[n:] += Ju.T @ lam[:n] + lam[n:]
+        if i < Nc:
+            grad[i] = gv
+        else:
+            gx -= ing.K_lq.T @ gv
+        lam = gx
+    return grad.ravel()
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    """The benchmark's pinned model at pH 7.0 with the desk controller."""
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    cfg = harness.ExperimentConfig().controller
+    ctl = mpc.RecedingHorizonController(w, observer.load_gains(FIXTURE / "gains.json"),
+                                        cfg)
+    return w, ctl.ingredients_for(nmap.normalize_y([7.0])), cfg
+
+
+def test_converged_tail_matches_full_length_reference(pinned):
+    # N_f = 1000 caps a tail that stops after about a hundred steps; value
+    # and gradient equal those of the full-length rollout to 1e-12 relative
+    w, ing, cfg = pinned
+    Nc, Np, Nf = cfg.N_c, cfg.N_p, cfg.N_f
+    assert Nf == 1000
+    model, prob = problem_args(w, ing)
+    rng = np.random.default_rng(437)
+    cases = [(0.3, 0.02, 0.0, ing.omega), (0.8, 0.1, 0.0, ing.omega),
+             (1.0, 1.5, 50.0, 1e-3), (2.0, 2.0, 1e3, 1e-4)]
+    for level, scale, mu, omega in cases:
+        xa0 = ing.eq.xa0 + offset(ing, rng, level)
+        xi0 = xa0[w.n:] + rng.normal(0.0, 0.05, w.p)
+        vflat = rng.normal(0.0, scale, Nc * w.p)
+        args = (vflat, xa0, xi0, ing.eq.y0, *model, *prob[:-1], omega,
+                Nc, Np, Nf, mu, 2 * mu)
+        states, moves, *ref = reference_fhocp(w, ing, vflat, xa0, xi0, mu, 2 * mu,
+                                              Nf=Nf, omega=omega, Nc=Nc, Np=Np)
+        if mu:
+            assert ref[2] > 0 and ref[3] > 0      # both penalties active
+        else:
+            assert ref[2] <= 0 and ref[3] <= 0
+        ref_grad = reference_gradient(w, ing, states, moves, xi0, mu, 2 * mu,
+                                      omega, Nc, Np)
+        got = kernels.fhocp_forward(*args)
+        Jp, J, grad, bviol, tviol, tail = kernels.fhocp_forward_backward(*args)
+        assert 50 < got[4] == tail < 200
+        np.testing.assert_allclose(got[:2], ref[:2], rtol=1e-12, atol=0)
+        np.testing.assert_allclose((Jp, J), ref[:2], rtol=1e-12, atol=0)
+        assert (got[2], got[3]) == (bviol, tviol)
+        np.testing.assert_allclose((bviol, tviol), ref[2:], rtol=1e-12, atol=1e-15)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_vf_rollout_tail_runs_to_the_cap_unless_converged(setup):
+    w, ing = setup
+    rng = np.random.default_rng(439)
+    xa = ing.eq.xa0 + offset(ing, rng, 0.5)
+    cellp = kernels.stack_gates(*w.arrays())
+
+    def steps(cap):
+        XA, _, _ = kernels.augmented_rollout(cellp, w.U_o, w.b_o, ing.eq.y0, xa, (),
+                                             (ing.K_lq, ing.eq.xa0), cap,
+                                             tail=(0, ing.Q_lq))
+        return len(XA) - 1
+
+    converged = steps(5000)
+    assert N_F < converged < 5000
+    assert steps(N_F) == N_F and steps(converged + 1) == converged
 
 
 def test_augmented_rollout_matches_stepwise_reference(setup):
@@ -145,7 +246,7 @@ def test_clip_restore_enforces_the_box(setup):
         vflat, xa0, xi0, ing.eq.y0, *w.arrays(), w.U_o, w.b_o,
         np.ascontiguousarray(ing.K_lq), ing.eq.xa0, N_C, N_P)
     assert np.any(v_out != vflat)
-    _, _, bviol, _ = forward(w, ing, v_out, xa0, xi0, 0.0, 0.0)
+    _, _, bviol, _, _ = forward(w, ing, v_out, xa0, xi0, 0.0, 0.0)
     assert bviol <= 1e-12
 
 
@@ -164,8 +265,9 @@ def test_fhocp_gradient_matches_central_differences(setup, active):
         vflat = rng.normal(0.0, 0.01, N_C * w.p)
         omega, mu_box, mu_term = None, 30.0, 10.0
     xi0 = xa0[w.n:].copy()
-    Jp, _, grad, bviol, tviol = forward_backward(w, ing, vflat, xa0, xi0,
-                                                 mu_box, mu_term, omega)
+    Jp, _, grad, bviol, tviol, tail = forward_backward(w, ing, vflat, xa0, xi0,
+                                                       mu_box, mu_term, omega)
+    assert tail == N_F
     assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
     h = 1e-6
     fd = np.empty_like(vflat)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +263,35 @@ def test_terminal_radius_on_pinned_model(ph, omega):
         omega, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [3, 6, 9, 11])
+def test_halton_points_equal_scipy(dim):
+    from scipy.stats import qmc
+    for count, skip in ((4096, 1), (40960, 4097)):
+        h = qmc.Halton(d=dim, scramble=False)
+        h.fast_forward(skip)
+        np.testing.assert_array_equal(mpc.halton_points(count, dim, skip),
+                                      h.random(count))
+
+
+def test_ingredients_build_without_scipy_stats():
+    # scipy.stats costs about 0.75 s and 22 MB on import; the terminal-set
+    # directions come from the in-repo Halton generator instead
+    code = ("import sys, numpy as np\n"
+            "from grumpc import mpc\n"
+            "from conftest import scaled_certified_weights\n"
+            "w = scaled_certified_weights(np.random.default_rng(201), n=5, target=-0.1)\n"
+            "y = mpc.gru_model.gru_output(w, mpc.steady_state(w, [0.0]))\n"
+            "mpc.build_ingredients(w, y, np.eye(6), np.eye(1), 10 * np.eye(6), 0.01,\n"
+            "                      n_samples=64, audit_factor=2)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=env, check=True)
+    assert res.stdout.split() == ["False"]
+
+
 def test_terminal_cost_zero_at_equilibrium(small_setup):
     # the equilibrium is itself a root-solver output, so the rollout cost
     # vanishes to the fixed-point residual, not to exactly zero
@@ -273,9 +305,15 @@ def test_terminal_cost_truncation_converged(small_setup):
     e = rng.normal(size=w.n + 1)
     e /= np.sqrt(e @ ing.Pi @ e / (0.25 * ing.omega))
     xa = eq.xa0 + e
+    # the sum stops once converged, well within N_f = 1000; a step-by-step
+    # sum over 2000 steps gives the same value
     v1 = terminal_cost(w, eq, ing.K_lq, ing.Q_lq, xa, N_f=1000)
-    v2 = terminal_cost(w, eq, ing.K_lq, ing.Q_lq, xa, N_f=2000)
-    assert abs(v2 - v1) < 1e-9
+    s, full = AugmentedState(xa[:w.n], xa[w.n:]), 0.0
+    for _ in range(2000):
+        e = s.stacked() - eq.xa0
+        full += e @ ing.Q_lq @ e
+        s, _ = observer.augmented_step(w, s, -(ing.K_lq @ e), eq.y0)
+    assert v1 == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_terminal_cost_matches_lq_cost_to_go_for_linear_system(small_setup):
@@ -332,7 +370,7 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
     # warm start: cost never degrades
     warm = mpc.shifted_warm_start(sol, ing, w, cfg)
     sol2 = fhocp_solve(w, ing, cfg, est, xa[w.n:], warm_start=warm)
-    _, Jwarm, bv, tv = kernels.fhocp_forward(
+    _, Jwarm, bv, tv, _ = kernels.fhocp_forward(
         warm, np.ascontiguousarray(xa), xa[w.n:], eq.y0,
         *w.arrays(), w.U_o, w.b_o, np.ascontiguousarray(ing.K_lq), eq.xa0,
         np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
