@@ -343,6 +343,7 @@ class RunMetrics:
     saturation_ticks: int
     fallback_ticks: int
     dropout_ticks: int            # non-finite measurements replaced by y_hat
+    rebuild_failures: int         # setpoints whose ingredients failed to build
 
 
 def _settling_windows(events_h, duration_h, settle_h):
@@ -416,17 +417,17 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         plant.advance(u_phys, t_now, sched)
         rows.append((k, refs_ph[k], y_meas, u_phys, float(info.v[0]),
                      float(info.xi[0]), info.cost, info.iterations,
-                     int(info.feasible), info.evals, info.tail_steps))
+                     int(info.feasible), info.evals, info.terminal_level))
     log.info("closed loop: %d ticks in %.0f s, %d fallbacks, %d violations",
              K, time.time() - t0, ctl.fallback_count, violations)
 
     with open(paths["closed_loop"], "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k", "y_ref", "y_meas", "u_applied", "v", "xi",
-                     "cost", "solve_iters", "feasible", "evals", "tail_steps"])
+                     "cost", "solve_iters", "feasible", "evals", "terminal_level"])
         for row in rows:
             wr.writerow([row[0]] + [repr(float(v)) for v in row[1:7]]
-                        + list(row[7:]))
+                        + list(row[7:10]) + [repr(float(row[10]))])
 
     err = np.array([r[1] - r[2] for r in rows])
     events = [t for t, _ in prog if t > 0.0]
@@ -443,7 +444,7 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         rho_A_delta=rep.spectral_radius, windows=win_metrics,
         max_settled_error=max_settled, constraint_violations=violations,
         saturation_ticks=saturated, fallback_ticks=ctl.fallback_count,
-        dropout_ticks=ctl.dropout_count)
+        dropout_ticks=ctl.dropout_count, rebuild_failures=ctl.rebuild_failures)
     with open(paths["metrics"], "w") as fh:
         json.dump(asdict(metrics), fh, indent=1)
     if violations:

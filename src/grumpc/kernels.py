@@ -9,12 +9,17 @@ cell                one GRU update; the z and f gates come from one matmul
 cell_vjp            the vector-Jacobian product of that update.
 augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
                     xi+ = xi + y0 - y, under free moves for i < N_c and the
-                    auxiliary law v = -K (xa - xa_eq) after that, through the
-                    prediction horizon and the terminal tail.  The tail ends
-                    once its stage cost has converged (see TAIL_RTOL), so
-                    N_f is a cap on its length, not the length itself.
-augmented_adjoint   the reverse pass over the same (possibly shortened)
-                    horizon.
+                    auxiliary law v = -K (xa - xa_eq) after that, for a
+                    fixed number of steps.
+augmented_adjoint   the reverse pass over the same horizon.
+
+The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
+the prediction horizon, 0 by default) and charges the quadratic terminal
+cost V_f(e) = e'P_f e at the last state.  P_f = P + Pi, with P the Riccati
+matrix of the LQ gain and Pi the terminal-set matrix, solves
+Acl'P_f Acl - P_f = -(Q_lq + Q_tilde) for Acl = A_a - B_a K; the sampled
+terminal-set check (terminal_samples_check) certifies that V_f falls by at
+least the stage cost e'Q_lq e under the auxiliary law on the terminal set.
 
 Every public kernel is a short caller of these.  Batched work (training
 sequences, terminal-set samples) runs as rows of one cell call.
@@ -29,19 +34,6 @@ NUMBA_ENABLED = False
 
 # rows per cell call in terminal_samples_check; bounds its working memory
 TERMINAL_BLOCK = 1024
-
-# The terminal tail stops at the first state past its start whose stage cost
-# c_i = e'Q_lq e is at most TAIL_RTOL times the tail cost S accumulated so
-# far.  Near the equilibrium the tail follows its linearization e+ = Acl e,
-# Acl = A_a - B_a K; if |Acl^k e|_Q_lq <= M rho^k |e|_Q_lq, the stage costs
-# dropped from state i on sum to at most M^2 c_i / (1 - rho^2), that is at
-# most M^2 / (1 - rho^2) * TAIL_RTOL * S.  On the pinned benchmark model at
-# pH 6.8-7.2, rho (the spectral radius of Acl) is 0.85-0.87 and M is 3.3-3.6,
-# so the bound is about 50 TAIL_RTOL (1e-14) of the tail cost; tails from
-# inside the terminal set stop after 99-124 steps with a measured remainder
-# of at most 10 TAIL_RTOL.  A tail that does not contract, or one that sits
-# at the equilibrium's own fixed-point residual, runs to the cap N_f.
-TAIL_RTOL = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +86,15 @@ def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
 # the integrator-augmented model: one rollout, one adjoint
 # ---------------------------------------------------------------------------
 
-def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None,
-                      tail=None):
-    """Roll the augmented model up to T steps from xa0 (a vector or rows).
+def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
+    """Roll the augmented model T steps from xa0 (a vector or rows).
 
     Step i applies the free move V[i] for i < len(V) and the auxiliary law
     v = -K (xa - xa_eq), law = (K, xa_eq), after that.  With box_offset,
     the offset xi~ - xi of the controller's integrator from the model's,
     each free move is first clamped so that xi~ + v stays in [-1, 1].
-    With tail = (N, Qlq) and a single vector xa0, the stage costs
-    e'Qlq e, e = xa - xa_eq, are summed from state N on, and the rollout
-    ends at the first state i > N whose stage cost is at most TAIL_RTOL
-    times that sum; T then caps the number of steps.
     Returns the states (T+1, ..., n+p), the moves applied (T, ..., p) and
-    the cache (U, Z, F, R) of cell inputs and gates for the adjoint, all
-    cut to the steps taken.
+    the cache (U, Z, F, R) of cell inputs and gates for the adjoint.
     """
     n = Uo.shape[1]
     K, xa_eq = law
@@ -117,16 +103,7 @@ def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None,
     moves = np.empty((T,) + xa0.shape[:-1] + bo.shape)
     U = np.empty_like(moves)
     Z, F, R = (np.empty((T,) + xa0.shape[:-1] + (n,)) for _ in range(3))
-    tail_start, Qlq = tail if tail is not None else (T, None)
-    tail_cost = 0.0
     for i in range(T):
-        if i >= tail_start:
-            e = XA[i] - xa_eq
-            c = float(e @ Qlq @ e)
-            if i > tail_start and c <= TAIL_RTOL * tail_cost:
-                T = i
-                break
-            tail_cost += c
         x, xi = XA[i, ..., :n], XA[i, ..., n:]
         if i >= len(V):
             v = (xa_eq - XA[i]) @ K.T
@@ -138,7 +115,7 @@ def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None,
         U[i] = v + xi
         XA[i + 1, ..., :n], Z[i], F[i], R[i] = cell(x, U[i], *cellp)
         XA[i + 1, ..., n:] = xi + y0 - (x @ Uo.T + bo)
-    return XA[:T + 1], moves[:T], (U[:T], Z[:T], F[:T], R[:T])
+    return XA, moves, (U, Z, F, R)
 
 
 def augmented_adjoint(cellp, Uo, K, XA, cache, gXA, gV, Nc):
@@ -363,20 +340,22 @@ def _box_excess(W):
     return W - np.clip(W, -1.0, 1.0), np.max(np.abs(W), initial=1.0) - 1.0
 
 
-def _fhocp_cost(XA, V, xi_off, xa_eq, Qmat, Rmat, Qlq, Pi, omega,
+def _fhocp_cost(XA, V, xi_off, xa_eq, Klq, Qmat, Rmat, Pf, Pi, omega,
                 Nc, Np, mu_box, mu_term):
     """Penalized cost of one rollout and its direct partials.
 
-    Stage cost e'Q e + v'R v on the free moves and e'Q_lq e under the law,
-    through the prediction horizon and the terminal tail alike; the box
-    penalty on xi~ + v = xi + xi_off + v for i < Np; the terminal penalty
-    at state Np.  Returns (J_pen, J, box_viol, term_viol, gXA, gV).
+    Stage cost e'Q e + v'R v on the free moves and e'Q_lq e, with
+    Q_lq = Q + K'R K, under the auxiliary law; the terminal cost e'P_f e at
+    the last state; the box penalty on xi~ + v = xi + xi_off + v for i < Np;
+    the terminal-set penalty at state Np.
+    Returns (J_pen, J, box_viol, term_viol, gXA, gV).
     """
     T, p = V.shape
     E = XA - xa_eq
-    gXA = np.zeros_like(XA)
+    gXA = np.empty_like(XA)
     gXA[:Nc] = E[:Nc] @ Qmat.T
-    gXA[Nc:T] = E[Nc:T] @ Qlq.T
+    gXA[Nc:T] = E[Nc:T] @ (Qmat + Klq.T @ Rmat @ Klq).T
+    gXA[T] = Pf @ E[T]
     gV = np.zeros_like(V)
     gV[:Nc] = V[:Nc] @ Rmat.T
     J = float(np.sum(E * gXA) + np.sum(V * gV))
@@ -405,53 +384,37 @@ def augmented_rollout_cached(xa0, V, y0,
     return XA, Z, F, R
 
 
-def vf_rollout(xaN, y0, Klq, xa_eq, Qlq, Nf,
-               Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
-    """Cost-to-go of the auxiliary-law closed loop from xaN.
-
-    The sum ends once it has converged (see TAIL_RTOL), after at most Nf
-    steps.
-    """
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, _, _ = augmented_rollout(cellp, Uo, bo, y0, xaN, (), (Klq, xa_eq), Nf,
-                                 tail=(0, Qlq))
-    return float(np.sum(_quad(XA[:-1] - xa_eq, Qlq)))
-
-
 def fhocp_forward(vflat, xa_init, xi_init, y0,
                   Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
-                  Klq, xa_eq, Qmat, Rmat, Qlq, Pi, omega,
+                  Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
                   Nc, Np, Nf, mu_box, mu_term):
-    """Penalized shooting objective.
+    """Penalized shooting objective over Np + Nf steps, V_f = e'Pf e at the end.
 
-    Returns (J_pen, J, box_viol, term_viol, tail_steps); the terminal tail
-    ends once converged (see TAIL_RTOL) and tail_steps <= Nf is its length.
+    Returns (J_pen, J, box_viol, term_viol).
     """
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
-                                 (Klq, xa_eq), Np + Nf, tail=(Np, Qlq))
-    return _fhocp_cost(XA, V, xi_init - xa_init[len(bz):], xa_eq, Qmat, Rmat,
-                       Qlq, Pi, omega, Nc, Np, mu_box, mu_term)[:4] + (len(V) - Np,)
+                                 (Klq, xa_eq), Np + Nf)
+    return _fhocp_cost(XA, V, xi_init - xa_init[len(bz):], xa_eq, Klq, Qmat, Rmat,
+                       Pf, Pi, omega, Nc, Np, mu_box, mu_term)[:4]
 
 
 def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
-                           Klq, xa_eq, Qmat, Rmat, Qlq, Pi, omega,
+                           Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
                            Nc, Np, Nf, mu_box, mu_term):
     """fhocp_forward plus the exact gradient of the penalized objective.
 
-    Returns (J_pen, J, grad, box_viol, term_viol, tail_steps); the adjoint
-    runs over the same shortened horizon as the forward pass.
+    Returns (J_pen, J, grad, box_viol, term_viol).
     """
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     XA, V, cache = augmented_rollout(cellp, Uo, bo, y0, xa_init,
-                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf,
-                                     tail=(Np, Qlq))
+                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
     Jp, J, box_viol, term_viol, gXA, gV = _fhocp_cost(
-        XA, V, xi_init - xa_init[len(bz):], xa_eq, Qmat, Rmat, Qlq, Pi, omega,
+        XA, V, xi_init - xa_init[len(bz):], xa_eq, Klq, Qmat, Rmat, Pf, Pi, omega,
         Nc, Np, mu_box, mu_term)
     grad = augmented_adjoint(cellp, Uo, Klq, XA, cache, gXA, gV, Nc)
-    return Jp, J, grad.ravel(), box_viol, term_viol, len(V) - Np
+    return Jp, J, grad.ravel(), box_viol, term_viol
 
 
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
@@ -472,23 +435,28 @@ def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
 
 
 def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
-                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
+                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, *, Pf, Qlq):
     """Evaluate the terminal-set membership conditions at offsets E.
 
     Row k of E is a deviation from the equilibrium.  Returns per sample the
-    total-input overshoot max(|xi + v_lq|) - 1 and the Lyapunov-decrease
-    left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2.  The rows
-    go through the cell in blocks of TERMINAL_BLOCK.
+    total-input overshoot max(|xi + v_lq|) - 1, the Lyapunov-decrease
+    left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the
+    terminal-cost decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with
+    V_f(e) = e'Pf e.  The rows go through the cell in blocks of
+    TERMINAL_BLOCK.
     """
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     input_over = np.empty(len(E))
     decrease_lhs = np.empty(len(E))
+    vf_lhs = np.empty(len(E))
     for lo in range(0, len(E), TERMINAL_BLOCK):
         e = E[lo:lo + TERMINAL_BLOCK]
         XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_eq + e, (),
                                      (Klq, xa_eq), 1)
         block = slice(lo, lo + len(e))
         input_over[block] = np.max(np.abs(XA[0, :, len(bz):] + V[0]), axis=1) - 1.0
-        decrease_lhs[block] = (_quad(XA[1] - xa_eq, Pi) - _quad(e, Pi)
+        e_next = XA[1] - xa_eq
+        decrease_lhs[block] = (_quad(e_next, Pi) - _quad(e, Pi)
                                + gamma * np.sum(e * e, axis=1))
-    return input_over, decrease_lhs
+        vf_lhs[block] = _quad(e_next, Pf) + _quad(e, Qlq - Pf)
+    return input_over, decrease_lhs, vf_lhs

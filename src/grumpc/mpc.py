@@ -2,10 +2,11 @@
 
 Pipeline per reference value: equilibrium (damped Newton on the model's
 fixed-point equations), linearization of the augmented system, LQ gain from
-a fixed-point Riccati iteration, Lyapunov matrix for the terminal cost
-ellipsoid, sampled terminal-set radius, and the finite-horizon optimal
-control problem solved by penalized single shooting with analytic
-reverse-mode gradients.
+a fixed-point Riccati iteration, Lyapunov matrix for the terminal-set
+ellipsoid, the quadratic terminal cost e'(P + Pi)e, sampled terminal-set
+radius with its certificates, and the finite-horizon optimal control
+problem solved by penalized single shooting with analytic reverse-mode
+gradients.
 """
 
 import logging
@@ -37,10 +38,10 @@ class TerminalSetError(RuntimeError):
 
 
 class FhocpInfeasibleError(RuntimeError):
-    def __init__(self, violation, evals=0, tail_steps=0):
+    def __init__(self, violation, evals=0, terminal_level=np.nan):
         self.violation = violation
         self.evals = evals
-        self.tail_steps = tail_steps
+        self.terminal_level = terminal_level
         super().__init__(f"no feasible plan found (min violation {violation:.3e})")
 
 
@@ -302,15 +303,16 @@ def _halton_directions(count, dim, skip=0):
     return out
 
 
-def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma,
+def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma, P_f, Q_lq,
                         omega_max=10.0, shrink=0.8, n_samples=4096,
                         audit_factor=10, min_omega=1e-12):
     """Largest sampled radius for which the auxiliary law stays admissible.
 
     Walks a geometric grid from omega_max downward; a radius is accepted
     when every boundary sample satisfies the total-input box (xi + v_lq in
-    [-1, 1]) and the Lyapunov decrease condition, then re-verified on an
-    audit set `audit_factor` times denser.
+    [-1, 1]), the Lyapunov decrease condition and the terminal-cost
+    decrease V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with V_f(e) = e'P_f e,
+    then re-verified on an audit set `audit_factor` times denser.
     """
     na = w.n + w.p
     L = np.linalg.cholesky(Pi)
@@ -327,10 +329,11 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma,
     y0 = eq.y0
 
     def all_pass(E_scaled):
-        over, lhs = kernels.terminal_samples_check(
+        over, lhs, vf_lhs = kernels.terminal_samples_check(
             np.ascontiguousarray(E_scaled), Klq, xa_eq, y0, Pi, gamma,
-            *w.arrays(), w.U_o, w.b_o)
-        return np.all(over <= 0.0) and np.all(lhs <= 1e-12)
+            *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq)
+        return (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
+                and np.all(vf_lhs <= 0.0))
 
     omega = float(omega_max)
     while omega > min_omega:
@@ -339,20 +342,6 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma,
         omega *= shrink
     raise TerminalSetError(
         "no positive terminal radius found; retune Q_tilde or gamma")
-
-
-def terminal_cost(w: GruWeights, eq: Equilibrium, K_lq, Q_lq, x_aN, N_f=1000):
-    """Auxiliary-law cost-to-go from x_aN, summed until it has converged.
-
-    N_f caps the number of steps (see kernels.TAIL_RTOL).
-    """
-    vf = kernels.vf_rollout(np.asarray(x_aN, dtype=np.float64), eq.y0,
-                            np.ascontiguousarray(K_lq, dtype=np.float64),
-                            eq.xa0, np.ascontiguousarray(Q_lq, dtype=np.float64),
-                            int(N_f), *w.arrays(), w.U_o, w.b_o)
-    if not np.isfinite(vf):
-        raise RuntimeError("terminal-cost rollout diverged")
-    return float(vf)
 
 
 @dataclass
@@ -364,13 +353,14 @@ class TerminalIngredients:
     R: np.ndarray
     Q_lq: np.ndarray
     Pi: np.ndarray
+    P_f: np.ndarray          # terminal cost V_f(e) = e'P_f e, P_f = P + Pi
     Q_tilde: np.ndarray
     gamma: float
     omega: float
     N_f: int
 
 
-def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=1000,
+def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=0,
                       omega_max=10.0, n_samples=4096, audit_factor=10,
                       eq_guess=None, check_assumptions=True) -> TerminalIngredients:
     """All reference-dependent controller ingredients for one setpoint."""
@@ -385,12 +375,17 @@ def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=1000,
             raise EquilibriumError(f"design assumptions fail: {rep.margins}")
     Q = np.asarray(Q, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
-    K, _ = lq_gain(lin, Q, R)
+    K, P = lq_gain(lin, Q, R)
     Q_lq = Q + K.T @ R @ K
     Pi = lyapunov_Pi(lin, K, Q_tilde)
-    omega = terminal_set_radius(w, eq, K, Pi, gamma, omega_max=omega_max,
-                                n_samples=n_samples, audit_factor=audit_factor)
-    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi,
+    # P solves Acl'P Acl - P = -Q_lq and Pi the same with -Q_tilde, so the
+    # sum decreases by the stage cost plus the margin e'Q_tilde e on the
+    # linearization; terminal_set_radius checks it on the nonlinear model
+    P_f = P + Pi
+    omega = terminal_set_radius(w, eq, K, Pi, gamma, P_f, Q_lq,
+                                omega_max=omega_max, n_samples=n_samples,
+                                audit_factor=audit_factor)
+    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f,
                                np.asarray(Q_tilde, dtype=np.float64),
                                gamma, omega, N_f)
 
@@ -422,7 +417,7 @@ class FhocpSolution:
     feasible: bool
     max_violation: float
     evals: int = 0           # objective evaluations, with or without gradient
-    tail_steps: int = 0      # longest terminal tail rolled (<= N_f)
+    terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
 
 
 def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
@@ -443,27 +438,26 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
     args_model = (*w.arrays(), w.U_o, w.b_o)
     args_prob = (np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
                  np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
-                 np.ascontiguousarray(ing.Q_lq), np.ascontiguousarray(ing.Pi),
+                 np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
                  float(ing.omega), Nc, Np, int(ing.N_f))
 
     ctol = cfg.constraint_tol
     omega_tol = ctol * max(1.0, ing.omega)
 
-    best = {"cost": np.inf, "v": None, "viol": np.inf, "traj": None}
-    work = {"evals": 0, "tail_steps": 0}
-
-    def counted(out):
-        work["evals"] += 1
-        work["tail_steps"] = max(work["tail_steps"], out[-1])
-        return out[:-1]
+    best = {"cost": np.inf, "v": None, "viol": np.inf, "least": None}
+    evals = 0
 
     def forward(vflat, mu_box, mu_term):
-        return counted(kernels.fhocp_forward(
-            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term))
+        nonlocal evals
+        evals += 1
+        return kernels.fhocp_forward(
+            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
 
     def forward_backward(vflat, mu_box, mu_term):
-        return counted(kernels.fhocp_forward_backward(
-            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term))
+        nonlocal evals
+        evals += 1
+        return kernels.fhocp_forward_backward(
+            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
 
     def consider(vflat):
         _, Jc, bviol, tviol = forward(vflat, 0.0, 0.0)
@@ -471,8 +465,17 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
         feasible = bviol <= ctol and tviol <= omega_tol
         if feasible and Jc < best["cost"]:
             best.update(cost=Jc, v=vflat.copy(), viol=max(bviol, tviol))
-        best["viol"] = min(best["viol"], viol)
+        if viol < best["viol"]:
+            best.update(viol=viol, least=vflat.copy())
         return feasible, Jc
+
+    def plan(vflat):
+        """States 0..Np of a plan and e_Np'Pi e_Np / omega."""
+        XA, _, _ = kernels.augmented_rollout(
+            kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, y0, xa0,
+            vflat.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
+        eN = XA[Np] - ing.eq.xa0
+        return XA, float(eN @ ing.Pi @ eN) / ing.omega
 
     def strictly_feasible(vflat):
         _, _, bviol, tviol = forward(vflat, 0.0, 0.0)
@@ -536,15 +539,15 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
             break
 
     if best["v"] is None:
-        raise FhocpInfeasibleError(best["viol"], **work)
+        level = np.nan if best["least"] is None else plan(best["least"])[1]
+        raise FhocpInfeasibleError(best["viol"], evals, level)
 
     vbest = best["v"]
-    XA, _, _ = kernels.augmented_rollout(
-        kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, y0, xa0,
-        vbest.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
+    XA, level = plan(vbest)
     return FhocpSolution(v=vbest.reshape(Nc, p), trajectory=XA,
                          cost=best["cost"], iterations=iters, feasible=True,
-                         max_violation=best["viol"], **work)
+                         max_violation=best["viol"], evals=evals,
+                         terminal_level=level)
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
@@ -583,9 +586,9 @@ class ControllerConfig:
     r_weight: float = 1.0
     q_tilde_weight: float = 10.0
     gamma: float = 0.01
-    # cap on the terminal tail: it ends once its cost has converged
-    # (kernels.TAIL_RTOL), after 99-124 steps on the pinned benchmark model
-    N_f: int = 1000
+    # auxiliary-law steps rolled past N_p before the terminal cost e'P_f e
+    # is charged; 0 charges it at state N_p
+    N_f: int = 0
     ref_filter_window: int = 12
     max_iters: int = 200
     grad_tol: float = 1e-8
@@ -609,7 +612,7 @@ class StepInfo:
     feasible: bool
     fallback: bool
     evals: int = 0           # objective evaluations of the solve
-    tail_steps: int = 0      # longest terminal tail of the solve
+    terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
 
 
 class RecedingHorizonController:
@@ -617,7 +620,9 @@ class RecedingHorizonController:
 
     Works entirely in normalized units; the harness denormalizes the
     applied input.  Reference-dependent ingredients are cached per
-    quantized setpoint.
+    quantized setpoint.  A setpoint whose ingredients fail to build is not
+    tried again: the controller keeps the last good ingredients and holds
+    their setpoint, and counts the event in rebuild_failures.
     """
 
     def __init__(self, w: GruWeights, gains: ObserverGains,
@@ -630,25 +635,41 @@ class RecedingHorizonController:
         self.R = self.cfg.r_weight * np.eye(w.p)
         self.Q_tilde = self.cfg.q_tilde_weight * np.eye(na)
         self._cache = {}
+        self._failed = set()
         self._last_ing = None
         self.est: AugmentedState | None = None
         self.xi: np.ndarray | None = None
         self._warm = None
         self.fallback_count = 0
         self.dropout_count = 0
+        self.rebuild_failures = 0
+
+    def _key(self, y0):
+        return tuple(np.round(y0 / self.cfg.cache_quantum).astype(np.int64))
 
     def ingredients_for(self, y0) -> TerminalIngredients:
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
-        key = tuple(np.round(y0 / self.cfg.cache_quantum).astype(np.int64))
+        key = self._key(y0)
+        if key in self._failed:
+            return self._last_ing
         ing = self._cache.get(key)
         if ing is None:
             guess = self._last_ing.eq if self._last_ing is not None else None
-            ing = build_ingredients(self.w, y0, self.Q, self.R, self.Q_tilde,
-                                    self.cfg.gamma, N_f=self.cfg.N_f,
-                                    omega_max=self.cfg.omega_max,
-                                    n_samples=self.cfg.terminal_samples,
-                                    audit_factor=self.cfg.audit_factor,
-                                    eq_guess=guess)
+            try:
+                ing = build_ingredients(self.w, y0, self.Q, self.R, self.Q_tilde,
+                                        self.cfg.gamma, N_f=self.cfg.N_f,
+                                        omega_max=self.cfg.omega_max,
+                                        n_samples=self.cfg.terminal_samples,
+                                        audit_factor=self.cfg.audit_factor,
+                                        eq_guess=guess)
+            except (EquilibriumError, RiccatiError, TerminalSetError) as exc:
+                if self._last_ing is None:
+                    raise
+                self._failed.add(key)
+                self.rebuild_failures += 1
+                log.warning("ingredients for setpoint %s failed (%s); keeping "
+                            "those of %s", y0, exc, self._last_ing.eq.y0)
+                return self._last_ing
             self._cache[key] = ing
         self._last_ing = ing
         return ing
@@ -667,6 +688,8 @@ class RecedingHorizonController:
         y_meas = np.atleast_1d(np.asarray(y_meas, dtype=np.float64))
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
         ing = self.ingredients_for(y0)
+        if self._key(y0) in self._failed:
+            y0 = ing.eq.y0          # hold the setpoint of the kept ingredients
         cfg = self.cfg.fhocp()
         # a non-finite measurement is a dropout: the observer and the
         # integrator take the model's predicted output in its place
@@ -683,7 +706,7 @@ class RecedingHorizonController:
             v = sol.v[0].copy()
             self._warm = shifted_warm_start(sol, ing, self.w, cfg)
             cost, iters, feas = sol.cost, sol.iterations, True
-            evals, tail_steps = sol.evals, sol.tail_steps
+            evals, level = sol.evals, sol.terminal_level
         except FhocpInfeasibleError as exc:
             # auxiliary law on the estimate, clipped into the input box
             fallback = True
@@ -693,12 +716,12 @@ class RecedingHorizonController:
             v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
             self._warm = None
             cost, iters, feas = np.nan, 0, False
-            evals, tail_steps = exc.evals, exc.tail_steps
+            evals, level = exc.evals, exc.terminal_level
 
         u = np.clip(v + self.xi, -1.0, 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
-                        tail_steps=tail_steps)
+                        terminal_level=level)
 
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error

@@ -19,7 +19,7 @@ def tiny_config(**overrides):
     cfg.data = harness.DataConfig(n_samples=300, test_n_samples=200)
     cfg.train = harness.TrainSection(n_states=3, epochs=2, batch_size=4,
                                      washout=10, T_s=60, tau=10)
-    cfg.controller = mpc.ControllerConfig(N_c=5, N_p=12, N_f=200,
+    cfg.controller = mpc.ControllerConfig(N_c=5, N_p=12,
                                           terminal_samples=256, audit_factor=2,
                                           ref_filter_window=6)
     cfg.scenario = harness.ScenarioSection(
@@ -120,26 +120,32 @@ def test_synth_observer_rejects_uncertified(tmp_path):
         harness.cmd_synth_observer(cfg, tmp_path)
 
 
-def test_closed_loop_model_plant_and_exports(tmp_path):
+def mid_range_config(tmp_path):
+    """tiny_config with certified artifacts and a reference the tiny model
+    can reach: the middle of its own steady output range."""
     cfg = tiny_config()
-    seed_certified_artifacts(tmp_path, cfg)
-    # pick a reference the tiny model can reach: its own nominal output range
-    w = gru_model.load_weights(tmp_path / "weights.json")
-    nmap = sysid.NormalizationMap.load(tmp_path / "normalization.json")
+    w, nmap, _ = seed_certified_artifacts(tmp_path, cfg)
     y_mid = 0.5 * (gru_model.gru_output(w, mpc.steady_state(w, [-1.0]))[0]
                    + gru_model.gru_output(w, mpc.steady_state(w, [1.0]))[0])
     ph_mid = float(nmap.denormalize_y([y_mid])[0])
     cfg.scenario.reference_program = [[0.0, ph_mid]]
+    return cfg, nmap, ph_mid
+
+
+def test_closed_loop_model_plant_and_exports(tmp_path):
+    cfg, nmap, _ = mid_range_config(tmp_path)
     metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
     assert metrics["constraint_violations"] == 0
     assert metrics["max_settled_error"] < 1e-3 * float(nmap.y_half[0])
 
     rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))
     assert rows[0] == ["k", "y_ref", "y_meas", "u_applied", "v", "xi",
-                       "cost", "solve_iters", "feasible", "evals", "tail_steps"]
+                       "cost", "solve_iters", "feasible", "evals", "terminal_level"]
     assert len(rows) - 1 == int(0.25 * 3600 / 10)
-    # every solve evaluates the objective; no tail runs past the cap N_f
-    assert all(int(r[9]) >= 1 and 0 <= int(r[10]) <= cfg.controller.N_f
+    # every solve evaluates the objective; every plan ends inside the
+    # terminal set e'Pi e <= omega, up to the solver's constraint tolerance
+    tol = cfg.controller.constraint_tol
+    assert all(int(r[9]) >= 1 and 0.0 <= float(r[10]) <= 1.0 + tol
                for r in rows[1:])
 
     files = harness.cmd_plot_export(tmp_path / "closed_loop.csv", tmp_path / "figs")
@@ -161,14 +167,7 @@ def test_closed_loop_survives_a_nan_measurement(tmp_path, monkeypatch):
     # one non-finite measurement in a disturbed model-plant loop is a
     # dropout: every applied input stays finite and the loop settles as it
     # does without the fault
-    cfg = tiny_config()
-    seed_certified_artifacts(tmp_path, cfg)
-    w = gru_model.load_weights(tmp_path / "weights.json")
-    nmap = sysid.NormalizationMap.load(tmp_path / "normalization.json")
-    y_mid = 0.5 * (gru_model.gru_output(w, mpc.steady_state(w, [-1.0]))[0]
-                   + gru_model.gru_output(w, mpc.steady_state(w, [1.0]))[0])
-    cfg.scenario.reference_program = [[0.0, float(nmap.denormalize_y([y_mid])[0])]]
-    cfg.controller.N_f = 60
+    cfg, nmap, _ = mid_range_config(tmp_path)
     cfg.scenario.duration_h = 0.12
     cfg.scenario.disturbances = [[0.01, 0.02, "input-additive", 0.3]]
 
@@ -195,6 +194,51 @@ def test_closed_loop_survives_a_nan_measurement(tmp_path, monkeypatch):
     bound = 1e-3 * float(nmap.y_half[0])
     assert clean["max_settled_error"] < bound
     assert faulty["max_settled_error"] < bound
+
+
+def test_closed_loop_is_offset_free_under_a_persistent_input_disturbance(tmp_path):
+    # the paper's claim: with the model as the plant, a constant additive
+    # input disturbance that lasts to the end of the run leaves no settled
+    # offset; the integrator shifts the applied input by the disturbance
+    cfg, nmap, _ = mid_range_config(tmp_path)
+    cfg.scenario.disturbances = [[0.02, cfg.scenario.duration_h, "input-additive", 0.3]]
+    metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
+    tol = 1e-3 * float(nmap.y_half[0])
+    assert [list(w[:2]) for w in metrics["windows"]] == [
+        [pytest.approx(0.02 + 5.0 / 60.0), cfg.scenario.duration_h]]
+    assert metrics["max_settled_error"] < tol
+    assert metrics["constraint_violations"] == 0 and metrics["fallback_ticks"] == 0
+    u = [float(r[3]) for r in list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]]
+    assert u[-1] - u[0] == pytest.approx(-0.3, abs=1e-3)
+
+
+def test_closed_loop_keeps_the_last_ingredients_when_a_rebuild_fails(
+        tmp_path, monkeypatch):
+    # the ingredients of the second setpoint fail to build: the loop runs on
+    # with those of the first, tries the failed setpoint once, and every
+    # applied input stays finite and inside the box
+    cfg, nmap, ph_mid = mid_range_config(tmp_path)
+    cfg.controller.ref_filter_window = 1
+    cfg.scenario.reference_program = [[0.0, ph_mid], [0.05, ph_mid + 0.01]]
+    build = mpc.build_ingredients
+    setpoints = []
+
+    def failing(w, y0, *args, **kwargs):
+        setpoints.append(float(y0[0]))
+        if len(setpoints) == 2:
+            raise mpc.TerminalSetError("injected")
+        return build(w, y0, *args, **kwargs)
+    monkeypatch.setattr(mpc, "build_ingredients", failing)
+    metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
+    assert setpoints == [pytest.approx(float(v)) for v in
+                         nmap.normalize_y([ph_mid, ph_mid + 0.01])]
+    assert metrics["rebuild_failures"] == 1
+    assert metrics["constraint_violations"] == 0 and metrics["fallback_ticks"] == 0
+    rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]
+    u = np.array([float(r[3]) for r in rows])
+    assert np.all(np.isfinite(u)) and np.all((u >= 11.2) & (u <= 17.2))
+    # the loop holds the setpoint of the ingredients it kept
+    assert abs(float(rows[-1][2]) - ph_mid) < 1e-3 * float(nmap.y_half[0])
 
 
 def test_plot_export_rejects_malformed(tmp_path):

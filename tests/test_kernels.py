@@ -1,8 +1,9 @@
 """The shooting kernels against slow references.
 
 The references are written step by step on top of observer.augmented_step
-and the auxiliary law v = -K (xa - xa_eq), with the costs summed explicitly,
-so that a kernel and its reference share no code beyond the GRU cell.
+and the auxiliary law v = -K (xa - xa_eq), with the costs summed explicitly
+and the terminal cost e'P_f e charged at the last state, so that a kernel
+and its reference share no code beyond the GRU cell.
 """
 
 from pathlib import Path
@@ -26,7 +27,7 @@ def setup():
     y_hi = gru_model.gru_output(w, mpc.steady_state(w, [1.0]))[0]
     na = w.n + 1
     ing = mpc.build_ingredients(w, [0.5 * (y_lo + y_hi)], np.eye(na), np.eye(1),
-                                10 * np.eye(na), 0.01, N_f=N_F, n_samples=256,
+                                10 * np.eye(na), 0.01, n_samples=256,
                                 audit_factor=2)
     return w, ing
 
@@ -41,7 +42,7 @@ def problem_args(w, ing):
     return ((*w.arrays(), w.U_o, w.b_o),
             (np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
              np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
-             np.ascontiguousarray(ing.Q_lq), np.ascontiguousarray(ing.Pi),
+             np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
              float(ing.omega)))
 
 
@@ -53,17 +54,18 @@ def forward(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None):
                                  N_C, N_P, Nf, mu_box, mu_term)
 
 
-def forward_backward(w, ing, vflat, xa0, xi0, mu_box, mu_term, omega=None):
+def forward_backward(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None):
     model, prob = problem_args(w, ing)
     if omega is not None:
         prob = prob[:-1] + (omega,)
     return kernels.fhocp_forward_backward(vflat, xa0, xi0, ing.eq.y0, *model,
-                                          *prob, N_C, N_P, N_F, mu_box, mu_term)
+                                          *prob, N_C, N_P, Nf, mu_box, mu_term)
 
 
 def reference_fhocp(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None,
                     Nc=N_C, Np=N_P):
-    """Step-by-step rollout over N_p + N_f steps with explicit cost sums.
+    """Step-by-step rollout over N_p + N_f steps with explicit cost sums and
+    the terminal cost e'P_f e at the last state.
 
     Returns (states, moves, J_pen, J, box_viol, term_viol).
     """
@@ -73,13 +75,8 @@ def reference_fhocp(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None
     s = AugmentedState(xa0[:n].copy(), xa0[n:].copy())
     xit = xi0.copy()
     states, moves = [s.stacked()], []
-    J = pen = box_viol = term_viol = 0.0
+    J = pen = box_viol = 0.0
     for i in range(Np + Nf):
-        if i == Np:
-            eN = s.stacked() - ing.eq.xa0
-            term = eN @ ing.Pi @ eN - omega
-            term_viol = max(term, 0.0)
-            pen += mu_term * term_viol ** 2
         e = s.stacked() - ing.eq.xa0
         if i < Nc:
             v = V[i]
@@ -96,6 +93,11 @@ def reference_fhocp(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None
         xit = xit + ing.eq.y0 - y
         states.append(s.stacked())
         moves.append(v)
+    eT = s.stacked() - ing.eq.xa0
+    J += eT @ ing.P_f @ eT
+    eN = states[Np] - ing.eq.xa0
+    term_viol = max(eN @ ing.Pi @ eN - omega, 0.0)
+    pen += mu_term * term_viol ** 2
     return np.array(states), np.array(moves), J + pen, J, box_viol, term_viol
 
 
@@ -103,17 +105,20 @@ def test_fhocp_forward_matches_stepwise_reference(setup):
     w, ing = setup
     rng = np.random.default_rng(403)
     # inactive penalties, then both penalties active (large moves, a tight
-    # terminal radius)
-    for level, scale, mu, omega in ((0.3, 0.02, 0.0, None), (3.0, 1.5, 50.0, 1e-4)):
-        xa0 = ing.eq.xa0 + offset(ing, rng, level)
-        xi0 = xa0[w.n:] + rng.normal(0.0, 0.05, w.p)
-        vflat = rng.normal(0.0, scale, N_C * w.p)
-        ref = reference_fhocp(w, ing, vflat, xa0, xi0, mu, 2 * mu, omega=omega)
-        got = forward(w, ing, vflat, xa0, xi0, mu, 2 * mu, omega=omega)
-        np.testing.assert_allclose(got[:4], ref[2:], rtol=0, atol=1e-12)
-        assert got[4] == N_F          # the tail has not converged: it runs to the cap
-        if mu:
-            assert ref[4] > 0 and ref[5] > 0      # both penalties active
+    # terminal radius); the terminal cost at state N_p, then N_F law steps on
+    for Nf in (0, N_F):
+        for level, scale, mu, omega in ((0.3, 0.02, 0.0, None),
+                                        (3.0, 1.5, 50.0, 1e-4)):
+            xa0 = ing.eq.xa0 + offset(ing, rng, level)
+            xi0 = xa0[w.n:] + rng.normal(0.0, 0.05, w.p)
+            vflat = rng.normal(0.0, scale, N_C * w.p)
+            ref = reference_fhocp(w, ing, vflat, xa0, xi0, mu, 2 * mu, Nf=Nf,
+                                  omega=omega)
+            got = forward(w, ing, vflat, xa0, xi0, mu, 2 * mu, Nf=Nf, omega=omega)
+            assert len(got) == 4
+            np.testing.assert_allclose(got, ref[2:], rtol=0, atol=1e-12)
+            if mu:
+                assert ref[4] > 0 and ref[5] > 0      # both penalties active
 
 
 def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, Np):
@@ -121,10 +126,15 @@ def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, N
     gru_model.jacobians instead of the kernels' cell VJP."""
     n, p = w.n, w.p
     xi_off = xi0 - states[0, n:]
-    lam = np.zeros(n + p)                    # the last state carries no cost
+    E = states - ing.eq.xa0
+    s = E[Np] @ ing.Pi @ E[Np] - omega
+    g_term = 4.0 * mu_term * s * (ing.Pi @ E[Np]) if s > 0 else np.zeros(n + p)
+    lam = 2.0 * ing.P_f @ E[-1]                 # the terminal cost
+    if len(moves) == Np:
+        lam = lam + g_term
     grad = np.empty((Nc, p))
     for i in range(len(moves) - 1, -1, -1):
-        e, v = states[i] - ing.eq.xa0, moves[i]
+        e, v = E[i], moves[i]
         gx = 2.0 * (ing.Q if i < Nc else ing.Q_lq) @ e
         gv = 2.0 * ing.R @ v if i < Nc else np.zeros(p)
         if i < Np:
@@ -133,9 +143,7 @@ def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, N
             gx[n:] += over
             gv = gv + over
         if i == Np:
-            s = e @ ing.Pi @ e - omega
-            if s > 0:
-                gx += 4.0 * mu_term * s * (ing.Pi @ e)
+            gx += g_term
         Jx, Ju, _ = gru_model.jacobians(w, states[i, :n], v + states[i, n:])
         gv = gv + Ju.T @ lam[:n]
         gx[:n] += Jx.T @ lam[:n] - w.U_o.T @ lam[n:]
@@ -162,12 +170,13 @@ def pinned():
     return w, ctl.ingredients_for(nmap.normalize_y([7.0])), cfg
 
 
-def test_converged_tail_matches_full_length_reference(pinned):
-    # N_f = 1000 caps a tail that stops after about a hundred steps; value
-    # and gradient equal those of the full-length rollout to 1e-12 relative
+def test_terminal_cost_matches_stepwise_reference_on_pinned_model(pinned):
+    # the desk controller charges e'P_f e at state N_p (N_f = 0); value and
+    # gradient equal the step-by-step reference to 1e-12 relative, with the
+    # penalties inactive and active
     w, ing, cfg = pinned
     Nc, Np, Nf = cfg.N_c, cfg.N_p, cfg.N_f
-    assert Nf == 1000
+    assert Nf == 0
     model, prob = problem_args(w, ing)
     rng = np.random.default_rng(437)
     cases = [(0.3, 0.02, 0.0, ing.omega), (0.8, 0.1, 0.0, ing.omega),
@@ -180,6 +189,7 @@ def test_converged_tail_matches_full_length_reference(pinned):
                 Nc, Np, Nf, mu, 2 * mu)
         states, moves, *ref = reference_fhocp(w, ing, vflat, xa0, xi0, mu, 2 * mu,
                                               Nf=Nf, omega=omega, Nc=Nc, Np=Np)
+        assert len(states) == Np + 1
         if mu:
             assert ref[2] > 0 and ref[3] > 0      # both penalties active
         else:
@@ -187,30 +197,12 @@ def test_converged_tail_matches_full_length_reference(pinned):
         ref_grad = reference_gradient(w, ing, states, moves, xi0, mu, 2 * mu,
                                       omega, Nc, Np)
         got = kernels.fhocp_forward(*args)
-        Jp, J, grad, bviol, tviol, tail = kernels.fhocp_forward_backward(*args)
-        assert 50 < got[4] == tail < 200
+        Jp, J, grad, bviol, tviol = kernels.fhocp_forward_backward(*args)
         np.testing.assert_allclose(got[:2], ref[:2], rtol=1e-12, atol=0)
         np.testing.assert_allclose((Jp, J), ref[:2], rtol=1e-12, atol=0)
         assert (got[2], got[3]) == (bviol, tviol)
         np.testing.assert_allclose((bviol, tviol), ref[2:], rtol=1e-12, atol=1e-15)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
-
-
-def test_vf_rollout_tail_runs_to_the_cap_unless_converged(setup):
-    w, ing = setup
-    rng = np.random.default_rng(439)
-    xa = ing.eq.xa0 + offset(ing, rng, 0.5)
-    cellp = kernels.stack_gates(*w.arrays())
-
-    def steps(cap):
-        XA, _, _ = kernels.augmented_rollout(cellp, w.U_o, w.b_o, ing.eq.y0, xa, (),
-                                             (ing.K_lq, ing.eq.xa0), cap,
-                                             tail=(0, ing.Q_lq))
-        return len(XA) - 1
-
-    converged = steps(5000)
-    assert N_F < converged < 5000
-    assert steps(N_F) == N_F and steps(converged + 1) == converged
 
 
 def test_augmented_rollout_matches_stepwise_reference(setup):
@@ -228,12 +220,6 @@ def test_augmented_rollout_matches_stepwise_reference(setup):
     np.testing.assert_array_equal(v_out, vflat)      # inside the box: no clamp
     np.testing.assert_allclose(xaN, states[N_P], rtol=0, atol=1e-12)
     assert tail_viol == 0.0
-    vf = kernels.vf_rollout(states[N_P], ing.eq.y0, np.ascontiguousarray(ing.K_lq),
-                            ing.eq.xa0, np.ascontiguousarray(ing.Q_lq), N_F,
-                            *w.arrays(), w.U_o, w.b_o)
-    E = states[N_P:-1] - ing.eq.xa0
-    assert vf == pytest.approx(np.einsum("ij,jk,ik->", E, ing.Q_lq, E),
-                               rel=0, abs=1e-12)
 
 
 def test_clip_restore_enforces_the_box(setup):
@@ -246,7 +232,7 @@ def test_clip_restore_enforces_the_box(setup):
         vflat, xa0, xi0, ing.eq.y0, *w.arrays(), w.U_o, w.b_o,
         np.ascontiguousarray(ing.K_lq), ing.eq.xa0, N_C, N_P)
     assert np.any(v_out != vflat)
-    _, _, bviol, _, _ = forward(w, ing, v_out, xa0, xi0, 0.0, 0.0)
+    _, _, bviol, _ = forward(w, ing, v_out, xa0, xi0, 0.0, 0.0)
     assert bviol <= 1e-12
 
 
@@ -265,20 +251,21 @@ def test_fhocp_gradient_matches_central_differences(setup, active):
         vflat = rng.normal(0.0, 0.01, N_C * w.p)
         omega, mu_box, mu_term = None, 30.0, 10.0
     xi0 = xa0[w.n:].copy()
-    Jp, _, grad, bviol, tviol, tail = forward_backward(w, ing, vflat, xa0, xi0,
-                                                       mu_box, mu_term, omega)
-    assert tail == N_F
-    assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
-    h = 1e-6
-    fd = np.empty_like(vflat)
-    for j in range(vflat.size):
-        dv = np.zeros_like(vflat)
-        dv[j] = h
-        fd[j] = (forward(w, ing, vflat + dv, xa0, xi0, mu_box, mu_term, omega=omega)[0]
-                 - forward(w, ing, vflat - dv, xa0, xi0, mu_box, mu_term, omega=omega)[0]
-                 ) / (2 * h)
-    assert Jp == forward(w, ing, vflat, xa0, xi0, mu_box, mu_term, omega=omega)[0]
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
+    for Nf in (0, N_F):
+        Jp, _, grad, bviol, tviol = forward_backward(w, ing, vflat, xa0, xi0,
+                                                     mu_box, mu_term, Nf, omega)
+        assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
+
+        def J(v):
+            return forward(w, ing, v, xa0, xi0, mu_box, mu_term, Nf=Nf, omega=omega)[0]
+        h = 1e-6
+        fd = np.empty_like(vflat)
+        for j in range(vflat.size):
+            dv = np.zeros_like(vflat)
+            dv[j] = h
+            fd[j] = (J(vflat + dv) - J(vflat - dv)) / (2 * h)
+        assert Jp == J(vflat)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
 
 
 def test_terminal_samples_check_matches_per_row_reference(setup):
@@ -289,10 +276,11 @@ def test_terminal_samples_check_matches_per_row_reference(setup):
     E = rng.normal(size=(4096 + 1000, na))
     E *= np.sqrt(ing.omega * rng.uniform(0.0, 2.0, len(E))
                  / np.einsum("ij,jk,ik->i", E, ing.Pi, E))[:, None]
-    over, lhs = kernels.terminal_samples_check(
+    over, lhs, vf_lhs = kernels.terminal_samples_check(
         E, np.ascontiguousarray(ing.K_lq), ing.eq.xa0, ing.eq.y0,
-        np.ascontiguousarray(ing.Pi), ing.gamma, *w.arrays(), w.U_o, w.b_o)
-    ref_over, ref_lhs = np.empty(len(E)), np.empty(len(E))
+        np.ascontiguousarray(ing.Pi), ing.gamma, *w.arrays(), w.U_o, w.b_o,
+        Pf=ing.P_f, Qlq=ing.Q_lq)
+    ref_over, ref_lhs, ref_vf = np.empty(len(E)), np.empty(len(E)), np.empty(len(E))
     for k, e in enumerate(E):
         xa = ing.eq.xa0 + e
         v = -(ing.K_lq @ e)
@@ -301,8 +289,12 @@ def test_terminal_samples_check_matches_per_row_reference(setup):
                                          ing.eq.y0)
         en = nxt.stacked() - ing.eq.xa0
         ref_lhs[k] = en @ ing.Pi @ en - e @ ing.Pi @ e + ing.gamma * (e @ e)
+        ref_vf[k] = en @ ing.P_f @ en - e @ ing.P_f @ e + e @ ing.Q_lq @ e
     np.testing.assert_allclose(over, ref_over, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lhs, ref_lhs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vf_lhs, ref_vf, rtol=0, atol=1e-12)
+    # samples beyond the accepted radius make the V_f column positive too
+    assert np.all(vf_lhs[np.einsum("ij,jk,ik->i", E, ing.Pi, E) <= ing.omega] <= 0.0)
 
 
 def test_tbptt_gradient_matches_central_differences():

@@ -11,7 +11,7 @@ from grumpc.mpc import (ControllerConfig, FhocpConfig, UnreachableReferenceError
                         build_ingredients, check_design_assumptions,
                         find_equilibrium, linearize_augmented, lq_gain,
                         lyapunov_Pi, reference_filter, steady_state,
-                        terminal_cost, terminal_set_radius, fhocp_solve)
+                        terminal_set_radius, fhocp_solve)
 from grumpc.observer import AugmentedState
 
 from conftest import scaled_certified_weights
@@ -32,7 +32,7 @@ def small_setup(small_model):
     eq = find_equilibrium(w, [y_mid])
     na = w.n + 1
     ing = build_ingredients(w, [y_mid], np.eye(na), np.eye(1), 10 * np.eye(na),
-                            0.01, N_f=300, n_samples=512, audit_factor=4)
+                            0.01, n_samples=512, audit_factor=4)
     return w, eq, ing, (y_lo, y_hi)
 
 
@@ -194,6 +194,11 @@ def test_lyapunov_residual_and_definiteness(small_setup):
     res = Acl.T @ ing.Pi @ Acl - ing.Pi + ing.Q_tilde
     assert np.max(np.abs(res)) < 1e-12
     np.linalg.cholesky(ing.Pi)    # symmetric positive definite
+    # the terminal cost P_f = P + Pi decreases by Q_lq + Q_tilde on the
+    # linearization
+    res_f = Acl.T @ ing.P_f @ Acl - ing.P_f + ing.Q_lq + ing.Q_tilde
+    assert np.max(np.abs(res_f)) < 1e-10 * np.max(np.abs(ing.P_f))
+    np.linalg.cholesky(ing.P_f)
 
 
 def test_lyapunov_matches_scipy(small_setup):
@@ -212,18 +217,19 @@ def test_terminal_radius_shrinks_with_gamma(small_setup):
     # the decrease margin is governed by Q_tilde = 10 I, so radii collapse
     # as gamma approaches 10 and no radius exists far beyond it
     w, eq, ing, _ = small_setup
-    radii = [terminal_set_radius(w, eq, ing.K_lq, ing.Pi, gamma,
+    radii = [terminal_set_radius(w, eq, ing.K_lq, ing.Pi, gamma, ing.P_f, ing.Q_lq,
                                  omega_max=1e5, n_samples=256, audit_factor=2)
              for gamma in (0.01, 9.0, 9.9)]
     assert radii[0] > radii[1] > radii[2]
     with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(w, eq, ing.K_lq, ing.Pi, 1e6,
+        terminal_set_radius(w, eq, ing.K_lq, ing.Pi, 1e6, ing.P_f, ing.Q_lq,
                             n_samples=64, audit_factor=2)
 
 
 def test_terminal_radius_sampled_soundness(small_setup):
-    # random interior points: auxiliary law keeps the state inside and
-    # decreases the Lyapunov value by at least the gamma margin
+    # random interior points: auxiliary law keeps the state inside,
+    # decreases the Lyapunov value by at least the gamma margin and the
+    # terminal cost by at least the stage cost
     w, eq, ing, _ = small_setup
     rng = np.random.default_rng(211)
     na = w.n + 1
@@ -233,12 +239,13 @@ def test_terminal_radius_sampled_soundness(small_setup):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = np.sqrt(ing.omega) * rng.uniform(0, 1, 10000) ** (1.0 / na)
     E = (dirs @ Linv_T.T) * radii[:, None]
-    over, lhs = kernels.terminal_samples_check(
+    over, lhs, vf_lhs = kernels.terminal_samples_check(
         np.ascontiguousarray(E), np.ascontiguousarray(ing.K_lq), eq.xa0,
         eq.y0, np.ascontiguousarray(ing.Pi), ing.gamma,
-        *w.arrays(), w.U_o, w.b_o)
+        *w.arrays(), w.U_o, w.b_o, Pf=ing.P_f, Qlq=ing.Q_lq)
     assert np.all(over <= 1e-12)
     assert np.all(lhs <= 1e-10)
+    assert np.all(vf_lhs <= 1e-10)
     # next state stays inside the ellipsoid
     for e in E[:200]:
         xa = eq.xa0 + e
@@ -252,15 +259,44 @@ def test_terminal_radius_sampled_soundness(small_setup):
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
 
 
-@pytest.mark.parametrize("ph, omega", [(7.0, 6.4), (7.2, 3.2768)])
-def test_terminal_radius_on_pinned_model(ph, omega):
-    # the radii the sampled check accepted for the benchmark's pinned model
+def pinned_ingredients(ph):
     w = gru_model.load_weights(FIXTURE / "weights.json")
     nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
     ctl = mpc.RecedingHorizonController(w, observer.load_gains(FIXTURE / "gains.json"),
                                         harness.ExperimentConfig().controller)
-    assert ctl.ingredients_for(nmap.normalize_y([ph])).omega == pytest.approx(
-        omega, rel=1e-12)
+    return w, ctl.ingredients_for(nmap.normalize_y([ph]))
+
+
+@pytest.mark.parametrize("ph, omega", [(7.0, 6.4), (7.2, 3.2768), (6.8, 8.0)])
+def test_terminal_radius_on_pinned_model(ph, omega):
+    # the radii the sampled check accepted for the benchmark's pinned model;
+    # at pH 6.8 the terminal-cost decrease rejects 10.0, which the input box
+    # and the Pi decrease alone accept
+    _, ing = pinned_ingredients(ph)
+    assert ing.omega == pytest.approx(omega, rel=1e-12)
+
+
+def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
+    # P alone decreases by exactly the stage cost on the linearization, so
+    # the nonlinear remainder breaks the certificate on the terminal-set
+    # samples: the V_f check rejects P_f = P at 10.0 and at the radius
+    # P + Pi passes, and the radius walk finds no radius for it at all
+    w, ing = pinned_ingredients(6.8)
+    P = ing.P_f - ing.Pi
+    E_unit = mpc._halton_directions(4096, ing.Pi.shape[0], skip=1) @ np.linalg.inv(
+        np.linalg.cholesky(ing.Pi).T).T
+
+    def vf_lhs(Pf, omega):
+        return kernels.terminal_samples_check(
+            np.sqrt(omega) * E_unit, np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
+            ing.eq.y0, ing.Pi, ing.gamma, *w.arrays(), w.U_o, w.b_o,
+            Pf=Pf, Qlq=ing.Q_lq)[2]
+
+    assert np.max(vf_lhs(P, 10.0)) > 0.0
+    assert np.max(vf_lhs(P, ing.omega)) > 0.0
+    assert np.max(vf_lhs(ing.P_f, ing.omega)) <= 0.0
+    with pytest.raises(mpc.TerminalSetError):
+        terminal_set_radius(w, ing.eq, ing.K_lq, ing.Pi, ing.gamma, P, ing.Q_lq)
 
 
 @pytest.mark.parametrize("dim", [3, 6, 9, 11])
@@ -292,40 +328,54 @@ def test_ingredients_build_without_scipy_stats():
     assert res.stdout.split() == ["False"]
 
 
+def rolled_tail_cost(w, eq, ing, xa, steps):
+    """Auxiliary-law cost-to-go from xa, summed step by step: the rolled
+    terminal tail that e'P_f e replaces."""
+    s, total = AugmentedState(xa[:w.n], xa[w.n:]), 0.0
+    for _ in range(steps):
+        e = s.stacked() - eq.xa0
+        total += e @ ing.Q_lq @ e
+        s, _ = observer.augmented_step(w, s, -(ing.K_lq @ e), eq.y0)
+    return total
+
+
 def test_terminal_cost_zero_at_equilibrium(small_setup):
-    # the equilibrium is itself a root-solver output, so the rollout cost
-    # vanishes to the fixed-point residual, not to exactly zero
+    # the equilibrium is itself a root-solver output, so the charged cost
+    # (stages and e'P_f e) vanishes to the fixed-point residual, not to
+    # exactly zero, whether the terminal cost sits at N_p or N_f law steps on
     w, eq, ing, _ = small_setup
-    assert terminal_cost(w, eq, ing.K_lq, ing.Q_lq, eq.xa0, N_f=100) < 1e-18
+    for Nf in (0, 100):
+        _, J, bviol, tviol = kernels.fhocp_forward(
+            np.zeros(6), eq.xa0.copy(), eq.u0, eq.y0, *w.arrays(), w.U_o, w.b_o,
+            np.ascontiguousarray(ing.K_lq), eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
+            ing.omega, 6, 15, Nf, 0.0, 0.0)
+        assert J < 1e-18 and bviol <= 0.0 and tviol == 0.0
 
 
-def test_terminal_cost_truncation_converged(small_setup):
+def test_terminal_cost_bounds_the_rolled_tail(small_setup):
+    # on the certified terminal set V_f falls by at least the stage cost
+    # under the auxiliary law, so e'P_f e bounds the whole rolled tail
     w, eq, ing, _ = small_setup
     rng = np.random.default_rng(223)
-    e = rng.normal(size=w.n + 1)
-    e /= np.sqrt(e @ ing.Pi @ e / (0.25 * ing.omega))
-    xa = eq.xa0 + e
-    # the sum stops once converged, well within N_f = 1000; a step-by-step
-    # sum over 2000 steps gives the same value
-    v1 = terminal_cost(w, eq, ing.K_lq, ing.Q_lq, xa, N_f=1000)
-    s, full = AugmentedState(xa[:w.n], xa[w.n:]), 0.0
-    for _ in range(2000):
-        e = s.stacked() - eq.xa0
-        full += e @ ing.Q_lq @ e
-        s, _ = observer.augmented_step(w, s, -(ing.K_lq @ e), eq.y0)
-    assert v1 == pytest.approx(full, rel=1e-12, abs=0)
+    for level in (0.05, 0.25, 1.0):
+        e = rng.normal(size=w.n + 1)
+        e /= np.sqrt(e @ ing.Pi @ e / (level * ing.omega))
+        tail = rolled_tail_cost(w, eq, ing, eq.xa0 + e, 2000)
+        assert 0.0 < tail <= e @ ing.P_f @ e
 
 
 def test_terminal_cost_matches_lq_cost_to_go_for_linear_system(small_setup):
-    # on the linearized system the truncated rollout cost approaches the
-    # DARE cost-to-go; check on a tiny deviation where nonlinearity is weak
+    # on the linearized system the rolled tail approaches the DARE
+    # cost-to-go e'Pe (P = P_f - Pi); check on a tiny deviation where the
+    # nonlinearity is weak
     w, eq, ing, _ = small_setup
     _, P = lq_gain(ing.lin, ing.Q, ing.R)
+    np.testing.assert_allclose(P, ing.P_f - ing.Pi, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ing.P_f)))
     rng = np.random.default_rng(227)
     e = 1e-4 * rng.normal(size=w.n + 1)
-    vf = terminal_cost(w, eq, ing.K_lq, ing.Q_lq, eq.xa0 + e, N_f=2000)
-    lq = e @ P @ e
-    assert vf == pytest.approx(lq, rel=5e-3)
+    assert rolled_tail_cost(w, eq, ing, eq.xa0 + e, 2000) == pytest.approx(
+        e @ P @ e, rel=5e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +416,20 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
         y = gru_model.gru_output(w, s.x)
         s, _ = observer.augmented_step(w, s, v, eq.y0)
         xit = xit + eq.y0 - y
+    # the reported terminal level is that of the plan's state N_p
+    eN = s.stacked() - eq.xa0
+    assert sol.terminal_level == pytest.approx(eN @ ing.Pi @ eN / ing.omega,
+                                               rel=1e-9)
+    assert sol.terminal_level <= 1.0 + cfg.constraint_tol
 
     # warm start: cost never degrades
     warm = mpc.shifted_warm_start(sol, ing, w, cfg)
     sol2 = fhocp_solve(w, ing, cfg, est, xa[w.n:], warm_start=warm)
-    _, Jwarm, bv, tv, _ = kernels.fhocp_forward(
+    _, Jwarm, bv, tv = kernels.fhocp_forward(
         warm, np.ascontiguousarray(xa), xa[w.n:], eq.y0,
         *w.arrays(), w.U_o, w.b_o, np.ascontiguousarray(ing.K_lq), eq.xa0,
         np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
-        np.ascontiguousarray(ing.Q_lq), np.ascontiguousarray(ing.Pi),
+        np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
         ing.omega, cfg.N_c, cfg.N_p, ing.N_f, 0.0, 0.0)
     if bv <= cfg.constraint_tol and tv <= cfg.constraint_tol * max(1, ing.omega):
         assert sol2.cost <= Jwarm + 1e-12
@@ -401,6 +456,24 @@ def test_fhocp_nominal_cost_decreases_along_closed_loop(small_setup):
         est, _ = observer.augmented_step(w, est, v, eq.y0)
         xi = xi + eq.y0 - y
     assert all(b <= a + 1e-8 for a, b in zip(costs, costs[1:]))
+
+
+def test_step_without_a_measurement_is_a_dropout(small_setup):
+    # a dropped sample (None) reads as NaN, so it takes the dropout branch:
+    # the tick equals one fed the model's own predicted output
+    w, eq, _, _ = small_setup
+    cfg = ControllerConfig(N_c=5, N_p=12, terminal_samples=256, audit_factor=2)
+    gains = observer.trivial_gains(w)
+    ctls = [mpc.RecedingHorizonController(w, gains, cfg) for _ in range(2)]
+    for ctl in ctls:
+        ctl.reset(eq.y0)
+        ctl.step(eq.y0 + 0.01, eq.y0)
+    u, info = ctls[0].step(None, eq.y0)
+    u_ref, _ = ctls[1].step(gru_model.gru_output(w, ctls[1].est.x), eq.y0)
+    assert ctls[0].dropout_count == 1 and ctls[1].dropout_count == 0
+    assert np.all(np.isfinite(u)) and info.feasible
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(ctls[0].xi, ctls[1].xi)
 
 
 # ---------------------------------------------------------------------------
