@@ -6,12 +6,14 @@ cell                one GRU update; the z and f gates come from one matmul
                     over the stacked [W_z U_z; W_f U_f] (see stack_gates)
                     and the logistic is computed as 0.5 + 0.5 tanh(a/2).
                     It takes a single vector or a matrix of rows.
-cell_vjp            the vector-Jacobian product of that update.
+cell_vjp            the vector-Jacobian product of that update (reverse
+                    mode, for truncated BPTT).
+cell_jvp            the Jacobian-vector product of that update (forward
+                    mode), from the gates cell returned.
 augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
                     xi+ = xi + y0 - y, under free moves for i < N_c and the
                     auxiliary law v = -K (xa - xa_eq) after that, for a
                     fixed number of steps.
-augmented_adjoint   the reverse pass over the same horizon.
 
 The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
 the prediction horizon, 0 by default) and charges the quadratic terminal
@@ -21,8 +23,14 @@ Acl'P_f Acl - P_f = -(Q_lq + Q_tilde) for Acl = A_a - B_a K; the sampled
 terminal-set check (terminal_samples_check) certifies that V_f falls by at
 least the stage cost e'Q_lq e under the auxiliary law on the terminal set.
 
+The objective is a sum of squares r'r (see _residuals).  fhocp_residuals
+rolls one tangent row per free-move coordinate alongside the rollout and
+returns r with its exact Jacobian Jr; fhocp_forward_backward turns them
+into the gradient 2 Jr'r and the Gauss-Newton Hessian 2 Jr'Jr that the
+solver in mpc steps on.
+
 Every public kernel is a short caller of these.  Batched work (training
-sequences, terminal-set samples) runs as rows of one cell call.
+sequences, terminal-set samples, tangent rows) runs as rows of one call.
 """
 
 import math
@@ -77,6 +85,20 @@ def cell_vjp(lam, x, u, z, f, r, G, bzf, Wr, Ur, br):
     return lam * z + dh * f + g[..., m:], g[..., :m] + da_r @ Wr, da_zf, da_r
 
 
+def cell_jvp(dx, du, x, u, z, f, r, G, bzf, Wr, Ur, br):
+    """Push the tangent (dx, du) forward through one cell at (x, u).
+
+    z, f and r are the gates cell returned at (x, u); dx and du are vectors
+    or matrices of rows.  Returns dx+.
+    """
+    n = x.shape[-1]
+    da_zf = np.concatenate((du, dx), axis=-1) @ G.T
+    dz = z * (1.0 - z) * da_zf[..., :n]
+    df = f * (1.0 - f) * da_zf[..., n:]
+    dr = (1.0 - r * r) * (du @ Wr.T + (df * x + f * dx) @ Ur.T)
+    return dz * (x - r) + z * dx + (1.0 - z) * dr
+
+
 def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     """One state update from the nine weight arrays."""
     return cell(x, u, *stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br))[0]
@@ -118,27 +140,28 @@ def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
     return XA, moves, (U, Z, F, R)
 
 
-def augmented_adjoint(cellp, Uo, K, XA, cache, gXA, gV, Nc):
-    """Gradient with respect to the free moves of a cost over one rollout.
+def augmented_tangent(cellp, Uo, K, XA, cache, Nc):
+    """Tangents of one rollout with respect to its free moves.
 
-    gXA (T+1, n+p) and gV (T, p) hold the cost's direct partials with
-    respect to the states and the moves; the reverse pass adds what flows
-    through the dynamics and, for i >= Nc, through the auxiliary law.
+    Row d carries the derivative along free-move coordinate d = i p + j:
+    dv = e_d on the free moves and dv = -dxa K' under the auxiliary law.
+    Returns the state tangents (T+1, Nc p, n+p) and move tangents (T, Nc p, p).
     """
     n = Uo.shape[1]
     U, Z, F, R = cache
-    grad = np.empty((Nc, gV.shape[1]))
-    lam = gXA[-1]
-    for i in range(len(U) - 1, -1, -1):
-        gx, gu, _, _ = cell_vjp(lam[:n], XA[i, :n], U[i], Z[i], F[i], R[i], *cellp)
-        dv = gu + gV[i]
-        nxt = gXA[i] + np.concatenate((gx - lam[n:] @ Uo, gu + lam[n:]))
+    T, p = U.shape
+    dXA = np.zeros((T + 1, Nc * p, n + p))
+    dV = np.zeros((T, Nc * p, p))
+    for i in range(T):
+        dx, dxi = dXA[i, :, :n], dXA[i, :, n:]
         if i < Nc:
-            grad[i] = dv
+            dV[i, i * p:(i + 1) * p] = np.eye(p)
         else:
-            nxt -= dv @ K
-        lam = nxt
-    return grad
+            dV[i] = -dXA[i] @ K.T
+        dXA[i + 1, :, :n] = cell_jvp(dx, dV[i] + dxi, XA[i, :n], U[i], Z[i], F[i],
+                                     R[i], *cellp)
+        dXA[i + 1, :, n:] = dxi - dx @ Uo.T
+    return dXA, dV
 
 
 # ---------------------------------------------------------------------------
@@ -340,39 +363,37 @@ def _box_excess(W):
     return W - np.clip(W, -1.0, 1.0), np.max(np.abs(W), initial=1.0) - 1.0
 
 
-def _fhocp_cost(XA, V, xi_off, xa_eq, Klq, Qmat, Rmat, Pf, Pi, omega,
-                Nc, Np, mu_box, mu_term):
-    """Penalized cost of one rollout and its direct partials.
+def _root(M):
+    """A factor L with L L' = M of a symmetric positive semidefinite M."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        lam, U = np.linalg.eigh(M)
+        return U * np.sqrt(np.maximum(lam, 0.0))
 
-    Stage cost e'Q e + v'R v on the free moves and e'Q_lq e, with
-    Q_lq = Q + K'R K, under the auxiliary law; the terminal cost e'P_f e at
-    the last state; the box penalty on xi~ + v = xi + xi_off + v for i < Np;
-    the terminal-set penalty at state Np.
-    Returns (J_pen, J, box_viol, term_viol, gXA, gV).
+
+def _residuals(XA, V, xi_off, xa_eq, Qmat, Rmat, Pf, Pi, omega, Np, mu_box, mu_term):
+    """Residuals r of one rollout; r'r is the penalized cost.
+
+    With Q = Lq Lq', R = Lr Lr' and P_f = Lf Lf', the rows are e'Lq and v'Lr
+    of every stage (under the auxiliary law v = -K e they sum to
+    e'Q_lq e, Q_lq = Q + K'R K), e'Lf at the last state, sqrt(mu_box) times
+    the excess of xi~ + v = xi + xi_off + v over [-1, 1] for i < Np, and
+    sqrt(mu_term) max(s, 0) with s = e_Np'Pi e_Np - omega.
+    Returns (r, (J_pen, J, box_viol, term_viol), roots, box excess, Pi e_Np).
     """
-    T, p = V.shape
+    roots = Lq, Lr, Lf = _root(Qmat), _root(Rmat), _root(Pf)
+    p = V.shape[1]
     E = XA - xa_eq
-    gXA = np.empty_like(XA)
-    gXA[:Nc] = E[:Nc] @ Qmat.T
-    gXA[Nc:T] = E[Nc:T] @ (Qmat + Klq.T @ Rmat @ Klq).T
-    gXA[T] = Pf @ E[T]
-    gV = np.zeros_like(V)
-    gV[:Nc] = V[:Nc] @ Rmat.T
-    J = float(np.sum(E * gXA) + np.sum(V * gV))
-    gXA *= 2.0
-    gV *= 2.0
-
     over, box_viol = _box_excess(XA[:Np, -p:] + xi_off + V[:Np])
-    pen = mu_box * np.sum(over * over)
-    gXA[:Np, -p:] += 2.0 * mu_box * over
-    gV[:Np] += 2.0 * mu_box * over
-
     PeN = Pi @ E[Np]
     s = float(E[Np] @ PeN) - omega
-    if s > 0.0:
-        pen += mu_term * s * s
-        gXA[Np] += (4.0 * mu_term * s) * PeN
-    return J + pen, J, float(box_viol), max(s, 0.0), gXA, gV
+    r = np.concatenate(((E[:-1] @ Lq).ravel(), (V @ Lr).ravel(), E[-1] @ Lf,
+                        math.sqrt(mu_box) * over.ravel(),
+                        [math.sqrt(mu_term) * max(s, 0.0)]))
+    cost = r[:-over.size - 1]
+    return (r, (float(r @ r), float(cost @ cost), float(box_viol), max(s, 0.0)),
+            roots, over, PeN)
 
 
 def augmented_rollout_cached(xa0, V, y0,
@@ -395,26 +416,56 @@ def fhocp_forward(vflat, xa_init, xi_init, y0,
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
                                  (Klq, xa_eq), Np + Nf)
-    return _fhocp_cost(XA, V, xi_init - xa_init[len(bz):], xa_eq, Klq, Qmat, Rmat,
-                       Pf, Pi, omega, Nc, Np, mu_box, mu_term)[:4]
+    return _residuals(XA, V, xi_init - xa_init[len(bz):], xa_eq, Qmat, Rmat, Pf,
+                      Pi, omega, Np, mu_box, mu_term)[1]
+
+
+def fhocp_residuals(vflat, xa_init, xi_init, y0,
+                    Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+                    Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
+                    Nc, Np, Nf, mu_box, mu_term):
+    """fhocp_forward plus its residuals r (r'r = J_pen) and their Jacobian.
+
+    The tangent rows of augmented_tangent roll through the cached gates of
+    the same rollout.  Returns (J_pen, J, box_viol, term_viol, r, Jr) with
+    Jr = dr/dv of shape (len(r), Nc p).
+    """
+    n = len(bz)
+    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    XA, V, cache = augmented_rollout(cellp, Uo, bo, y0, xa_init,
+                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
+    r, cost, (Lq, Lr, Lf), over, PeN = _residuals(
+        XA, V, xi_init - xa_init[n:], xa_eq, Qmat, Rmat, Pf, Pi, omega, Np,
+        mu_box, mu_term)
+    dXA, dV = augmented_tangent(cellp, Uo, Klq, XA, cache, Nc)
+    D = dV.shape[1]
+
+    def rows(T):
+        """(steps, D, k) tangents of residual blocks -> (steps k, D)."""
+        return T.transpose(0, 2, 1).reshape(-1, D)
+
+    dover = np.where(over[:, None] != 0.0, dXA[:Np, :, n:] + dV[:Np], 0.0)
+    dterm = 2.0 * (dXA[Np] @ PeN) if cost[3] > 0.0 else np.zeros(D)
+    Jr = np.concatenate((rows(dXA[:-1] @ Lq), rows(dV @ Lr), (dXA[-1] @ Lf).T,
+                         math.sqrt(mu_box) * rows(dover),
+                         math.sqrt(mu_term) * dterm[None]))
+    return (*cost, r, Jr)
 
 
 def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                            Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
                            Nc, Np, Nf, mu_box, mu_term):
-    """fhocp_forward plus the exact gradient of the penalized objective.
+    """fhocp_forward plus the exact gradient 2 Jr'r of the penalized objective
+    and its Gauss-Newton Hessian 2 Jr'Jr, from the residuals r and their
+    Jacobian Jr (fhocp_residuals).
 
-    Returns (J_pen, J, grad, box_viol, term_viol).
+    Returns (J_pen, J, grad, box_viol, term_viol, H).
     """
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, V, cache = augmented_rollout(cellp, Uo, bo, y0, xa_init,
-                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
-    Jp, J, box_viol, term_viol, gXA, gV = _fhocp_cost(
-        XA, V, xi_init - xa_init[len(bz):], xa_eq, Klq, Qmat, Rmat, Pf, Pi, omega,
-        Nc, Np, mu_box, mu_term)
-    grad = augmented_adjoint(cellp, Uo, Klq, XA, cache, gXA, gV, Nc)
-    return Jp, J, grad.ravel(), box_viol, term_viol
+    Jp, J, box_viol, term_viol, r, Jr = fhocp_residuals(
+        vflat, xa_init, xi_init, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+        Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega, Nc, Np, Nf, mu_box, mu_term)
+    return Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr)
 
 
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
@@ -424,14 +475,15 @@ def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
 
     Walks the prediction once; at each free step v(i) is clipped into
     [-1 - xi~(i), 1 - xi~(i)] before advancing.  The auxiliary-law tail is
-    left untouched; its residual box violation is returned.
+    left untouched.  Returns the clamped free moves, the states 0..Np of the
+    clamped plan and the tail's residual box violation.
     """
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     xi_off = xi_init - xa_init[len(bz):]
     XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
                                  (Klq, xa_eq), Np, box_offset=xi_off)
     _, tail_viol = _box_excess(XA[Nc:Np, len(bz):] + xi_off + V[Nc:])
-    return V[:Nc].ravel(), XA[Np], float(tail_viol)
+    return V[:Nc].ravel(), XA, float(tail_viol)
 
 
 def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,

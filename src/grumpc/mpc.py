@@ -5,8 +5,9 @@ fixed-point equations), linearization of the augmented system, LQ gain from
 a fixed-point Riccati iteration, Lyapunov matrix for the terminal-set
 ellipsoid, the quadratic terminal cost e'(P + Pi)e, sampled terminal-set
 radius with its certificates, and the finite-horizon optimal control
-problem solved by penalized single shooting with analytic reverse-mode
-gradients.
+problem solved by penalized single shooting: Levenberg-Marquardt
+Gauss-Newton on the residuals of the penalized cost, with their exact
+Jacobian from forward-mode tangents of the rollout.
 """
 
 import logging
@@ -38,10 +39,11 @@ class TerminalSetError(RuntimeError):
 
 
 class FhocpInfeasibleError(RuntimeError):
-    def __init__(self, violation, evals=0, terminal_level=np.nan):
+    def __init__(self, violation, evals=0, terminal_level=np.nan, rejections=0):
         self.violation = violation
         self.evals = evals
         self.terminal_level = terminal_level
+        self.rejections = rejections
         super().__init__(f"no feasible plan found (min violation {violation:.3e})")
 
 
@@ -328,16 +330,20 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma, P_f, Q_
     xa_eq = eq.xa0
     y0 = eq.y0
 
-    def all_pass(E_scaled):
-        over, lhs, vf_lhs = kernels.terminal_samples_check(
-            np.ascontiguousarray(E_scaled), Klq, xa_eq, y0, Pi, gamma,
-            *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq)
-        return (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
-                and np.all(vf_lhs <= 0.0))
+    def all_pass(E, scale):
+        # block by block; the first failing block decides the trial
+        for lo in range(0, len(E), kernels.TERMINAL_BLOCK):
+            over, lhs, vf_lhs = kernels.terminal_samples_check(
+                scale * E[lo:lo + kernels.TERMINAL_BLOCK], Klq, xa_eq, y0, Pi,
+                gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq)
+            if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
+                    and np.all(vf_lhs <= 0.0)):
+                return False
+        return True
 
     omega = float(omega_max)
     while omega > min_omega:
-        if all_pass(np.sqrt(omega) * E_unit) and all_pass(np.sqrt(omega) * E_audit):
+        if all_pass(E_unit, np.sqrt(omega)) and all_pass(E_audit, np.sqrt(omega)):
             return omega
         omega *= shrink
     raise TerminalSetError(
@@ -394,12 +400,20 @@ def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=0,
 # finite-horizon optimal control problem
 # ---------------------------------------------------------------------------
 
+# Levenberg-Marquardt: initial damping, its factor on a rejected (raise)
+# or accepted (lower) step, and the decrease, relative to 1 + cost, that
+# ends a penalty round (the 1 keeps a cost at rounding level from stepping
+# on noise)
+LM_LAMBDA0 = 1e-3
+LM_RAISE = 10.0
+LM_STOP = 1e-12
+
+
 @dataclass
 class FhocpConfig:
     N_c: int = 20
     N_p: int = 75
-    max_iters: int = 200
-    grad_tol: float = 1e-8
+    max_iters: int = 200          # Gauss-Newton steps tried over all rounds
     constraint_tol: float = 1e-9
     mu_schedule: tuple = (1e3, 1e5, 1e7)
 
@@ -413,22 +427,30 @@ class FhocpSolution:
     v: np.ndarray            # (N_c, p)
     trajectory: np.ndarray   # (N_p + 1, n + p)
     cost: float
-    iterations: int
+    iterations: int          # accepted Gauss-Newton steps
     feasible: bool
     max_violation: float
-    evals: int = 0           # objective evaluations, with or without gradient
+    evals: int = 0           # objective evaluations, with or without Jacobian
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
+    rejections: int = 0      # rejected Gauss-Newton steps (damping raised)
 
 
 def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
                 xa_hat: AugmentedState, xi_true, warm_start=None) -> FhocpSolution:
     """Penalized single shooting over the free moves v(0..N_c-1).
 
-    Gradient descent with Barzilai-Borwein step sizes and an Armijo
-    backtracking safeguard on the penalized objective, over an increasing
-    penalty schedule; after each round the plan is restored to exact box
-    feasibility by a sequential clamp.  The best feasible iterate wins, so
-    a feasible warm start is never degraded.
+    The penalized objective is a sum of squares r(v)'r(v)
+    (kernels.fhocp_residuals), minimized by Levenberg-Marquardt
+    Gauss-Newton on the exact Jacobian J of r: each step solves
+    (J'J + lam diag(J'J)) dv = -J'r and is accepted when it lowers the
+    penalized cost; lam falls after an accepted step and rises after a
+    rejected one.  A penalty round ends when the decrease, actual or
+    predicted by the Gauss-Newton model, is at most LM_STOP (1 + cost), or
+    after max_iters // rounds steps.  The penalty weights rise over
+    cfg.mu_schedule; after each round the plan is restored to exact box
+    feasibility by a sequential clamp, and a strictly interior iterate ends
+    the schedule.  The best feasible iterate wins, so a feasible warm start
+    is never degraded.
     """
     p = w.p
     Nc, Np = cfg.N_c, cfg.N_p
@@ -447,39 +469,33 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
     best = {"cost": np.inf, "v": None, "viol": np.inf, "least": None}
     evals = 0
 
-    def forward(vflat, mu_box, mu_term):
+    def evaluate(kernel, vflat, mu_box, mu_term):
         nonlocal evals
         evals += 1
-        return kernels.fhocp_forward(
-            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
+        return kernel(vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
 
-    def forward_backward(vflat, mu_box, mu_term):
-        nonlocal evals
-        evals += 1
-        return kernels.fhocp_forward_backward(
-            vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
-
-    def consider(vflat):
-        _, Jc, bviol, tviol = forward(vflat, 0.0, 0.0)
+    def consider(vflat, Jc, bviol, tviol):
+        """Record a plan from its evaluation; True when strictly interior."""
         viol = max(bviol, tviol / max(1.0, ing.omega))
-        feasible = bviol <= ctol and tviol <= omega_tol
-        if feasible and Jc < best["cost"]:
+        if bviol <= ctol and tviol <= omega_tol and Jc < best["cost"]:
             best.update(cost=Jc, v=vflat.copy(), viol=max(bviol, tviol))
         if viol < best["viol"]:
             best.update(viol=viol, least=vflat.copy())
-        return feasible, Jc
+        return bviol <= 0.0 and tviol <= 0.0
+
+    clamped = (None, None)          # the last clamped plan, its states 0..Np
 
     def plan(vflat):
-        """States 0..Np of a plan and e_Np'Pi e_Np / omega."""
-        XA, _, _ = kernels.augmented_rollout(
-            kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, y0, xa0,
-            vflat.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
+        """States 0..Np of a plan and e_Np'Pi e_Np / omega; the last clamp
+        rolled them already when it left the plan unchanged."""
+        if np.array_equal(vflat, clamped[0]):
+            XA = clamped[1]
+        else:
+            XA, _, _ = kernels.augmented_rollout(
+                kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, y0, xa0,
+                vflat.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
         eN = XA[Np] - ing.eq.xa0
         return XA, float(eN @ ing.Pi @ eN) / ing.omega
-
-    def strictly_feasible(vflat):
-        _, _, bviol, tviol = forward(vflat, 0.0, 0.0)
-        return bviol <= 0.0 and tviol <= 0.0
 
     if warm_start is not None:
         v = np.asarray(warm_start, dtype=np.float64).ravel().copy()
@@ -487,67 +503,57 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
             raise ValueError("warm start has the wrong length")
     else:
         v = np.zeros(Nc * p)
-    consider(v)
 
-    iters = 0
+    iters = rejections = 0
     rounds = len(cfg.mu_schedule)
     budget = max(5, cfg.max_iters // rounds)
-    for mu in cfg.mu_schedule:
+    for k, mu in enumerate(cfg.mu_schedule):
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
-        Jp, _, g, _, _ = forward_backward(v, mu_box, mu_term)
-        alpha = 1.0 / max(np.linalg.norm(g), 1.0)
-        g_prev = None
-        v_prev = None
-        stall = 0
+        Jp, Jc, g, bviol, tviol, H = evaluate(kernels.fhocp_forward_backward, v,
+                                              mu_box, mu_term)
+        if k == 0:
+            consider(v, Jc, bviol, tviol)     # the warm start or zero plan
+        lam = LM_LAMBDA0
         for _ in range(budget):
-            gn2 = float(g @ g)
-            if np.sqrt(gn2) < cfg.grad_tol:
+            dv = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            stop = LM_STOP * (1.0 + Jp)
+            # the decrease the Gauss-Newton model |r + Jr dv|^2 predicts
+            if -float(dv @ (g + 0.5 * (H @ dv))) <= stop:
                 break
-            if g_prev is not None:
-                s = v - v_prev
-                yv = g - g_prev
-                sy = float(s @ yv)
-                if sy > 1e-300:
-                    alpha = float(s @ s) / sy
-                alpha = min(max(alpha, 1e-12), 1e6)
-            accepted = False
-            a = alpha
-            for _ in range(40):
-                v_try = v - a * g
-                Jp_try, _, _, _ = forward(v_try, mu_box, mu_term)
-                if Jp_try <= Jp - 1e-4 * a * gn2:
-                    accepted = True
-                    break
-                a *= 0.5
-            if not accepted:
-                break
-            stall = stall + 1 if Jp - Jp_try < 1e-12 * (1.0 + abs(Jp)) else 0
-            v_prev, g_prev = v.copy(), g.copy()
-            v = v_try
-            Jp, _, g, _, _ = forward_backward(v, mu_box, mu_term)
+            trial = evaluate(kernels.fhocp_forward_backward, v + dv, mu_box, mu_term)
+            if trial[0] >= Jp:
+                rejections += 1
+                lam *= LM_RAISE
+                continue
             iters += 1
-            if stall >= 3:
+            lam /= LM_RAISE
+            decrease = Jp - trial[0]
+            v = v + dv
+            Jp, Jc, g, bviol, tviol, H = trial
+            if decrease <= stop:
                 break
-        consider(v)
-        v_clip, _, _ = kernels.fhocp_clip_restore(
+        strict = consider(v, Jc, bviol, tviol)
+        v_clip, XA_clip, _ = kernels.fhocp_clip_restore(
             v, xa0, xi0, y0, *args_model, np.ascontiguousarray(ing.K_lq),
             ing.eq.xa0, Nc, Np)
-        consider(v_clip)
+        clamped = (v_clip, XA_clip)
+        if not np.array_equal(v_clip, v):
+            consider(v_clip, *evaluate(kernels.fhocp_forward, v_clip, 0.0, 0.0)[1:])
         # a strictly interior iterate makes the remaining penalty rounds
         # no-ops (the penalties vanish identically around it)
-        if strictly_feasible(v):
+        if strict:
             break
 
     if best["v"] is None:
         level = np.nan if best["least"] is None else plan(best["least"])[1]
-        raise FhocpInfeasibleError(best["viol"], evals, level)
+        raise FhocpInfeasibleError(best["viol"], evals, level, rejections)
 
     vbest = best["v"]
     XA, level = plan(vbest)
     return FhocpSolution(v=vbest.reshape(Nc, p), trajectory=XA,
                          cost=best["cost"], iterations=iters, feasible=True,
                          max_violation=best["viol"], evals=evals,
-                         terminal_level=level)
+                         terminal_level=level, rejections=rejections)
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
@@ -591,7 +597,6 @@ class ControllerConfig:
     N_f: int = 0
     ref_filter_window: int = 12
     max_iters: int = 200
-    grad_tol: float = 1e-8
     constraint_tol: float = 1e-9
     omega_max: float = 10.0
     terminal_samples: int = 4096
@@ -599,8 +604,7 @@ class ControllerConfig:
     cache_quantum: float = 1e-4
 
     def fhocp(self) -> FhocpConfig:
-        return FhocpConfig(self.N_c, self.N_p, self.max_iters,
-                           self.grad_tol, self.constraint_tol)
+        return FhocpConfig(self.N_c, self.N_p, self.max_iters, self.constraint_tol)
 
 
 @dataclass
@@ -608,11 +612,12 @@ class StepInfo:
     v: np.ndarray
     xi: np.ndarray
     cost: float
-    iterations: int
+    iterations: int          # accepted Gauss-Newton steps of the solve
     feasible: bool
     fallback: bool
     evals: int = 0           # objective evaluations of the solve
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
+    rejections: int = 0      # rejected Gauss-Newton steps of the solve
 
 
 class RecedingHorizonController:
@@ -662,7 +667,8 @@ class RecedingHorizonController:
                                         n_samples=self.cfg.terminal_samples,
                                         audit_factor=self.cfg.audit_factor,
                                         eq_guess=guess)
-            except (EquilibriumError, RiccatiError, TerminalSetError) as exc:
+            except (UnreachableReferenceError, EquilibriumError, RiccatiError,
+                    TerminalSetError) as exc:
                 if self._last_ing is None:
                     raise
                 self._failed.add(key)
@@ -706,7 +712,7 @@ class RecedingHorizonController:
             v = sol.v[0].copy()
             self._warm = shifted_warm_start(sol, ing, self.w, cfg)
             cost, iters, feas = sol.cost, sol.iterations, True
-            evals, level = sol.evals, sol.terminal_level
+            evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
         except FhocpInfeasibleError as exc:
             # auxiliary law on the estimate, clipped into the input box
             fallback = True
@@ -716,12 +722,12 @@ class RecedingHorizonController:
             v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
             self._warm = None
             cost, iters, feas = np.nan, 0, False
-            evals, level = exc.evals, exc.terminal_level
+            evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
 
         u = np.clip(v + self.xi, -1.0, 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
-                        terminal_level=level)
+                        terminal_level=level, rejections=rejections)
 
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error

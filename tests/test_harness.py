@@ -140,13 +140,17 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
 
     rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))
     assert rows[0] == ["k", "y_ref", "y_meas", "u_applied", "v", "xi",
-                       "cost", "solve_iters", "feasible", "evals", "terminal_level"]
+                       "cost", "solve_iters", "feasible", "evals", "terminal_level",
+                       "rejections"]
     assert len(rows) - 1 == int(0.25 * 3600 / 10)
     # every solve evaluates the objective; every plan ends inside the
-    # terminal set e'Pi e <= omega, up to the solver's constraint tolerance
+    # terminal set e'Pi e <= omega, up to the solver's constraint tolerance;
+    # every evaluation after the first one tries a Gauss-Newton step, which
+    # is accepted (solve_iters) or rejected, or one clamped plan
     tol = cfg.controller.constraint_tol
     assert all(int(r[9]) >= 1 and 0.0 <= float(r[10]) <= 1.0 + tol
                for r in rows[1:])
+    assert all(0 <= int(r[7]) + int(r[11]) <= int(r[9]) - 1 for r in rows[1:])
 
     files = harness.cmd_plot_export(tmp_path / "closed_loop.csv", tmp_path / "figs")
     assert set(files) == {"fig_output.csv", "fig_tracking_error.csv",
@@ -196,20 +200,34 @@ def test_closed_loop_survives_a_nan_measurement(tmp_path, monkeypatch):
     assert faulty["max_settled_error"] < bound
 
 
-def test_closed_loop_is_offset_free_under_a_persistent_input_disturbance(tmp_path):
+def test_closed_loop_is_offset_free_under_a_persistent_input_disturbance(
+        tmp_path, monkeypatch):
     # the paper's claim: with the model as the plant, a constant additive
     # input disturbance that lasts to the end of the run leaves no settled
     # offset; the integrator shifts the applied input by the disturbance
     cfg, nmap, _ = mid_range_config(tmp_path)
     cfg.scenario.disturbances = [[0.02, cfg.scenario.duration_h, "input-additive", 0.3]]
+    step = mpc.RecedingHorizonController.step
+    infos = []
+
+    def recording(ctl, y_meas, y0):
+        u, info = step(ctl, y_meas, y0)
+        infos.append(info)
+        return u, info
+    monkeypatch.setattr(mpc.RecedingHorizonController, "step", recording)
     metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
     tol = 1e-3 * float(nmap.y_half[0])
     assert [list(w[:2]) for w in metrics["windows"]] == [
         [pytest.approx(0.02 + 5.0 / 60.0), cfg.scenario.duration_h]]
     assert metrics["max_settled_error"] < tol
     assert metrics["constraint_violations"] == 0 and metrics["fallback_ticks"] == 0
-    u = [float(r[3]) for r in list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]]
+    rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]
+    u = [float(r[3]) for r in rows]
     assert u[-1] - u[0] == pytest.approx(-0.3, abs=1e-3)
+    # the solver telemetry columns are the controller's, tick by tick
+    assert [(int(r[7]), int(r[9]), int(r[11])) for r in rows] == [
+        (i.iterations, i.evals, i.rejections) for i in infos]
+    assert sum(i.iterations for i in infos) > sum(i.rejections for i in infos)
 
 
 def test_closed_loop_keeps_the_last_ingredients_when_a_rebuild_fails(
@@ -239,6 +257,36 @@ def test_closed_loop_keeps_the_last_ingredients_when_a_rebuild_fails(
     assert np.all(np.isfinite(u)) and np.all((u >= 11.2) & (u <= 17.2))
     # the loop holds the setpoint of the ingredients it kept
     assert abs(float(rows[-1][2]) - ph_mid) < 1e-3 * float(nmap.y_half[0])
+
+
+def test_closed_loop_holds_its_setpoint_when_a_step_is_unreachable(tmp_path):
+    # a step to pH 10.5 lies outside the model's steady range: the loop keeps
+    # the ingredients of the first setpoint and holds it, tries the
+    # unreachable setpoint once, and every applied input stays finite and
+    # inside the box
+    cfg, nmap, ph_mid = mid_range_config(tmp_path)
+    cfg.controller.ref_filter_window = 1
+    cfg.scenario.duration_h = 0.1
+    cfg.scenario.reference_program = [[0.0, ph_mid], [0.02, 10.5]]
+    w = gru_model.load_weights(tmp_path / "weights.json")
+    ing = mpc.build_ingredients(w, nmap.normalize_y([ph_mid]), np.eye(w.n + 1),
+                                np.eye(1), 10 * np.eye(w.n + 1), 0.01,
+                                n_samples=64, audit_factor=2)
+    with pytest.raises(mpc.UnreachableReferenceError):
+        mpc.find_equilibrium(w, nmap.normalize_y([10.5]), x_guess=ing.eq.x0,
+                             u_guess=ing.eq.u0)
+    metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
+    assert metrics["rebuild_failures"] == 1
+    assert metrics["constraint_violations"] == 0 and metrics["fallback_ticks"] == 0
+    rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]
+    u = np.array([float(r[3]) for r in rows])
+    assert np.all(np.isfinite(u)) and np.all((u >= 11.2) & (u <= 17.2))
+    assert abs(float(rows[-1][2]) - ph_mid) < 1e-3 * float(nmap.y_half[0])
+
+    # the first setpoint is never held over: one that fails at reset raises
+    cfg.scenario.reference_program = [[0.0, 10.5]]
+    with pytest.raises(mpc.UnreachableReferenceError):
+        harness.cmd_run_closed_loop(cfg, tmp_path)
 
 
 def test_plot_export_rejects_malformed(tmp_path):

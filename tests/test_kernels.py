@@ -6,6 +6,7 @@ and the terminal cost e'P_f e charged at the last state, so that a kernel
 and its reference share no code beyond the GRU cell.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,21 @@ def test_fhocp_forward_matches_stepwise_reference(setup):
                 assert ref[4] > 0 and ref[5] > 0      # both penalties active
 
 
+def test_fhocp_forward_takes_a_semidefinite_state_weight(setup):
+    # Q weighting only the integrator has no Cholesky factor; the residuals
+    # take a symmetric square root instead and still sum to the stepwise cost
+    w, ing = setup
+    Q = np.diag(np.r_[np.zeros(w.n), 1.0])
+    ing = dataclasses.replace(ing, Q=Q, Q_lq=Q + ing.K_lq.T @ ing.R @ ing.K_lq)
+    rng = np.random.default_rng(407)
+    xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
+    vflat = rng.normal(0.0, 0.05, N_C * w.p)
+    for Nf in (0, N_F):
+        ref = reference_fhocp(w, ing, vflat, xa0, xa0[w.n:], 0.0, 0.0, Nf=Nf)
+        got = forward(w, ing, vflat, xa0, xa0[w.n:], 0.0, 0.0, Nf=Nf)
+        np.testing.assert_allclose(got, ref[2:], rtol=0, atol=1e-12)
+
+
 def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, Np):
     """Reverse pass over a reference rollout, step by step, built on
     gru_model.jacobians instead of the kernels' cell VJP."""
@@ -197,7 +213,7 @@ def test_terminal_cost_matches_stepwise_reference_on_pinned_model(pinned):
         ref_grad = reference_gradient(w, ing, states, moves, xi0, mu, 2 * mu,
                                       omega, Nc, Np)
         got = kernels.fhocp_forward(*args)
-        Jp, J, grad, bviol, tviol = kernels.fhocp_forward_backward(*args)
+        Jp, J, grad, bviol, tviol, _ = kernels.fhocp_forward_backward(*args)
         np.testing.assert_allclose(got[:2], ref[:2], rtol=1e-12, atol=0)
         np.testing.assert_allclose((Jp, J), ref[:2], rtol=1e-12, atol=0)
         assert (got[2], got[3]) == (bviol, tviol)
@@ -214,11 +230,11 @@ def test_augmented_rollout_matches_stepwise_reference(setup):
     XA, _, _, _ = kernels.augmented_rollout_cached(
         xa0, moves[:N_P], ing.eq.y0, *w.arrays(), w.U_o, w.b_o)
     np.testing.assert_allclose(XA, states[:N_P + 1], rtol=0, atol=1e-12)
-    v_out, xaN, tail_viol = kernels.fhocp_clip_restore(
+    v_out, XA, tail_viol = kernels.fhocp_clip_restore(
         vflat, xa0, xa0[w.n:], ing.eq.y0, *w.arrays(), w.U_o, w.b_o,
         np.ascontiguousarray(ing.K_lq), ing.eq.xa0, N_C, N_P)
     np.testing.assert_array_equal(v_out, vflat)      # inside the box: no clamp
-    np.testing.assert_allclose(xaN, states[N_P], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(XA, states[:N_P + 1], rtol=0, atol=1e-12)
     assert tail_viol == 0.0
 
 
@@ -252,8 +268,8 @@ def test_fhocp_gradient_matches_central_differences(setup, active):
         omega, mu_box, mu_term = None, 30.0, 10.0
     xi0 = xa0[w.n:].copy()
     for Nf in (0, N_F):
-        Jp, _, grad, bviol, tviol = forward_backward(w, ing, vflat, xa0, xi0,
-                                                     mu_box, mu_term, Nf, omega)
+        Jp, _, grad, bviol, tviol, _ = forward_backward(w, ing, vflat, xa0, xi0,
+                                                        mu_box, mu_term, Nf, omega)
         assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
 
         def J(v):
@@ -266,6 +282,54 @@ def test_fhocp_gradient_matches_central_differences(setup, active):
             fd[j] = (J(vflat + dv) - J(vflat - dv)) / (2 * h)
         assert Jp == J(vflat)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * np.max(np.abs(fd)))
+
+
+def residuals(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf, omega):
+    model, prob = problem_args(w, ing)
+    return kernels.fhocp_residuals(vflat, xa0, xi0, ing.eq.y0, *model, *prob[:-1],
+                                   omega, N_C, N_P, Nf, mu_box, mu_term)
+
+
+@pytest.mark.parametrize("active", [False, True])
+def test_fhocp_residual_jacobian_matches_central_differences(setup, active):
+    # the tangent rows give the exact Jacobian of the residuals, whose
+    # squares sum to the objective fhocp_forward charges; the gradient and
+    # the Gauss-Newton Hessian of fhocp_forward_backward are built from them
+    w, ing = setup
+    rng = np.random.default_rng(461 + active)
+    if active:
+        xa0 = ing.eq.xa0 + offset(ing, rng, 2.0)
+        vflat = rng.normal(0.0, 1.5, N_C * w.p)
+        omega, mu_box, mu_term = 1e-4, 30.0, 10.0
+    else:
+        xa0 = ing.eq.xa0 + offset(ing, rng, 0.2)
+        vflat = rng.normal(0.0, 0.01, N_C * w.p)
+        omega, mu_box, mu_term = ing.omega, 30.0, 10.0
+    xi0 = xa0[w.n:] + rng.normal(0.0, 0.02, w.p)
+    for Nf in (0, N_F):
+        Jp, J, bviol, tviol, r, Jr = residuals(w, ing, vflat, xa0, xi0, mu_box,
+                                               mu_term, Nf, omega)
+        assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
+        assert (Jp, J, bviol, tviol) == forward(w, ing, vflat, xa0, xi0, mu_box,
+                                                mu_term, Nf=Nf, omega=omega)
+        assert float(r @ r) == Jp
+        assert Jr.shape == (len(r), vflat.size)
+        h = 1e-6
+        fd = np.empty_like(Jr)
+        for j in range(vflat.size):
+            dv = np.zeros_like(vflat)
+            dv[j] = h
+            fd[:, j] = (residuals(w, ing, vflat + dv, xa0, xi0, mu_box, mu_term, Nf,
+                                  omega)[4]
+                        - residuals(w, ing, vflat - dv, xa0, xi0, mu_box, mu_term, Nf,
+                                    omega)[4]) / (2 * h)
+        assert np.max(np.abs(Jr - fd)) <= 1e-7 * np.max(np.abs(fd))
+        # the penalty rows are live exactly when their penalty is
+        assert np.any(Jr[-1] != 0.0) == active
+        fb = forward_backward(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf, omega)
+        assert fb[:2] == (Jp, J) and fb[3:5] == (bviol, tviol)
+        np.testing.assert_allclose(fb[2], 2.0 * Jr.T @ r, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(fb[5], 2.0 * Jr.T @ Jr, rtol=1e-14, atol=0)
 
 
 def test_terminal_samples_check_matches_per_row_reference(setup):
@@ -353,6 +417,33 @@ def test_cell_helpers_consistent():
         minus = kernels.cell(X[0] - d[:5], U[0] - d[5:], *cellp)[0]
         assert g[j] == pytest.approx(L[0] @ (plus - minus) / (2 * h),
                                      rel=1e-7, abs=1e-9)
+
+
+def test_cell_jvp_matches_central_differences_and_the_vjp():
+    # forward mode against central differences of the cell, rows and single
+    # vectors alike, and the adjoint identity <lam, J d> = <J' lam, d> with
+    # the reverse-mode cell_vjp at the same point
+    rng = np.random.default_rng(29)
+    w = gru_model.random_weights(5, 2, 2, rng)
+    cellp = kernels.stack_gates(*w.arrays())
+    x, u = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 2)
+    _, z, f, r = kernels.cell(x, u, *cellp)
+    D = rng.normal(size=(7, 7))                 # rows of (dx, du)
+    tangents = kernels.cell_jvp(D[:, :5], D[:, 5:], x, u, z, f, r, *cellp)
+    h = 1e-6
+    for d, t in zip(D, tangents):
+        plus = kernels.cell(x + h * d[:5], u + h * d[5:], *cellp)[0]
+        minus = kernels.cell(x - h * d[:5], u - h * d[5:], *cellp)[0]
+        np.testing.assert_allclose(t, (plus - minus) / (2 * h), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(
+            t, kernels.cell_jvp(d[:5], d[5:], x, u, z, f, r, *cellp), rtol=0,
+            atol=1e-15)
+    L = rng.normal(size=(7, 5))
+    for lam in L:
+        gx, gu, _, _ = kernels.cell_vjp(lam, x, u, z, f, r, *cellp)
+        lhs = tangents @ lam
+        rhs = D @ np.concatenate((gx, gu))
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))
 
 
 def test_sigmoid_stable_at_extremes():
