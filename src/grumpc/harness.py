@@ -59,7 +59,6 @@ class TrainSection:
 class ObserverSection:
     lam: float = 0.5
     synthesize: bool = True
-    maxiter: int = 4000
 
 
 @dataclass
@@ -268,11 +267,12 @@ def cmd_synth_observer(cfg: ExperimentConfig, out_dir) -> dict:
         raise CommandError(f"nu >= 0 (got {nu:+.4f}); cannot synthesize observer")
     trivial = observer.trivial_gains(w, cfg.observer.lam)
     trivial_norm = observer.certify_gains(w, trivial).spectral_norm
-    if cfg.observer.synthesize:
-        gains = observer.synthesize_gains(w, lam=cfg.observer.lam,
-                                          maxiter=cfg.observer.maxiter)
-    else:
-        gains = trivial
+    t0 = time.perf_counter()
+    try:
+        gains = observer.synthesize_gains(w) if cfg.observer.synthesize else trivial
+    except observer.ObserverSynthesisError as exc:
+        raise CommandError(str(exc)) from exc
+    synth_ms = 1e3 * (time.perf_counter() - t0)
     rep = observer.certify_gains(w, gains)
     if not rep.passed:
         raise CommandError(f"synthesized gains failed certification ({rep.reason})")
@@ -281,12 +281,12 @@ def cmd_synth_observer(cfg: ExperimentConfig, out_dir) -> dict:
               "spectral_radius": rep.spectral_radius,
               "spectral_norm": rep.spectral_norm,
               "trivial_spectral_norm": trivial_norm,
-              "passed": rep.passed, "nu": nu}
+              "passed": rep.passed, "nu": nu, "synth_ms": synth_ms}
     with open(paths["observer_report"], "w") as fh:
         json.dump(report, fh, indent=1)
     log.info("observer: delta %.4f, rho(A_delta) %.4f, |A_delta| %.4f "
-             "(fallback %.4f)", rep.delta, rep.spectral_radius,
-             rep.spectral_norm, trivial_norm)
+             "(fallback %.4f) in %.1f ms", rep.delta, rep.spectral_radius,
+             rep.spectral_norm, trivial_norm, synth_ms)
     return report
 
 
@@ -344,6 +344,7 @@ class RunMetrics:
     fallback_ticks: int
     dropout_ticks: int            # non-finite measurements replaced by y_hat
     rebuild_failures: int         # setpoints whose ingredients failed to build
+    nonfinite_resets: int         # ticks re-seeded after a non-finite input
 
 
 def _settling_windows(events_h, duration_h, settle_h):
@@ -446,7 +447,8 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         rho_A_delta=rep.spectral_radius, windows=win_metrics,
         max_settled_error=max_settled, constraint_violations=violations,
         saturation_ticks=saturated, fallback_ticks=ctl.fallback_count,
-        dropout_ticks=ctl.dropout_count, rebuild_failures=ctl.rebuild_failures)
+        dropout_ticks=ctl.dropout_count, rebuild_failures=ctl.rebuild_failures,
+        nonfinite_resets=ctl.nonfinite_resets)
     with open(paths["metrics"], "w") as fh:
         json.dump(asdict(metrics), fh, indent=1)
     if violations:

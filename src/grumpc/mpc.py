@@ -627,7 +627,10 @@ class RecedingHorizonController:
     applied input.  Reference-dependent ingredients are cached per
     quantized setpoint.  A setpoint whose ingredients fail to build is not
     tried again: the controller keeps the last good ingredients and holds
-    their setpoint, and counts the event in rebuild_failures.
+    their setpoint, and counts the event in rebuild_failures.  A tick whose
+    input comes out non-finite re-seeds the controller at the equilibrium
+    of its ingredients, applies the equilibrium input and counts the event
+    in nonfinite_resets.
     """
 
     def __init__(self, w: GruWeights, gains: ObserverGains,
@@ -648,6 +651,7 @@ class RecedingHorizonController:
         self.fallback_count = 0
         self.dropout_count = 0
         self.rebuild_failures = 0
+        self.nonfinite_resets = 0
 
     def _key(self, y0):
         return tuple(np.round(y0 / self.cfg.cache_quantum).astype(np.int64))
@@ -680,12 +684,14 @@ class RecedingHorizonController:
         self._last_ing = ing
         return ing
 
-    def reset(self, y0_init):
-        """Start at the model equilibrium of the initial reference."""
-        ing = self.ingredients_for(y0_init)
+    def _seed_at(self, ing: TerminalIngredients):
         self.est = AugmentedState(ing.eq.x0.copy(), ing.eq.u0.copy())
         self.xi = ing.eq.u0.copy()
         self._warm = None
+
+    def reset(self, y0_init):
+        """Start at the model equilibrium of the initial reference."""
+        self._seed_at(self.ingredients_for(y0_init))
 
     def step(self, y_meas, y0):
         """One closed-loop tick; returns (u_norm in [-1,1], StepInfo)."""
@@ -724,6 +730,14 @@ class RecedingHorizonController:
             cost, iters, feas = np.nan, 0, False
             evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
 
+        if not np.all(np.isfinite(v + self.xi)):
+            # a poisoned estimate, integrator or plan: start again at the
+            # equilibrium of the held ingredients and apply its input
+            self.nonfinite_resets += 1
+            log.warning("non-finite input %s; re-seeding at the equilibrium",
+                        v + self.xi)
+            self._seed_at(ing)
+            v = np.zeros(self.w.p)
         u = np.clip(v + self.xi, -1.0, 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,

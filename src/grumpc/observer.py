@@ -5,12 +5,13 @@ error (u = v + xi, xi+ = xi + y0 - y).  The observer injects innovation
 terms into both gates and into the integrator estimate; its nominal error
 dynamics are bounded componentwise by a nonnegative 2x2 matrix A_delta,
 and Schur stability of A_delta (checked by the Jury criterion) certifies
-convergence.  Gain synthesis minimizes ||A_delta||_2 by direct search from
-the always-feasible fallback gains.
+convergence.  Gain synthesis finds the least ||A_delta||_2 in closed
+form: every entry of A_delta depends on its own gains, so each is made
+least on its own (the output-gate gains by an l1 fit per row).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,105 +196,74 @@ def trivial_gains(w: GruWeights, lam=0.5) -> ObserverGains:
     return g
 
 
-def _pack(g: ObserverGains):
-    return np.concatenate([getattr(g, name).ravel() for name in GAIN_FIELDS])
+def l1_row_fit(M, U_o):
+    """Gains L (r, p) minimizing ||M[i] - L[i] @ U_o||_1 for every row i of M.
+
+    For p = 1 the optimum of sum_j |M[i, j] - l U_o[j]| is a weighted
+    median of the ratios M[i, j] / U_o[j], weighted by |U_o[j]|; columns
+    with U_o[j] = 0 add a constant and are skipped, and L = 0 when no
+    U_o[j] is nonzero.  For p > 1 each row is a small LP in (l, t):
+    min sum(t) subject to -t <= M[i] - l @ U_o <= t.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=np.float64))
+    U_o = np.atleast_2d(np.asarray(U_o, dtype=np.float64))
+    p, n = U_o.shape
+    if p == 1:
+        c = U_o[0]
+        nz = c != 0.0
+        if not nz.any():
+            return np.zeros((M.shape[0], 1))
+        ratios = M[:, nz] / c[nz]
+        order = np.argsort(ratios, axis=1)
+        cum = np.cumsum(np.abs(c[nz])[order], axis=1)
+        k = np.argmax(2.0 * cum >= cum[:, -1:], axis=1)
+        return np.take_along_axis(ratios, order, axis=1)[np.arange(len(k)), k][:, None]
+
+    from scipy.optimize import linprog
+    A_ub = np.block([[-U_o.T, -np.eye(n)], [U_o.T, -np.eye(n)]])
+    cost = np.concatenate([np.zeros(p), np.ones(n)])
+    bounds = [(None, None)] * p + [(0.0, None)] * n
+    L = np.empty((M.shape[0], p))
+    for i, row in enumerate(M):
+        res = linprog(cost, A_ub=A_ub, b_ub=np.concatenate([-row, row]),
+                      bounds=bounds, method="highs")
+        if res.status != 0:
+            raise ObserverSynthesisError(f"l1 fit of row {i} failed: {res.message}")
+        L[i] = res.x[:p]
+    return L
 
 
-def _unpack(vec, n, p):
-    shapes = [(n, p), (n, p), (n, p), (n, p), (p, p), (p, p)]
-    out = []
-    k = 0
-    for shp in shapes:
-        size = shp[0] * shp[1]
-        out.append(vec[k:k + size].reshape(shp).copy())
-        k += size
-    return out
+def synthesize_gains(w: GruWeights) -> ObserverGains:
+    """The gains minimizing ||A_delta||_2, in closed form.
 
-
-def _constraint_violation(w, g):
-    """Exact-penalty measure of the synthesis constraints (0 when feasible)."""
-    ed = build_A_delta(w, g)
-    eye = np.eye(w.p)
-    t1 = inf_norm(eye - g.L_xixi)
-    t2 = ed.alpha * inf_norm(w.U_o) * inf_norm(eye + g.L_xiy)
-    viol = 0.0
-    margin = 1e-9
-    viol += max(0.0, margin - ed.delta)                                 # delta > 0
-    viol += max(0.0, t2 - ed.delta * (1.0 - t1) + margin)               # delta(1-t1) > t2
-    viol += max(0.0, (1.0 - ed.delta) * t1 - (1.0 + t2) + margin)       # (1-delta) t1 < 1+t2
-    return viol
-
-
-def synthesize_gains(w: GruWeights, lam=0.5, maxiter=4000, n_starts=2,
-                     seed=0) -> ObserverGains:
-    """Minimize ||A_delta||_2 over the gains by multistart Nelder-Mead.
-
-    Search starts from the fallback gains (plus a deadbeat-integrator
-    start exploiting that xi is measured exactly); only candidates passing
-    certification are accepted, so the result is never worse than the
-    fallback.
+    A_delta is nonnegative, so its spectral norm never falls when an entry
+    grows, and each entry depends on its own gains:
+      - alpha = 0 at L_zxi = W_z (L_fxi is then free; W_f is taken);
+      - entry (2,1) is 0 at L_xiy = -I and entry (2,2) is 0 at L_xixi = I;
+      - 1 - delta is smallest where ||U_z - L_zy U_o||_inf and
+        ||U_f - L_fy U_o||_inf are, which `l1_row_fit` reaches row by row.
+    The result A_delta = diag(1 - delta*, 0) is entrywise at most the
+    A_delta of any gains, so its norm 1 - delta* is the least.  It
+    certifies whenever nu < 0: the fallback's L_zy = L_fy = 0 is a
+    candidate of the same row problems and reaches delta = -nu > 0, so
+    delta* >= -nu.  A certification failure therefore raises
+    ObserverSynthesisError.
     """
     nu = gru_model.diss_residual(w)
     if nu >= 0.0:
         raise ObserverSynthesisError(
             f"model residual nu = {nu:.4g} is not negative; synthesis "
             "is infeasible")
-    from scipy.optimize import minimize
-
-    n, p = w.n, w.p
-    base = trivial_gains(w, lam)
-    eye = np.eye(p)
-
-    # deadbeat-integrator start: copy the known integrator, cancel the
-    # input paths into both gates, shrink the output-gate mismatch rows
-    lsq_zy = np.linalg.lstsq(w.U_o.T, w.U_z.T, rcond=None)[0].T
-    lsq_fy = np.linalg.lstsq(w.U_o.T, w.U_f.T, rcond=None)[0].T
-    aggressive = ObserverGains(
-        L_zxi=w.W_z.copy(), L_fxi=w.W_f.copy(),
-        L_zy=lsq_zy, L_fy=lsq_fy,
-        L_xiy=-eye, L_xixi=eye.copy(), delta=0.0)
-
-    def gains_from(vec):
-        parts = _unpack(vec, n, p)
-        return ObserverGains(*parts, delta=0.0)
-
-    def objective(vec):
-        g = gains_from(vec)
-        ed = build_A_delta(w, g)
-        return ed.spectral_norm() + 1e3 * _constraint_violation(w, g)
-
-    candidates = []
-
-    def consider(g: ObserverGains):
-        rep = certify_gains(w, g)
-        if rep.passed:
-            final = ObserverGains(*[getattr(g, f) for f in GAIN_FIELDS],
-                                  delta=rep.delta)
-            candidates.append((rep.spectral_norm, tuple(_pack(final)), final))
-        # the integrator state is measured exactly, so copying it verbatim
-        # (deadbeat integrator row) is always worth considering
-        snapped = ObserverGains(g.L_zxi, g.L_fxi, g.L_zy, g.L_fy,
-                                -eye.copy(), eye.copy(), delta=0.0)
-        rep2 = certify_gains(w, snapped)
-        if rep2.passed:
-            final2 = ObserverGains(*[getattr(snapped, f) for f in GAIN_FIELDS],
-                                   delta=rep2.delta)
-            candidates.append((rep2.spectral_norm, tuple(_pack(final2)), final2))
-
-    consider(base)
-    starts = [base, aggressive][:max(1, n_starts)]
-    for g0 in starts:
-        consider(g0)
-        res = minimize(objective, _pack(g0), method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-10,
-                                "fatol": 1e-12, "adaptive": True})
-        consider(gains_from(res.x))
-
-    if not candidates:
-        # cannot happen when nu < 0, but never fail where the fallback applies
-        return base
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return candidates[0][2]
+    eye = np.eye(w.p)
+    L_zy, L_fy = np.split(l1_row_fit(np.vstack([w.U_z, w.U_f]), w.U_o), 2)
+    g = ObserverGains(L_zxi=w.W_z.copy(), L_fxi=w.W_f.copy(), L_zy=L_zy,
+                      L_fy=L_fy, L_xiy=-eye, L_xixi=eye.copy(), delta=0.0)
+    rep = certify_gains(w, g)
+    if not rep.passed:
+        raise ObserverSynthesisError(
+            f"closed-form gains failed certification ({rep.reason}, "
+            f"delta = {rep.delta:.4g})")
+    return replace(g, delta=rep.delta)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def seed_certified_artifacts(out, cfg, seed=404):
     nmap = sysid.NormalizationMap([14.2], [3.0],
                                   [7.0], [2.0])
     nmap.save(out / "normalization.json")
-    g = observer.synthesize_gains(w, maxiter=500)
+    g = observer.synthesize_gains(w)
     observer.save_gains(g, w, out / "gains.json")
     return w, nmap, g
 
@@ -106,6 +106,9 @@ def test_synth_observer_command(tmp_path):
     report = harness.cmd_synth_observer(cfg, tmp_path)
     assert report["passed"]
     assert report["spectral_norm"] <= report["trivial_spectral_norm"] + 1e-12
+    assert 0.0 < report["synth_ms"] < 1e3
+    saved = json.loads((tmp_path / "observer_report.json").read_text())
+    assert saved == report
     g = observer.load_gains(tmp_path / "gains.json")
     assert observer.certify_gains(w, g).passed
 
@@ -198,6 +201,35 @@ def test_closed_loop_survives_a_nan_measurement(tmp_path, monkeypatch):
     bound = 1e-3 * float(nmap.y_half[0])
     assert clean["max_settled_error"] < bound
     assert faulty["max_settled_error"] < bound
+
+
+def test_closed_loop_reseeds_after_a_non_finite_estimate(tmp_path, monkeypatch):
+    # a poisoned estimate makes the tick's input non-finite: the controller
+    # re-seeds at the equilibrium of its ingredients and applies its input,
+    # the next tick solves normally and the loop settles
+    cfg, nmap, _ = mid_range_config(tmp_path)
+    cfg.scenario.duration_h = 0.12
+    step = mpc.RecedingHorizonController.step
+    ticks = []
+
+    def poisoned(ctl, y_meas, y0):
+        if len(ticks) == 6:
+            ctl.est.x[0] = np.nan
+        u, info = step(ctl, y_meas, y0)
+        ticks.append((u, info, ctl.nonfinite_resets,
+                      np.clip(ctl._last_ing.eq.u0, -1.0, 1.0)))
+        return u, info
+    monkeypatch.setattr(mpc.RecedingHorizonController, "step", poisoned)
+    metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
+    assert metrics["nonfinite_resets"] == 1
+    assert [t[2] for t in ticks[5:8]] == [0, 1, 1]
+    u6, _, _, u_eq = ticks[6]
+    np.testing.assert_array_equal(u6, u_eq)
+    _, info7, _, _ = ticks[7]
+    assert info7.feasible and not info7.fallback and np.isfinite(info7.cost)
+    assert all(np.all(np.isfinite(t[0])) for t in ticks)
+    assert metrics["constraint_violations"] == 0
+    assert metrics["max_settled_error"] < 1e-3 * float(nmap.y_half[0])
 
 
 def test_closed_loop_is_offset_free_under_a_persistent_input_disturbance(
