@@ -10,7 +10,8 @@ State update and output map
 with inputs normalized to [-1, 1].  Besides the forward dynamics this module
 provides the gate-bound constants, the incremental-stability residual nu
 (negative nu certifies the contraction property used everywhere downstream),
-analytic Jacobians, and lossless JSON (de)serialization of the weights.
+analytic Jacobians (kernels.cell_jacobians, from which the FHOCP tangent is
+also built), and lossless JSON (de)serialization of the weights.
 """
 
 import json
@@ -215,24 +216,9 @@ def jacobians(w: GruWeights, x, u):
     """Analytic Jacobians (dphi/dx, dphi/du, deta/dx) at (x, u)."""
     x = _check_vec("x", x, w.n)
     u = _check_vec("u", u, w.m)
-    az = w.W_z @ u + w.U_z @ x + w.b_z
-    af = w.W_f @ u + w.U_f @ x + w.b_f
-    z = kernels.logistic(az)
-    f = kernels.logistic(af)
-    ar = w.W_r @ u + w.U_r @ (f * x) + w.b_r
-    r = np.tanh(ar)
-    dz = z * (1.0 - z)
-    df = f * (1.0 - f)
-    dr = 1.0 - r * r
-    # x+ = z*x + (1-z)*r
-    dphi_dx = (np.diag(z)
-               + ((x - r) * dz)[:, None] * w.U_z
-               + ((1.0 - z) * dr)[:, None]
-               * (w.U_r @ (np.diag(f) + (x * df)[:, None] * w.U_f)))
-    dphi_du = (((x - r) * dz)[:, None] * w.W_z
-               + ((1.0 - z) * dr)[:, None]
-               * (w.W_r + w.U_r @ ((x * df)[:, None] * w.W_f)))
-    return dphi_dx, dphi_du, w.U_o.copy()
+    cellp = kernels.stack_gates(*w.arrays())
+    gates = kernels.cell(x, u, *cellp)[1:]
+    return (*kernels.cell_jacobians(x, u, *gates, *cellp), w.U_o.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ cell                one GRU update; the z and f gates come from one matmul
                     It takes a single vector or a matrix of rows.
 cell_vjp            the vector-Jacobian product of that update (reverse
                     mode, for truncated BPTT).
-cell_jvp            the Jacobian-vector product of that update (forward
-                    mode), from the gates cell returned.
+cell_jacobians      the Jacobians of that update with respect to x and u,
+                    from the gates cell returned; for rows, one pair per row.
 augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
                     xi+ = xi + y0 - y, under free moves for i < N_c and the
                     auxiliary law v = -K (xa - xa_eq) after that, for a
@@ -24,10 +24,11 @@ terminal-set check (terminal_samples_check) certifies that V_f falls by at
 least the stage cost e'Q_lq e under the auxiliary law on the terminal set.
 
 The objective is a sum of squares r'r (see _residuals).  fhocp_residuals
-rolls one tangent row per free-move coordinate alongside the rollout and
-returns r with its exact Jacobian Jr; fhocp_forward_backward turns them
-into the gradient 2 Jr'r and the Gauss-Newton Hessian 2 Jr'Jr that the
-solver in mpc steps on.
+returns r with its exact Jacobian Jr: augmented_tangent linearizes every step
+of the rollout in one cell_jacobians call on its cached gates and pushes one
+tangent row per free-move coordinate through those linear maps.
+fhocp_forward_backward turns r and Jr into the gradient 2 Jr'r and the
+Gauss-Newton Hessian 2 Jr'Jr that the solver in mpc steps on.
 
 Every public kernel is a short caller of these.  Batched work (training
 sequences, terminal-set samples, tangent rows) runs as rows of one call.
@@ -85,18 +86,21 @@ def cell_vjp(lam, x, u, z, f, r, G, bzf, Wr, Ur, br):
     return lam * z + dh * f + g[..., m:], g[..., :m] + da_r @ Wr, da_zf, da_r
 
 
-def cell_jvp(dx, du, x, u, z, f, r, G, bzf, Wr, Ur, br):
-    """Push the tangent (dx, du) forward through one cell at (x, u).
+def cell_jacobians(x, u, z, f, r, G, bzf, Wr, Ur, br):
+    """Jacobians (dx+/dx, dx+/du) of one cell at (x, u).
 
-    z, f and r are the gates cell returned at (x, u); dx and du are vectors
-    or matrices of rows.  Returns dx+.
+    z, f and r are the gates cell returned at (x, u); rows in, rows out:
+    for T rows the results are (T, n, n) and (T, n, m).
     """
-    n = x.shape[-1]
-    da_zf = np.concatenate((du, dx), axis=-1) @ G.T
-    dz = z * (1.0 - z) * da_zf[..., :n]
-    df = f * (1.0 - f) * da_zf[..., n:]
-    dr = (1.0 - r * r) * (du @ Wr.T + (df * x + f * dx) @ Ur.T)
-    return dz * (x - r) + z * dx + (1.0 - z) * dr
+    n, m = x.shape[-1], u.shape[-1]
+    # d(Wr u + Ur (f*x))/d[u x] = [Wr 0] + Ur (diag(x f(1-f)) [Wf Uf] + [0 diag(f)])
+    dar = Ur @ ((x * f * (1.0 - f))[..., None] * G[n:])
+    dar[..., :m] += Wr
+    dar[..., m:] += Ur * f[..., None, :]
+    J = (((x - r) * z * (1.0 - z))[..., None] * G[:n]
+         + ((1.0 - z) * (1.0 - r * r))[..., None] * dar)
+    J[..., range(n), range(m, m + n)] += z
+    return J[..., m:], J[..., :m]
 
 
 def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
@@ -145,22 +149,27 @@ def augmented_tangent(cellp, Uo, K, XA, cache, Nc):
 
     Row d carries the derivative along free-move coordinate d = i p + j:
     dv = e_d on the free moves and dv = -dxa K' under the auxiliary law.
+    Step i is linear in the tangent, dxa+ = A_i dxa + B_i dv with
+    A_i = [[Jx, Ju], [-Uo, I]] and B_i = [Ju; 0] from cell_jacobians of all
+    steps at once; the law folds into A_i - B_i K for i >= Nc.
     Returns the state tangents (T+1, Nc p, n+p) and move tangents (T, Nc p, p).
     """
     n = Uo.shape[1]
     U, Z, F, R = cache
     T, p = U.shape
+    Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *cellp)
+    AT = np.empty((T, n + p, n + p))            # A_i', so rows step as dxa A_i'
+    AT[:, :, :n] = np.concatenate((Jx, Ju), axis=2).transpose(0, 2, 1)
+    AT[:, :, n:] = np.vstack((-Uo.T, np.eye(p)))
+    AT[Nc:, :, :n] -= K.T @ AT[Nc:, n:, :n]     # (A_i - B_i K)' = A_i' - K'B_i'
     dXA = np.zeros((T + 1, Nc * p, n + p))
-    dV = np.zeros((T, Nc * p, p))
     for i in range(T):
-        dx, dxi = dXA[i, :, :n], dXA[i, :, n:]
+        np.matmul(dXA[i], AT[i], out=dXA[i + 1])
         if i < Nc:
-            dV[i, i * p:(i + 1) * p] = np.eye(p)
-        else:
-            dV[i] = -dXA[i] @ K.T
-        dXA[i + 1, :, :n] = cell_jvp(dx, dV[i] + dxi, XA[i, :n], U[i], Z[i], F[i],
-                                     R[i], *cellp)
-        dXA[i + 1, :, n:] = dxi - dx @ Uo.T
+            dXA[i + 1, i * p:(i + 1) * p, :n] += AT[i, n:, :n]
+    dV = np.zeros((T, Nc * p, p))
+    dV[:Nc] = np.eye(Nc * p).reshape(Nc, p, Nc * p).transpose(0, 2, 1)  # dv = e_d
+    dV[Nc:] = -dXA[Nc:T] @ K.T
     return dXA, dV
 
 
@@ -426,9 +435,9 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
                     Nc, Np, Nf, mu_box, mu_term):
     """fhocp_forward plus its residuals r (r'r = J_pen) and their Jacobian.
 
-    The tangent rows of augmented_tangent roll through the cached gates of
-    the same rollout.  Returns (J_pen, J, box_viol, term_viol, r, Jr) with
-    Jr = dr/dv of shape (len(r), Nc p).
+    The tangent rows of augmented_tangent follow the linearization of the
+    same rollout at its cached gates.  Returns (J_pen, J, box_viol,
+    term_viol, r, Jr) with Jr = dr/dv of shape (len(r), Nc p).
     """
     n = len(bz)
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)

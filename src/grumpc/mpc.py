@@ -7,10 +7,11 @@ ellipsoid, the quadratic terminal cost e'(P + Pi)e, sampled terminal-set
 radius with its certificates, and the finite-horizon optimal control
 problem solved by penalized single shooting: Levenberg-Marquardt
 Gauss-Newton on the residuals of the penalized cost, with their exact
-Jacobian from forward-mode tangents of the rollout.
+Jacobian from one batched linearization of the rollout (cell_jacobians).
 """
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -618,6 +619,7 @@ class StepInfo:
     evals: int = 0           # objective evaluations of the solve
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
     rejections: int = 0      # rejected Gauss-Newton steps of the solve
+    solve_ms: float = 0.0    # wall time of fhocp_solve; 0 when none ran
 
 
 class RecedingHorizonController:
@@ -627,10 +629,10 @@ class RecedingHorizonController:
     applied input.  Reference-dependent ingredients are cached per
     quantized setpoint.  A setpoint whose ingredients fail to build is not
     tried again: the controller keeps the last good ingredients and holds
-    their setpoint, and counts the event in rebuild_failures.  A tick whose
-    input comes out non-finite re-seeds the controller at the equilibrium
-    of its ingredients, applies the equilibrium input and counts the event
-    in nonfinite_resets.
+    their setpoint, and counts the event in rebuild_failures.  A tick that
+    starts from a non-finite estimate or integrator re-seeds the controller
+    at the equilibrium of its ingredients and applies the equilibrium input
+    without a solve; it counts in nonfinite_resets, not as a fallback.
     """
 
     def __init__(self, w: GruWeights, gains: ObserverGains,
@@ -702,7 +704,14 @@ class RecedingHorizonController:
         ing = self.ingredients_for(y0)
         if self._key(y0) in self._failed:
             y0 = ing.eq.y0          # hold the setpoint of the kept ingredients
-        cfg = self.cfg.fhocp()
+        # a poisoned estimate or integrator gets no solve: start again at the
+        # equilibrium of the held ingredients and apply its input (a finite
+        # state always yields a finite plan or fallback move)
+        poisoned = not np.all(np.isfinite(np.concatenate((self.est.stacked(), self.xi))))
+        if poisoned:
+            self.nonfinite_resets += 1
+            log.warning("non-finite estimate or integrator; re-seeding at the equilibrium")
+            self._seed_at(ing)
         # a non-finite measurement is a dropout: the observer and the
         # integrator take the model's predicted output in its place
         if not np.all(np.isfinite(y_meas)):
@@ -710,38 +719,35 @@ class RecedingHorizonController:
             log.warning("non-finite measurement %s; using the model output", y_meas)
             y_meas = gru_model.gru_output(self.w, self.est.x)
 
-        fallback = False
-        try:
-            sol = fhocp_solve(self.w, ing, cfg,
-                              AugmentedState(self.est.x, self.est.xi),
-                              self.xi, warm_start=self._warm)
-            v = sol.v[0].copy()
-            self._warm = shifted_warm_start(sol, ing, self.w, cfg)
-            cost, iters, feas = sol.cost, sol.iterations, True
-            evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
-        except FhocpInfeasibleError as exc:
-            # auxiliary law on the estimate, clipped into the input box
-            fallback = True
-            self.fallback_count += 1
-            log.warning("FHOCP infeasible (%s); applying auxiliary law", exc)
-            v = -(ing.K_lq @ (self.est.stacked() - ing.eq.xa0))
-            v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
-            self._warm = None
-            cost, iters, feas = np.nan, 0, False
-            evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
-
-        if not np.all(np.isfinite(v + self.xi)):
-            # a poisoned estimate, integrator or plan: start again at the
-            # equilibrium of the held ingredients and apply its input
-            self.nonfinite_resets += 1
-            log.warning("non-finite input %s; re-seeding at the equilibrium",
-                        v + self.xi)
-            self._seed_at(ing)
-            v = np.zeros(self.w.p)
+        cfg = self.cfg.fhocp()
+        cost, iters, feas, fallback, evals, level, rejections = (
+            np.nan, 0, False, False, 0, np.nan, 0)
+        v, solve_ms = np.zeros(self.w.p), 0.0
+        if not poisoned:
+            t0 = time.perf_counter()
+            try:
+                sol = fhocp_solve(self.w, ing, cfg,
+                                  AugmentedState(self.est.x, self.est.xi),
+                                  self.xi, warm_start=self._warm)
+                v = sol.v[0].copy()
+                self._warm = shifted_warm_start(sol, ing, self.w, cfg)
+                cost, iters, feas = sol.cost, sol.iterations, True
+                evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
+            except FhocpInfeasibleError as exc:
+                # auxiliary law on the estimate, clipped into the input box
+                fallback = True
+                self.fallback_count += 1
+                log.warning("FHOCP infeasible (%s); applying auxiliary law", exc)
+                v = -(ing.K_lq @ (self.est.stacked() - ing.eq.xa0))
+                v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
+                self._warm = None
+                evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
+            solve_ms = (time.perf_counter() - t0) * 1e3
         u = np.clip(v + self.xi, -1.0, 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
-                        terminal_level=level, rejections=rejections)
+                        terminal_level=level, rejections=rejections,
+                        solve_ms=solve_ms)
 
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -144,8 +145,10 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
     rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))
     assert rows[0] == ["k", "y_ref", "y_meas", "u_applied", "v", "xi",
                        "cost", "solve_iters", "feasible", "evals", "terminal_level",
-                       "rejections"]
+                       "rejections", "solve_ms"]
     assert len(rows) - 1 == int(0.25 * 3600 / 10)
+    # every tick solves, so every tick reports a positive finite solve time
+    assert all(np.isfinite(float(r[12])) and float(r[12]) > 0.0 for r in rows[1:])
     # every solve evaluates the objective; every plan ends inside the
     # terminal set e'Pi e <= omega, up to the solver's constraint tolerance;
     # every evaluation after the first one tries a Gauss-Newton step, which
@@ -204,9 +207,10 @@ def test_closed_loop_survives_a_nan_measurement(tmp_path, monkeypatch):
 
 
 def test_closed_loop_reseeds_after_a_non_finite_estimate(tmp_path, monkeypatch):
-    # a poisoned estimate makes the tick's input non-finite: the controller
-    # re-seeds at the equilibrium of its ingredients and applies its input,
-    # the next tick solves normally and the loop settles
+    # a poisoned estimate: the controller re-seeds at the equilibrium of its
+    # ingredients and applies its input without a solve (no evaluation, no
+    # fallback, solve_ms 0), the next tick solves normally and the loop
+    # settles
     cfg, nmap, _ = mid_range_config(tmp_path)
     cfg.scenario.duration_h = 0.12
     step = mpc.RecedingHorizonController.step
@@ -223,8 +227,14 @@ def test_closed_loop_reseeds_after_a_non_finite_estimate(tmp_path, monkeypatch):
     metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
     assert metrics["nonfinite_resets"] == 1
     assert [t[2] for t in ticks[5:8]] == [0, 1, 1]
-    u6, _, _, u_eq = ticks[6]
+    u6, info6, _, u_eq = ticks[6]
     np.testing.assert_array_equal(u6, u_eq)
+    assert (info6.evals, info6.fallback, info6.feasible, info6.solve_ms) == (
+        0, False, False, 0.0)
+    assert metrics["fallback_ticks"] == 0
+    solve_ms = [float(r[12]) for r in list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]]
+    assert solve_ms[6] == 0.0
+    assert all(np.isfinite(t) and t > 0.0 for k, t in enumerate(solve_ms) if k != 6)
     _, info7, _, _ = ticks[7]
     assert info7.feasible and not info7.fallback and np.isfinite(info7.cost)
     assert all(np.all(np.isfinite(t[0])) for t in ticks)
@@ -373,8 +383,11 @@ def test_paper_config_holds_the_full_scale_profile():
 
 
 def test_module_entrypoint_help():
+    # the child finds the package the way this process does, also when the
+    # source path comes from the pytest configuration rather than PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     res = subprocess.run([sys.executable, "-m", "grumpc", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     for name in ("generate-data", "train", "validate", "synth-observer",
                  "run-closed-loop", "plot-export"):

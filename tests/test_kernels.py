@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grumpc import gru_model, harness, kernels, mpc, observer, sysid
+from grumpc import gru_model, harness, kernels, mpc, observer, plant_sim, sysid
 from grumpc.observer import AugmentedState
 
 from conftest import scaled_certified_weights
@@ -139,7 +139,7 @@ def test_fhocp_forward_takes_a_semidefinite_state_weight(setup):
 
 def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, Np):
     """Reverse pass over a reference rollout, step by step, built on
-    gru_model.jacobians instead of the kernels' cell VJP."""
+    reference_jacobians instead of the kernels' cell Jacobians."""
     n, p = w.n, w.p
     xi_off = xi0 - states[0, n:]
     E = states - ing.eq.xa0
@@ -160,7 +160,7 @@ def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, N
             gv = gv + over
         if i == Np:
             gx += g_term
-        Jx, Ju, _ = gru_model.jacobians(w, states[i, :n], v + states[i, n:])
+        Jx, Ju = reference_jacobians(w, states[i, :n], v + states[i, n:])
         gv = gv + Ju.T @ lam[:n]
         gx[:n] += Jx.T @ lam[:n] - w.U_o.T @ lam[n:]
         gx[n:] += Ju.T @ lam[:n] + lam[n:]
@@ -419,31 +419,152 @@ def test_cell_helpers_consistent():
                                      rel=1e-7, abs=1e-9)
 
 
-def test_cell_jvp_matches_central_differences_and_the_vjp():
-    # forward mode against central differences of the cell, rows and single
-    # vectors alike, and the adjoint identity <lam, J d> = <J' lam, d> with
-    # the reverse-mode cell_vjp at the same point
-    rng = np.random.default_rng(29)
-    w = gru_model.random_weights(5, 2, 2, rng)
+def reference_jacobians(w, x, u):
+    """dphi/dx and dphi/du written out from the nine weight arrays, gates
+    recomputed: the formula gru_model.jacobians used on its own before it
+    called kernels.cell_jacobians."""
+    z = kernels.logistic(w.W_z @ u + w.U_z @ x + w.b_z)
+    f = kernels.logistic(w.W_f @ u + w.U_f @ x + w.b_f)
+    r = np.tanh(w.W_r @ u + w.U_r @ (f * x) + w.b_r)
+    dz, df, dr = z * (1.0 - z), f * (1.0 - f), 1.0 - r * r
+    dphi_dx = (np.diag(z) + ((x - r) * dz)[:, None] * w.U_z
+               + ((1.0 - z) * dr)[:, None]
+               * (w.U_r @ (np.diag(f) + (x * df)[:, None] * w.U_f)))
+    dphi_du = (((x - r) * dz)[:, None] * w.W_z
+               + ((1.0 - z) * dr)[:, None]
+               * (w.W_r + w.U_r @ ((x * df)[:, None] * w.W_f)))
+    return dphi_dx, dphi_du
+
+
+def reference_cell_jvp(dx, du, x, u, z, f, r, G, bzf, Wr, Ur, br):
+    """Forward-mode product of one cell on tangent rows (dx, du), from the
+    gates cell returned: the kernels' former cell_jvp."""
+    n = x.shape[-1]
+    da_zf = np.concatenate((du, dx), axis=-1) @ G.T
+    dz = z * (1.0 - z) * da_zf[..., :n]
+    df = f * (1.0 - f) * da_zf[..., n:]
+    dr = (1.0 - r * r) * (du @ Wr.T + (df * x + f * dx) @ Ur.T)
+    return dz * (x - r) + z * dx + (1.0 - z) * dr
+
+
+def reference_tangent(cellp, Uo, K, XA, cache, Nc):
+    """augmented_tangent step by step: every step pushes the tangent rows
+    through reference_cell_jvp (the kernels' former tangent recursion)."""
+    n = Uo.shape[1]
+    U, Z, F, R = cache
+    T, p = U.shape
+    dXA = np.zeros((T + 1, Nc * p, n + p))
+    dV = np.zeros((T, Nc * p, p))
+    for i in range(T):
+        dx, dxi = dXA[i, :, :n], dXA[i, :, n:]
+        if i < Nc:
+            dV[i, i * p:(i + 1) * p] = np.eye(p)
+        else:
+            dV[i] = -dXA[i] @ K.T
+        dXA[i + 1, :, :n] = reference_cell_jvp(dx, dV[i] + dxi, XA[i, :n], U[i],
+                                               Z[i], F[i], R[i], *cellp)
+        dXA[i + 1, :, n:] = dxi - dx @ Uo.T
+    return dXA, dV
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cell_jacobians_match_differences_the_vjp_and_the_weight_formula(p):
+    # rows against single vectors (1e-15), every column against central
+    # differences of the cell (rtol 1e-7), the adjoint identity
+    # lam'[Jx Ju] = cell_vjp(lam) (1e-12 relative), and the weight-array
+    # formula of reference_jacobians and gru_model.jacobians (1e-15)
+    rng = np.random.default_rng(29 + p)
+    n, h = 5, 1e-6
+    w = gru_model.random_weights(n, p, p, rng)
     cellp = kernels.stack_gates(*w.arrays())
-    x, u = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 2)
-    _, z, f, r = kernels.cell(x, u, *cellp)
-    D = rng.normal(size=(7, 7))                 # rows of (dx, du)
-    tangents = kernels.cell_jvp(D[:, :5], D[:, 5:], x, u, z, f, r, *cellp)
-    h = 1e-6
-    for d, t in zip(D, tangents):
-        plus = kernels.cell(x + h * d[:5], u + h * d[5:], *cellp)[0]
-        minus = kernels.cell(x - h * d[:5], u - h * d[5:], *cellp)[0]
-        np.testing.assert_allclose(t, (plus - minus) / (2 * h), rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(
-            t, kernels.cell_jvp(d[:5], d[5:], x, u, z, f, r, *cellp), rtol=0,
-            atol=1e-15)
-    L = rng.normal(size=(7, 5))
-    for lam in L:
-        gx, gu, _, _ = kernels.cell_vjp(lam, x, u, z, f, r, *cellp)
-        lhs = tangents @ lam
-        rhs = D @ np.concatenate((gx, gu))
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))
+    X, U = rng.uniform(-1, 1, (7, n)), rng.uniform(-1, 1, (7, p))
+    _, Z, F, R = kernels.cell(X, U, *cellp)
+    Jx, Ju = kernels.cell_jacobians(X, U, Z, F, R, *cellp)
+    assert Jx.shape == (7, n, n) and Ju.shape == (7, n, p)
+    for k in range(7):
+        x, u = X[k], U[k]
+        J = np.hstack((Jx[k], Ju[k]))
+        one = kernels.cell_jacobians(x, u, Z[k], F[k], R[k], *cellp)
+        np.testing.assert_allclose(np.hstack(one), J, rtol=0, atol=1e-15)
+        for j in range(n + p):
+            d = np.zeros(n + p)
+            d[j] = h
+            plus = kernels.cell(x + d[:n], u + d[n:], *cellp)[0]
+            minus = kernels.cell(x - d[:n], u - d[n:], *cellp)[0]
+            np.testing.assert_allclose(J[:, j], (plus - minus) / (2 * h),
+                                       rtol=1e-7, atol=1e-9)
+        lam = rng.normal(size=n)
+        gx, gu, _, _ = kernels.cell_vjp(lam, x, u, Z[k], F[k], R[k], *cellp)
+        np.testing.assert_allclose(np.r_[gx, gu], lam @ J, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(lam @ J)))
+        np.testing.assert_allclose(J, np.hstack(reference_jacobians(w, x, u)),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(J, np.hstack(gru_model.jacobians(w, x, u)[:2]),
+                                   rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", ["pinned", "random p=2"])
+def test_augmented_tangent_matches_the_stepwise_recursion(pinned, model):
+    # the batched linearization against reference_tangent, for one, half and
+    # all of the horizon's moves free (the rest under the auxiliary law)
+    rng = np.random.default_rng(431)
+    if model == "pinned":
+        w, ing, cfg = pinned
+        K, xa_eq, y0, Np = ing.K_lq, ing.eq.xa0, ing.eq.y0, cfg.N_p
+        xa0 = xa_eq + offset(ing, rng, 0.5)
+    else:
+        w = scaled_certified_weights(rng, n=5, p=2, target=-0.1)
+        Np = 16
+        K = rng.normal(0.0, 0.3, (2, 7))
+        xa_eq, y0 = rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 2)
+        xa0 = xa_eq + rng.normal(0.0, 0.1, 7)
+    cellp = kernels.stack_gates(*w.arrays())
+    for Nc in (1, Np // 2, Np):
+        V = rng.normal(0.0, 0.1, (Nc, w.p))
+        XA, _, cache = kernels.augmented_rollout(cellp, w.U_o, w.b_o, y0, xa0, V,
+                                                 (K, xa_eq), Np)
+        dXA, dV = kernels.augmented_tangent(cellp, w.U_o, K, XA, cache, Nc)
+        ref_dXA, ref_dV = reference_tangent(cellp, w.U_o, K, XA, cache, Nc)
+        assert dXA.shape == ref_dXA.shape and dV.shape == ref_dV.shape
+        np.testing.assert_allclose(dXA, ref_dXA, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dV, ref_dV, rtol=0, atol=1e-13)
+        assert np.max(np.abs(ref_dXA)) > 1e-3
+
+
+def pinned_regulate(ticks):
+    """Applied inputs and solver counts of a pinned-model pH 7.0 hold on the
+    pH plant: seeded measurement noise and two input-additive windows."""
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    cfg = harness.ExperimentConfig()
+    tau = cfg.tau_s
+    plant = harness._PhPlant(cfg, plant_sim.default_params())
+    sched = plant_sim.DisturbanceSchedule([(8 * tau, 20 * tau, "input-additive", 0.4),
+                                           (35 * tau, 45 * tau, "input-additive", -0.3)])
+    noise = np.random.default_rng(31).normal(0.0, 0.005, ticks)
+    ctl = mpc.RecedingHorizonController(w, observer.load_gains(FIXTURE / "gains.json"),
+                                        cfg.controller)
+    ref = nmap.normalize_y([7.0])
+    ctl.reset(ref)
+    out = []
+    for k in range(ticks):
+        y = plant.measure() + noise[k]
+        u, info = ctl.step(nmap.normalize_y([y]), ref)
+        plant.advance(float(nmap.denormalize_u(u)[0]), k * tau, sched)
+        out.append((u[0], info.iterations, info.evals, info.rejections))
+    return out
+
+
+def test_closed_loop_agrees_with_the_stepwise_tangent(monkeypatch):
+    # 60 regulate ticks with the batched tangent and with reference_tangent:
+    # applied inputs within 1e-12, the same solver steps, evaluations and
+    # rejections on every tick
+    fast = pinned_regulate(60)
+    monkeypatch.setattr(kernels, "augmented_tangent", reference_tangent)
+    slow = pinned_regulate(60)
+    assert [t[1:] for t in fast] == [t[1:] for t in slow]
+    assert max(abs(a[0] - b[0]) for a, b in zip(fast, slow)) <= 1e-12
+    assert sum(t[1] for t in fast) > 60
 
 
 def test_sigmoid_stable_at_extremes():
