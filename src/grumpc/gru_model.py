@@ -181,9 +181,9 @@ def diss_residual(w: GruWeights) -> float:
          + (1 + phi_r_bar) / (4 (1 - sigma_z_bar)) |Uz|_inf - 1
     """
     gb = gate_bounds(w)
-    return (inf_norm(w.U_r) * (0.25 * inf_norm(w.U_f) + gb.sigma_f_bar)
-            + 0.25 * (1.0 + gb.phi_r_bar) / (1.0 - gb.sigma_z_bar)
-            * inf_norm(w.U_z) - 1.0)
+    return float(inf_norm(w.U_r) * (0.25 * inf_norm(w.U_f) + gb.sigma_f_bar)
+                 + 0.25 * (1.0 + gb.phi_r_bar) / (1.0 - gb.sigma_z_bar)
+                 * inf_norm(w.U_z) - 1.0)
 
 
 def stability_penalty(nu, rho_plus, rho_minus):

@@ -4,6 +4,12 @@ Subcommands: generate-data, train, validate, synth-observer,
 run-closed-loop, plot-export.  Every command takes --config (JSON, desk
 defaults when omitted), --seed (overrides the config seed) and --out.
 All randomness flows from the single root seed, split per component.
+
+ExperimentConfig is made of the settings of each layer, each defined once:
+the train section is sysid.TrainConfig and the controller section
+mpc.ControllerConfig; data, observer and scenario are defined here.  Their
+defaults are the desk profile, which configs/desk.json repeats; the
+full-scale profile of the paper lives only in configs/paper.json.
 """
 
 import argparse
@@ -39,26 +45,10 @@ class DataConfig:
 
 
 @dataclass
-class TrainSection:
-    n_states: int = 10
-    epochs: int = 50
-    batch_size: int = 2
-    washout: int = 50
-    rho_plus: float = 1e-2
-    rho_minus: float = 1e-6
-    lr: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    T_s: int = 200
-    tau: int = 2
-    val_fraction: float = 0.1
-
-
-@dataclass
 class ObserverSection:
+    # integrator weight of the fallback gains; synth-observer reports their
+    # norm next to that of the synthesized gains
     lam: float = 0.5
-    synthesize: bool = True
 
 
 @dataclass
@@ -84,12 +74,9 @@ class ExperimentConfig:
     u_max: float = 17.2
     seed: int = 1234
     data: DataConfig = field(default_factory=DataConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: sysid.TrainConfig = field(default_factory=sysid.TrainConfig)
     observer: ObserverSection = field(default_factory=ObserverSection)
-    # controller defaults follow the full-scale profile except the shorter
-    # desk prediction horizon
-    controller: mpc.ControllerConfig = field(
-        default_factory=lambda: mpc.ControllerConfig(N_p=40))
+    controller: mpc.ControllerConfig = field(default_factory=mpc.ControllerConfig)
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
 
     @classmethod
@@ -100,12 +87,18 @@ class ExperimentConfig:
             if unknown:
                 raise CommandError(f"unknown config keys {sorted(unknown)} for {tp.__name__}")
             return tp(**sub)
+        if not isinstance(doc, dict):
+            raise CommandError("config top level must be a JSON object, not "
+                               f"{type(doc).__name__}")
         kw = dict(doc)
-        for name, tp in (("data", DataConfig), ("train", TrainSection),
+        for name, tp in (("data", DataConfig), ("train", sysid.TrainConfig),
                          ("observer", ObserverSection),
                          ("controller", mpc.ControllerConfig),
                          ("scenario", ScenarioSection)):
             if name in kw:
+                if not isinstance(kw[name], dict):
+                    raise CommandError(f"config section {name!r} must be a JSON "
+                                       f"object, not {type(kw[name]).__name__}")
                 kw[name] = build(tp, kw[name])
         return build(cls, kw)
 
@@ -192,15 +185,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir) -> dict:
     nmap = sysid.NormalizationMap.load(paths["normalization"])
     tsn = sysid.normalize(ts, nmap)
     batch = sysid.make_sequences(tsn, cfg.train.T_s, cfg.train.tau)
-    tc = sysid.TrainConfig(
-        n_states=cfg.train.n_states, epochs=cfg.train.epochs,
-        batch_size=cfg.train.batch_size, washout=cfg.train.washout,
-        rho_plus=cfg.train.rho_plus, rho_minus=cfg.train.rho_minus,
-        lr=cfg.train.lr, beta1=cfg.train.beta1, beta2=cfg.train.beta2,
-        eps=cfg.train.eps, val_fraction=cfg.train.val_fraction,
-        seed=int(cfg.component_seed("train").integers(2**31)))
+    seed = int(cfg.component_seed("train").integers(2**31))
     t0 = time.time()
-    w, train_log = sysid.train(batch, tc)
+    w, train_log = sysid.train(batch, cfg.train, seed)
     nu = gru_model.diss_residual(w)
     gru_model.save_weights(w, paths["weights"])
     sysid.save_training_log(train_log, paths["train_log"])
@@ -269,7 +256,7 @@ def cmd_synth_observer(cfg: ExperimentConfig, out_dir) -> dict:
     trivial_norm = observer.certify_gains(w, trivial).spectral_norm
     t0 = time.perf_counter()
     try:
-        gains = observer.synthesize_gains(w) if cfg.observer.synthesize else trivial
+        gains = observer.synthesize_gains(w)
     except observer.ObserverSynthesisError as exc:
         raise CommandError(str(exc)) from exc
     synth_ms = 1e3 * (time.perf_counter() - t0)

@@ -56,7 +56,9 @@ def logistic(a):
 
 def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     """Cell parameters (G, b_zf, Wr, Ur, br) with G = [Wz Uz; Wf Uf]."""
-    return np.block([[Wz, Uz], [Wf, Uf]]), np.concatenate((bz, bf)), Wr, Ur, br
+    G = np.concatenate((np.concatenate((Wz, Uz), axis=1),
+                        np.concatenate((Wf, Uf), axis=1)))
+    return G, np.concatenate((bz, bf)), Wr, Ur, br
 
 
 def cell(x, u, G, bzf, Wr, Ur, br):
@@ -192,25 +194,25 @@ def gru_rollout(x0, useq, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     return _scan(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), x0, useq)[0]
 
 
-def _output_errors(X, Yb, Tw, Uo, bo):
-    """Output errors (T, B, p) of time-major states X, zero in the washout."""
-    E = np.zeros((len(X) - 1,) + Yb.shape[::2])
-    E[Tw:] = X[Tw + 1:] @ Uo.T + bo - Yb[:, Tw:].transpose(1, 0, 2)
-    return E
-
-
 def tbptt_loss_batch(Ub, Yb, X0b, Tw,
                      Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Sum over sequences of the washed-out mean squared simulation error.
 
     Ub: (B, T, m) inputs, Yb: (B, T, p) targets, X0b: (B, n) initial states.
     Sample k of sequence b is the output after k+1 state updates; the first
-    Tw samples are not penalized.  The B sequences run as rows.
+    Tw samples are not penalized.  The B sequences run as rows, and only the
+    current state rows are kept: the squared errors are summed as they come.
     """
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    X, _ = _scan(cellp, X0b, Ub.transpose(1, 0, 2))
-    E = _output_errors(X, Yb, Tw, Uo, bo)
-    return np.sum(E * E) / (Ub.shape[1] - Tw)
+    T = Ub.shape[1]
+    x = X0b
+    sq = np.zeros(Yb.shape[::2])
+    for k in range(T):
+        x = cell(x, Ub[:, k], *cellp)[0]
+        if k >= Tw:
+            e = x @ Uo.T + bo - Yb[:, k]
+            sq += e * e
+    return np.sum(sq) / (T - Tw)
 
 
 def tbptt_loss_grad_batch(Ub, Yb, X0b, Tw,
@@ -221,7 +223,8 @@ def tbptt_loss_grad_batch(Ub, Yb, X0b, Tw,
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     U = np.ascontiguousarray(Ub.transpose(1, 0, 2))
     X, (Z, F, R) = _scan(cellp, X0b, U)
-    E = _output_errors(X, Yb, Tw, Uo, bo)
+    E = np.zeros((T, B, Yb.shape[2]))         # output errors, zero in the washout
+    E[Tw:] = X[Tw + 1:] @ Uo.T + bo - Yb[:, Tw:].transpose(1, 0, 2)
     dE = (2.0 / (T - Tw)) * E
 
     # reverse pass over time; the weight gradients are summed afterwards

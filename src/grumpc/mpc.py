@@ -8,6 +8,11 @@ radius with its certificates, and the finite-horizon optimal control
 problem solved by penalized single shooting: Levenberg-Marquardt
 Gauss-Newton on the residuals of the penalized cost, with their exact
 Jacobian from one batched linearization of the rollout (cell_jacobians).
+
+ControllerConfig holds every controller setting (horizons, weights, the
+terminal-set search, the solver's budget); the ingredient build, the
+radius search and the solver read it directly.  Fixed numerics (the
+penalty schedule, the damping rule, the radius walk) are module constants.
 """
 
 import logging
@@ -46,6 +51,32 @@ class FhocpInfeasibleError(RuntimeError):
         self.terminal_level = terminal_level
         self.rejections = rejections
         super().__init__(f"no feasible plan found (min violation {violation:.3e})")
+
+
+@dataclass
+class ControllerConfig:
+    """Controller settings; the defaults are the desk profile."""
+
+    N_c: int = 20                 # free moves (control horizon)
+    N_p: int = 40                 # prediction horizon
+    q_weight: float = 1.0         # Q = q_weight I on the augmented state
+    r_weight: float = 1.0         # R = r_weight I on the move
+    q_tilde_weight: float = 10.0  # Q_tilde = q_tilde_weight I (terminal set)
+    gamma: float = 0.01           # Lyapunov decrease margin on the terminal set
+    # auxiliary-law steps rolled past N_p before the terminal cost e'P_f e
+    # is charged; 0 charges it at state N_p
+    N_f: int = 0
+    ref_filter_window: int = 12
+    max_iters: int = 200          # Gauss-Newton steps tried over all rounds
+    constraint_tol: float = 1e-9
+    omega_max: float = 10.0       # first terminal radius tried
+    terminal_samples: int = 4096  # boundary samples per radius trial
+    audit_factor: int = 10        # audit set size, in terminal_samples
+    cache_quantum: float = 1e-4   # setpoint rounding of the ingredient cache
+
+    def __post_init__(self):
+        if not (1 <= self.N_c <= self.N_p):
+            raise ValueError("require 1 <= N_c <= N_p")
 
 
 @dataclass(frozen=True)
@@ -306,23 +337,30 @@ def _halton_directions(count, dim, skip=0):
     return out
 
 
-def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma, P_f, Q_lq,
-                        omega_max=10.0, shrink=0.8, n_samples=4096,
-                        audit_factor=10, min_omega=1e-12):
+# the radius walk: the factor between radii tried, and the radius below
+# which no terminal set is found
+TERMINAL_SHRINK = 0.8
+TERMINAL_MIN_OMEGA = 1e-12
+
+
+def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
+                        cfg: ControllerConfig):
     """Largest sampled radius for which the auxiliary law stays admissible.
 
-    Walks a geometric grid from omega_max downward; a radius is accepted
-    when every boundary sample satisfies the total-input box (xi + v_lq in
-    [-1, 1]), the Lyapunov decrease condition and the terminal-cost
-    decrease V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with V_f(e) = e'P_f e,
-    then re-verified on an audit set `audit_factor` times denser.
+    Walks a geometric grid from cfg.omega_max downward by TERMINAL_SHRINK; a
+    radius is accepted when each of cfg.terminal_samples boundary samples
+    satisfies the total-input box (xi + v_lq in [-1, 1]), the Lyapunov
+    decrease condition with margin cfg.gamma and the terminal-cost decrease
+    V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with V_f(e) = e'P_f e, then
+    re-verified on an audit set cfg.audit_factor times denser.
     """
     na = w.n + w.p
+    n_samples, gamma = cfg.terminal_samples, cfg.gamma
     L = np.linalg.cholesky(Pi)
     Linv_T = np.linalg.inv(L.T)
     dirs = _halton_directions(n_samples, na, skip=1)
     E_unit = dirs @ Linv_T.T     # rows satisfy e' Pi e = 1
-    dirs_audit = _halton_directions(audit_factor * n_samples, na,
+    dirs_audit = _halton_directions(cfg.audit_factor * n_samples, na,
                                     skip=1 + n_samples)
     E_audit = dirs_audit @ Linv_T.T
 
@@ -342,11 +380,11 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, gamma, P_f, Q_
                 return False
         return True
 
-    omega = float(omega_max)
-    while omega > min_omega:
+    omega = float(cfg.omega_max)
+    while omega > TERMINAL_MIN_OMEGA:
         if all_pass(E_unit, np.sqrt(omega)) and all_pass(E_audit, np.sqrt(omega)):
             return omega
-        omega *= shrink
+        omega *= TERMINAL_SHRINK
     raise TerminalSetError(
         "no positive terminal radius found; retune Q_tilde or gamma")
 
@@ -367,21 +405,26 @@ class TerminalIngredients:
     N_f: int
 
 
-def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=0,
-                      omega_max=10.0, n_samples=4096, audit_factor=10,
-                      eq_guess=None, check_assumptions=True) -> TerminalIngredients:
-    """All reference-dependent controller ingredients for one setpoint."""
+def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
+                      eq_guess=None) -> TerminalIngredients:
+    """All reference-dependent controller ingredients for one setpoint.
+
+    Q, R and Q_tilde are the identities scaled by the weights of cfg.  The
+    design assumptions are checked at the equilibrium; a failure raises
+    EquilibriumError.
+    """
     if eq_guess is not None:
         eq = find_equilibrium(w, y0, x_guess=eq_guess.x0, u_guess=eq_guess.u0)
     else:
         eq = find_equilibrium(w, y0)
     lin = linearize_augmented(w, eq)
-    if check_assumptions:
-        rep = check_design_assumptions(lin)
-        if not rep.passed:
-            raise EquilibriumError(f"design assumptions fail: {rep.margins}")
-    Q = np.asarray(Q, dtype=np.float64)
-    R = np.asarray(R, dtype=np.float64)
+    rep = check_design_assumptions(lin)
+    if not rep.passed:
+        raise EquilibriumError(f"design assumptions fail: {rep.margins}")
+    na = w.n + w.p
+    Q = cfg.q_weight * np.eye(na)
+    R = cfg.r_weight * np.eye(w.p)
+    Q_tilde = cfg.q_tilde_weight * np.eye(na)
     K, P = lq_gain(lin, Q, R)
     Q_lq = Q + K.T @ R @ K
     Pi = lyapunov_Pi(lin, K, Q_tilde)
@@ -389,12 +432,9 @@ def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=0,
     # sum decreases by the stage cost plus the margin e'Q_tilde e on the
     # linearization; terminal_set_radius checks it on the nonlinear model
     P_f = P + Pi
-    omega = terminal_set_radius(w, eq, K, Pi, gamma, P_f, Q_lq,
-                                omega_max=omega_max, n_samples=n_samples,
-                                audit_factor=audit_factor)
-    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f,
-                               np.asarray(Q_tilde, dtype=np.float64),
-                               gamma, omega, N_f)
+    omega = terminal_set_radius(w, eq, K, Pi, P_f, Q_lq, cfg)
+    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde,
+                               cfg.gamma, omega, cfg.N_f)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +448,8 @@ def build_ingredients(w: GruWeights, y0, Q, R, Q_tilde, gamma, N_f=0,
 LM_LAMBDA0 = 1e-3
 LM_RAISE = 10.0
 LM_STOP = 1e-12
-
-
-@dataclass
-class FhocpConfig:
-    N_c: int = 20
-    N_p: int = 75
-    max_iters: int = 200          # Gauss-Newton steps tried over all rounds
-    constraint_tol: float = 1e-9
-    mu_schedule: tuple = (1e3, 1e5, 1e7)
-
-    def __post_init__(self):
-        if not (1 <= self.N_c <= self.N_p):
-            raise ValueError("require 1 <= N_c <= N_p")
+# penalty weights of the successive rounds
+MU_SCHEDULE = (1e3, 1e5, 1e7)
 
 
 @dataclass
@@ -436,7 +465,7 @@ class FhocpSolution:
     rejections: int = 0      # rejected Gauss-Newton steps (damping raised)
 
 
-def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
+def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                 xa_hat: AugmentedState, xi_true, warm_start=None) -> FhocpSolution:
     """Penalized single shooting over the free moves v(0..N_c-1).
 
@@ -447,8 +476,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
     penalized cost; lam falls after an accepted step and rises after a
     rejected one.  A penalty round ends when the decrease, actual or
     predicted by the Gauss-Newton model, is at most LM_STOP (1 + cost), or
-    after max_iters // rounds steps.  The penalty weights rise over
-    cfg.mu_schedule; after each round the plan is restored to exact box
+    after cfg.max_iters // rounds steps.  The penalty weights rise over
+    MU_SCHEDULE; after each round the plan is restored to exact box
     feasibility by a sequential clamp, and a strictly interior iterate ends
     the schedule.  The best feasible iterate wins, so a feasible warm start
     is never degraded.
@@ -506,9 +535,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
         v = np.zeros(Nc * p)
 
     iters = rejections = 0
-    rounds = len(cfg.mu_schedule)
-    budget = max(5, cfg.max_iters // rounds)
-    for k, mu in enumerate(cfg.mu_schedule):
+    budget = max(5, cfg.max_iters // len(MU_SCHEDULE))
+    for k, mu in enumerate(MU_SCHEDULE):
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
         Jp, Jc, g, bviol, tviol, H = evaluate(kernels.fhocp_forward_backward, v,
                                               mu_box, mu_term)
@@ -558,7 +586,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: FhocpConfig,
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
-                       cfg: FhocpConfig):
+                       cfg: ControllerConfig):
     """Standard shift: drop v*(0), append the auxiliary move at the end."""
     p = w.p
     v = np.zeros((cfg.N_c, p))
@@ -584,29 +612,6 @@ def reference_filter(signal, window: int):
 # ---------------------------------------------------------------------------
 # receding-horizon controller
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ControllerConfig:
-    N_c: int = 20
-    N_p: int = 75
-    q_weight: float = 1.0
-    r_weight: float = 1.0
-    q_tilde_weight: float = 10.0
-    gamma: float = 0.01
-    # auxiliary-law steps rolled past N_p before the terminal cost e'P_f e
-    # is charged; 0 charges it at state N_p
-    N_f: int = 0
-    ref_filter_window: int = 12
-    max_iters: int = 200
-    constraint_tol: float = 1e-9
-    omega_max: float = 10.0
-    terminal_samples: int = 4096
-    audit_factor: int = 10
-    cache_quantum: float = 1e-4
-
-    def fhocp(self) -> FhocpConfig:
-        return FhocpConfig(self.N_c, self.N_p, self.max_iters, self.constraint_tol)
-
 
 @dataclass
 class StepInfo:
@@ -640,10 +645,6 @@ class RecedingHorizonController:
         self.w = w
         self.gains = gains
         self.cfg = cfg or ControllerConfig()
-        na = w.n + w.p
-        self.Q = self.cfg.q_weight * np.eye(na)
-        self.R = self.cfg.r_weight * np.eye(w.p)
-        self.Q_tilde = self.cfg.q_tilde_weight * np.eye(na)
         self._cache = {}
         self._failed = set()
         self._last_ing = None
@@ -667,12 +668,7 @@ class RecedingHorizonController:
         if ing is None:
             guess = self._last_ing.eq if self._last_ing is not None else None
             try:
-                ing = build_ingredients(self.w, y0, self.Q, self.R, self.Q_tilde,
-                                        self.cfg.gamma, N_f=self.cfg.N_f,
-                                        omega_max=self.cfg.omega_max,
-                                        n_samples=self.cfg.terminal_samples,
-                                        audit_factor=self.cfg.audit_factor,
-                                        eq_guess=guess)
+                ing = build_ingredients(self.w, y0, self.cfg, eq_guess=guess)
             except (UnreachableReferenceError, EquilibriumError, RiccatiError,
                     TerminalSetError) as exc:
                 if self._last_ing is None:
@@ -719,18 +715,17 @@ class RecedingHorizonController:
             log.warning("non-finite measurement %s; using the model output", y_meas)
             y_meas = gru_model.gru_output(self.w, self.est.x)
 
-        cfg = self.cfg.fhocp()
         cost, iters, feas, fallback, evals, level, rejections = (
             np.nan, 0, False, False, 0, np.nan, 0)
         v, solve_ms = np.zeros(self.w.p), 0.0
         if not poisoned:
             t0 = time.perf_counter()
             try:
-                sol = fhocp_solve(self.w, ing, cfg,
+                sol = fhocp_solve(self.w, ing, self.cfg,
                                   AugmentedState(self.est.x, self.est.xi),
                                   self.xi, warm_start=self._warm)
                 v = sol.v[0].copy()
-                self._warm = shifted_warm_start(sol, ing, self.w, cfg)
+                self._warm = shifted_warm_start(sol, ing, self.w, self.cfg)
                 cost, iters, feas = sol.cost, sol.iterations, True
                 evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
             except FhocpInfeasibleError as exc:

@@ -88,7 +88,9 @@ def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
                   v, y0, y_meas, xi_meas) -> AugmentedState:
     """Observer update: gates and integrator receive innovation terms.
 
-    xi_meas is the controller's own integrator state, known exactly.
+    The innovations only shift the update and forget gate biases, so the
+    state update is one kernels.cell call.  xi_meas is the controller's own
+    integrator state, known exactly.
     """
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -98,14 +100,10 @@ def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
     y_hat = gru_model.gru_output(w, est.x)
     e_y = y_meas - y_hat
     e_xi = xi_meas - est.xi
-    u_hat = v + est.xi
-
-    z = kernels.logistic(w.W_z @ u_hat + w.U_z @ est.x + w.b_z
-                         + g.L_zxi @ e_xi + g.L_zy @ e_y)
-    f = kernels.logistic(w.W_f @ u_hat + w.U_f @ est.x + w.b_f
-                         + g.L_fxi @ e_xi + g.L_fy @ e_y)
-    r = np.tanh(w.W_r @ u_hat + w.U_r @ (f * est.x) + w.b_r)
-    x_next = z * est.x + (1.0 - z) * r
+    G, bzf, Wr, Ur, br = kernels.stack_gates(*w.arrays())
+    shift = np.concatenate((g.L_zxi @ e_xi + g.L_zy @ e_y,
+                            g.L_fxi @ e_xi + g.L_fy @ e_y))
+    x_next = kernels.cell(est.x, v + est.xi, G, bzf + shift, Wr, Ur, br)[0]
     xi_next = est.xi + y0 - y_hat + g.L_xiy @ e_y + g.L_xixi @ e_xi
     return AugmentedState(x_next, xi_next)
 

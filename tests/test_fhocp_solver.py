@@ -52,8 +52,8 @@ def reference_solve(w, ing, cfg, xa_hat, xi_true, warm_start=None):
     v = (np.zeros(Nc * w.p) if warm_start is None
          else np.asarray(warm_start, dtype=np.float64).ravel().copy())
     consider(v)
-    budget = max(5, cfg.max_iters // len(cfg.mu_schedule))
-    for mu in cfg.mu_schedule:
+    budget = max(5, cfg.max_iters // len(mpc.MU_SCHEDULE))
+    for mu in mpc.MU_SCHEDULE:
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
         Jp, g = value_grad(v, mu_box, mu_term)
         alpha = 1.0 / max(np.linalg.norm(g), 1.0)

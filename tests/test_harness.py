@@ -18,8 +18,8 @@ from conftest import scaled_certified_weights
 def tiny_config(**overrides):
     cfg = ExperimentConfig()
     cfg.data = harness.DataConfig(n_samples=300, test_n_samples=200)
-    cfg.train = harness.TrainSection(n_states=3, epochs=2, batch_size=4,
-                                     washout=10, T_s=60, tau=10)
+    cfg.train = sysid.TrainConfig(n_states=3, epochs=2, batch_size=4,
+                                  washout=10, T_s=60, tau=10)
     cfg.controller = mpc.ControllerConfig(N_c=5, N_p=12,
                                           terminal_samples=256, audit_factor=2,
                                           ref_filter_window=6)
@@ -79,6 +79,11 @@ def test_train_uncertified_exits_nonzero(tmp_path):
         harness.cmd_train(cfg, tmp_path)
     # the weights file is still persisted for inspection
     assert (tmp_path / "weights.json").exists()
+    # every column of the training log is a plain number
+    rows = list(csv.reader(open(tmp_path / "train_log.csv")))
+    assert rows[0] == ["epoch", "loss", "nu", "val_mse"] and len(rows) == 3
+    for row in rows[1:]:
+        [float(v) for v in row]
 
 
 def test_train_zero_epochs_persists_init(tmp_path):
@@ -311,9 +316,8 @@ def test_closed_loop_holds_its_setpoint_when_a_step_is_unreachable(tmp_path):
     cfg.scenario.duration_h = 0.1
     cfg.scenario.reference_program = [[0.0, ph_mid], [0.02, 10.5]]
     w = gru_model.load_weights(tmp_path / "weights.json")
-    ing = mpc.build_ingredients(w, nmap.normalize_y([ph_mid]), np.eye(w.n + 1),
-                                np.eye(1), 10 * np.eye(w.n + 1), 0.01,
-                                n_samples=64, audit_factor=2)
+    ing = mpc.build_ingredients(w, nmap.normalize_y([ph_mid]), mpc.ControllerConfig(
+        terminal_samples=64, audit_factor=2))
     with pytest.raises(mpc.UnreachableReferenceError):
         mpc.find_equilibrium(w, nmap.normalize_y([10.5]), x_guess=ing.eq.x0,
                              u_guess=ing.eq.u0)
@@ -373,6 +377,40 @@ def test_desk_config_file_equals_code_defaults():
     # as loading the file does
     doc = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
     assert ExperimentConfig.load(CONFIGS / "desk.json") == ExperimentConfig.from_dict(doc)
+
+
+def test_layer_defaults_are_the_desk_profile():
+    # each setting is defined once, in the dataclass of the layer that reads
+    # it; the desk file repeats those defaults
+    desk = json.loads((CONFIGS / "desk.json").read_text())
+    assert dataclasses.asdict(sysid.TrainConfig()) == desk["train"]
+    assert dataclasses.asdict(mpc.ControllerConfig()) == desk["controller"]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "seed", 3), ("train", "init_scale", 0.1),
+    ("observer", "synthesize", False)])
+def test_removed_config_keys_are_refused(tmp_path, section, key, value):
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CommandError, match=key):
+        ExperimentConfig.load(path)
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"train": 5}, "'train'"), ({"controller": [20, 40]}, "'controller'"),
+    ([1, 2], "top level")], ids=["train-number", "controller-list", "top-level-list"])
+def test_malformed_config_exits_with_an_error(tmp_path, capsys, doc, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    rc = harness.main(["generate-data", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_paper_config_holds_the_full_scale_profile():

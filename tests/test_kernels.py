@@ -26,10 +26,8 @@ def setup():
     w = scaled_certified_weights(rng, n=5, target=-0.1)
     y_lo = gru_model.gru_output(w, mpc.steady_state(w, [-1.0]))[0]
     y_hi = gru_model.gru_output(w, mpc.steady_state(w, [1.0]))[0]
-    na = w.n + 1
-    ing = mpc.build_ingredients(w, [0.5 * (y_lo + y_hi)], np.eye(na), np.eye(1),
-                                10 * np.eye(na), 0.01, n_samples=256,
-                                audit_factor=2)
+    ing = mpc.build_ingredients(w, [0.5 * (y_lo + y_hi)], mpc.ControllerConfig(
+        terminal_samples=256, audit_factor=2))
     return w, ing
 
 

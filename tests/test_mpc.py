@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from grumpc import gru_model, harness, kernels, mpc, observer, sysid
-from grumpc.mpc import (ControllerConfig, FhocpConfig, UnreachableReferenceError,
+from grumpc.mpc import (ControllerConfig, UnreachableReferenceError,
                         build_ingredients, check_design_assumptions,
                         find_equilibrium, linearize_augmented, lq_gain,
                         lyapunov_Pi, reference_filter, steady_state,
@@ -30,9 +30,8 @@ def small_setup(small_model):
     y_hi = gru_model.gru_output(w, steady_state(w, [1.0]))[0]
     y_mid = 0.5 * (y_lo + y_hi)
     eq = find_equilibrium(w, [y_mid])
-    na = w.n + 1
-    ing = build_ingredients(w, [y_mid], np.eye(na), np.eye(1), 10 * np.eye(na),
-                            0.01, n_samples=512, audit_factor=4)
+    ing = build_ingredients(w, [y_mid],
+                            ControllerConfig(terminal_samples=512, audit_factor=4))
     return w, eq, ing, (y_lo, y_hi)
 
 
@@ -217,13 +216,15 @@ def test_terminal_radius_shrinks_with_gamma(small_setup):
     # the decrease margin is governed by Q_tilde = 10 I, so radii collapse
     # as gamma approaches 10 and no radius exists far beyond it
     w, eq, ing, _ = small_setup
-    radii = [terminal_set_radius(w, eq, ing.K_lq, ing.Pi, gamma, ing.P_f, ing.Q_lq,
-                                 omega_max=1e5, n_samples=256, audit_factor=2)
+    radii = [terminal_set_radius(w, eq, ing.K_lq, ing.Pi, ing.P_f, ing.Q_lq,
+                                 ControllerConfig(gamma=gamma, omega_max=1e5,
+                                                  terminal_samples=256, audit_factor=2))
              for gamma in (0.01, 9.0, 9.9)]
     assert radii[0] > radii[1] > radii[2]
     with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(w, eq, ing.K_lq, ing.Pi, 1e6, ing.P_f, ing.Q_lq,
-                            n_samples=64, audit_factor=2)
+        terminal_set_radius(w, eq, ing.K_lq, ing.Pi, ing.P_f, ing.Q_lq,
+                            ControllerConfig(gamma=1e6, terminal_samples=64,
+                                             audit_factor=2))
 
 
 def test_terminal_radius_sampled_soundness(small_setup):
@@ -296,7 +297,7 @@ def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
     assert np.max(vf_lhs(P, ing.omega)) > 0.0
     assert np.max(vf_lhs(ing.P_f, ing.omega)) <= 0.0
     with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(w, ing.eq, ing.K_lq, ing.Pi, ing.gamma, P, ing.Q_lq)
+        terminal_set_radius(w, ing.eq, ing.K_lq, ing.Pi, P, ing.Q_lq, ControllerConfig())
 
 
 @pytest.mark.parametrize("dim", [3, 6, 9, 11])
@@ -317,8 +318,8 @@ def test_ingredients_build_without_scipy_stats():
             "from conftest import scaled_certified_weights\n"
             "w = scaled_certified_weights(np.random.default_rng(201), n=5, target=-0.1)\n"
             "y = mpc.gru_model.gru_output(w, mpc.steady_state(w, [0.0]))\n"
-            "mpc.build_ingredients(w, y, np.eye(6), np.eye(1), 10 * np.eye(6), 0.01,\n"
-            "                      n_samples=64, audit_factor=2)\n"
+            "mpc.build_ingredients(w, y, mpc.ControllerConfig(terminal_samples=64,\n"
+            "                                                 audit_factor=2))\n"
             "print('scipy.stats' in sys.modules)\n")
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -382,9 +383,17 @@ def test_terminal_cost_matches_lq_cost_to_go_for_linear_system(small_setup):
 # FHOCP
 # ---------------------------------------------------------------------------
 
+def test_controller_config_rejects_a_control_horizon_past_the_prediction():
+    with pytest.raises(ValueError, match="N_c <= N_p"):
+        ControllerConfig(N_c=5, N_p=4)
+    with pytest.raises(ValueError, match="N_c <= N_p"):
+        ControllerConfig(N_c=0)
+    assert ControllerConfig(N_c=4, N_p=4).N_c == 4
+
+
 def test_fhocp_at_equilibrium_returns_zero_plan(small_setup):
     w, eq, ing, _ = small_setup
-    cfg = FhocpConfig(N_c=6, N_p=15)
+    cfg = ControllerConfig(N_c=6, N_p=15)
     sol = fhocp_solve(w, ing, cfg, AugmentedState(eq.x0, eq.u0), eq.u0)
     assert sol.feasible
     assert np.max(np.abs(sol.v)) < 1e-6
@@ -394,7 +403,7 @@ def test_fhocp_at_equilibrium_returns_zero_plan(small_setup):
 def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
     w, eq, ing, _ = small_setup
     rng = np.random.default_rng(229)
-    cfg = FhocpConfig(N_c=6, N_p=15)
+    cfg = ControllerConfig(N_c=6, N_p=15)
     # start away from the equilibrium but inside the terminal set
     na = w.n + 1
     e = rng.normal(size=na)
@@ -438,7 +447,7 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
 def test_fhocp_nominal_cost_decreases_along_closed_loop(small_setup):
     w, eq, ing, _ = small_setup
     rng = np.random.default_rng(233)
-    cfg = FhocpConfig(N_c=6, N_p=15)
+    cfg = ControllerConfig(N_c=6, N_p=15)
     na = w.n + 1
     e = rng.normal(size=na)
     e /= np.sqrt(e @ ing.Pi @ e / (0.3 * ing.omega))

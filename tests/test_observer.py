@@ -109,6 +109,37 @@ def test_observer_exact_estimate_tracks_truth_any_gains():
                                atol=1e-14)
 
 
+def observer_step_by_hand(w, g, est, v, y0, y_meas, xi_meas):
+    """The observer update with each gate written out, innovations included."""
+    y_hat = w.U_o @ est.x + w.b_o
+    e_y, e_xi = y_meas - y_hat, xi_meas - est.xi
+    u_hat = v + est.xi
+
+    def sig(a):
+        return 1.0 / (1.0 + np.exp(-a))
+    z = sig(w.W_z @ u_hat + w.U_z @ est.x + w.b_z + g.L_zxi @ e_xi + g.L_zy @ e_y)
+    f = sig(w.W_f @ u_hat + w.U_f @ est.x + w.b_f + g.L_fxi @ e_xi + g.L_fy @ e_y)
+    r = np.tanh(w.W_r @ u_hat + w.U_r @ (f * est.x) + w.b_r)
+    return np.concatenate([z * est.x + (1.0 - z) * r,
+                           est.xi + y0 - y_hat + g.L_xiy @ e_y + g.L_xixi @ e_xi])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_observer_step_equals_the_gates_written_out(p):
+    # the innovations enter the cell as shifts of the z and f gate biases
+    rng = np.random.default_rng(61 + p)
+    n = 4
+    w = scaled_certified_weights(rng, n=n, p=p)
+    for _ in range(20):
+        g = random_gains(rng, n, p, scale=1.0)
+        est = AugmentedState(rng.uniform(-1, 1, n), rng.uniform(-0.5, 0.5, p))
+        args = (rng.uniform(-0.3, 0.3, p), rng.uniform(-0.3, 0.3, p),
+                rng.uniform(-1, 1, p), rng.uniform(-1, 1, p))
+        got = observer_step(w, g, est, *args).stacked()
+        np.testing.assert_allclose(got, observer_step_by_hand(w, g, est, *args),
+                                   rtol=0, atol=1e-14)
+
+
 def deadbeat_gains(w, lam=0.5):
     """Fallback gains with the integrator row copying the measured xi."""
     g = trivial_gains(w, lam)

@@ -265,9 +265,8 @@ def training_batch(rng, B=12, T=20, n=2):
 def test_train_zero_step_size_keeps_init():
     rng = np.random.default_rng(18)
     batch = training_batch(rng)
-    cfg = TrainConfig(n_states=2, epochs=3, batch_size=4, washout=2,
-                      lr=0.0, seed=9)
-    w, log = train(batch, cfg)
+    cfg = TrainConfig(n_states=2, epochs=3, batch_size=4, washout=2, lr=0.0)
+    w, log = train(batch, cfg, 9)
     w_init = gru_model.random_weights(2, 1, 1, np.random.default_rng(9))
     for name in gru_model.WEIGHT_FIELDS:
         assert np.array_equal(getattr(w, name), getattr(w_init, name)), name
@@ -277,10 +276,9 @@ def test_train_zero_step_size_keeps_init():
 def test_train_deterministic_for_seed():
     rng = np.random.default_rng(20)
     batch = training_batch(rng)
-    cfg = TrainConfig(n_states=2, epochs=4, batch_size=4, washout=2,
-                      lr=1e-3, seed=21)
-    w1, _ = train(batch, cfg)
-    w2, _ = train(batch, cfg)
+    cfg = TrainConfig(n_states=2, epochs=4, batch_size=4, washout=2, lr=1e-3)
+    w1, _ = train(batch, cfg, 21)
+    w2, _ = train(batch, cfg, 21)
     for name in gru_model.WEIGHT_FIELDS:
         assert np.array_equal(getattr(w1, name), getattr(w2, name)), name
 
@@ -288,8 +286,8 @@ def test_train_deterministic_for_seed():
 def test_train_zero_epochs_returns_init():
     rng = np.random.default_rng(22)
     batch = training_batch(rng)
-    cfg = TrainConfig(n_states=2, epochs=0, batch_size=4, washout=2, seed=3)
-    w, log = train(batch, cfg)
+    cfg = TrainConfig(n_states=2, epochs=0, batch_size=4, washout=2)
+    w, log = train(batch, cfg, 3)
     assert log == []
     w_init = gru_model.random_weights(2, 1, 1, np.random.default_rng(3))
     assert np.array_equal(w.U_r, w_init.U_r)
@@ -298,10 +296,25 @@ def test_train_zero_epochs_returns_init():
 def test_train_reduces_loss():
     rng = np.random.default_rng(24)
     batch = training_batch(rng, B=20, T=30)
-    cfg = TrainConfig(n_states=3, epochs=10, batch_size=5, washout=2,
-                      lr=5e-3, seed=1)
-    _, log = train(batch, cfg)
+    cfg = TrainConfig(n_states=3, epochs=10, batch_size=5, washout=2, lr=5e-3)
+    _, log = train(batch, cfg, 1)
     assert log[-1].loss < log[0].loss
+
+
+def test_open_loop_mse_equals_per_sequence_simulation():
+    # the held-out sequences run as rows of one scan; the reference simulates
+    # them one at a time from x0 = 0
+    rng = np.random.default_rng(25)
+    for p in (1, 2):
+        w = gru_model.random_weights(4, p, p, rng)
+        U = rng.uniform(-1, 1, (7, 40, p))
+        Y = rng.uniform(-1, 1, (7, 40, p))
+        errs = [gru_model.simulate(w, np.zeros(4), U[b])[1][10:] - Y[b, 10:]
+                for b in range(7)]
+        ref = sum(float(np.sum(e * e)) for e in errs) / sum(e.size for e in errs)
+        got = sysid._open_loop_mse(w, U, Y, 10)
+        assert type(got) is float
+        assert got == pytest.approx(ref, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
