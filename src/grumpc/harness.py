@@ -9,7 +9,8 @@ ExperimentConfig is made of the settings of each layer, each defined once:
 the train section is sysid.TrainConfig and the controller section
 mpc.ControllerConfig; data, observer and scenario are defined here.  Their
 defaults are the desk profile, which configs/desk.json repeats; the
-full-scale profile of the paper lives only in configs/paper.json.
+full-scale profile of the paper lives only in configs/paper.json.  Loading
+refuses unknown keys and values of the wrong JSON type for their field.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import json
 import logging
 import sys
 import time
+import types
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -65,6 +67,19 @@ class ScenarioSection:
     settle_minutes: float = 20.0
 
 
+def _fits(tp, value):
+    """Whether a JSON value fits a config field annotated tp: an int field
+    takes no bool, a float field also an int, a list or tuple field an
+    array, and an X | None field also null."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(t, value) for t in tp.__args__)
+    if tp in (list, tuple):
+        return isinstance(value, (list, tuple))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
 @dataclass
 class ExperimentConfig:
     tau_s: float = 10.0
@@ -81,11 +96,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        def build(tp, sub):
-            known = {f.name for f in dataclasses.fields(tp)}
-            unknown = set(sub) - known
+        def build(tp, sub, section=None):
+            annotations = {f.name: f.type for f in dataclasses.fields(tp)}
+            unknown = set(sub) - set(annotations)
             if unknown:
                 raise CommandError(f"unknown config keys {sorted(unknown)} for {tp.__name__}")
+            for key, value in sub.items():
+                if not _fits(annotations[key], value):
+                    where = key if section is None else f"{section}.{key}"
+                    name = getattr(annotations[key], "__name__", annotations[key])
+                    raise CommandError(f"config value {where} must be {name}, not {value!r}")
             return tp(**sub)
         if not isinstance(doc, dict):
             raise CommandError("config top level must be a JSON object, not "
@@ -99,7 +119,7 @@ class ExperimentConfig:
                 if not isinstance(kw[name], dict):
                     raise CommandError(f"config section {name!r} must be a JSON "
                                        f"object, not {type(kw[name]).__name__}")
-                kw[name] = build(tp, kw[name])
+                kw[name] = build(tp, kw[name], name)
         return build(cls, kw)
 
     @classmethod

