@@ -392,6 +392,10 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         [(a * 3600.0, b * 3600.0, ch, val) for a, b, ch, val in sc.disturbances])
 
     if sc.plant == "model":
+        # the model has no buffer-flow input: a q2 disturbance would never act
+        if any(e.channel == "q2-override" for e in sched.entries):
+            raise CommandError("scenario.plant 'model' cannot apply the "
+                               "'q2-override' disturbance channel; use plant 'ph'")
         plant = _ModelPlant(cfg, w, nmap, refs_ph[0])
     elif sc.plant == "ph":
         plant = _PhPlant(cfg, _params_for(cfg))

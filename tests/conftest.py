@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +33,19 @@ def scaled_certified_weights(rng, n=4, p=1, target=-0.05, keep_output=True):
     if keep_output:
         cand = cand.replace(U_o=w.U_o, b_o=w.b_o)
     return cand
+
+
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running code, with
+    src/ and tests/ on its path."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    code += ("\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, env=env, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grumpc import gru_model, harness, mpc, observer, sysid
+from grumpc import gru_model, harness, mpc, observer, plant_sim, sysid
 from grumpc.harness import CommandError, ExperimentConfig
 
-from conftest import scaled_certified_weights
+from conftest import scaled_certified_weights, scipy_modules_after
 
 
 def tiny_config(**overrides):
@@ -274,6 +274,69 @@ def test_closed_loop_is_offset_free_under_a_persistent_input_disturbance(
     assert [(int(r[7]), int(r[9]), int(r[11])) for r in rows] == [
         (i.iterations, i.evals, i.rejections) for i in infos]
     assert sum(i.iterations for i in infos) > sum(i.rejections for i in infos)
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+
+
+def pinned_artifacts(out):
+    """The benchmark's pinned model, gains and normalization in out."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("weights.json", "gains.json", "normalization.json"):
+        (out / name).write_bytes((FIXTURE / name).read_bytes())
+
+
+@pytest.mark.parametrize("factor", [0.7, 1.3])
+def test_closed_loop_is_offset_free_under_a_persistent_buffer_flow_disturbance(
+        tmp_path, factor):
+    # the paper's claim on the pH plant itself: the buffer flow q2, which
+    # the model never saw as an input, moves to factor * q2 at 0.1 h and
+    # stays there; the loop settles back onto pH 7.0 with no offset
+    pinned_artifacts(tmp_path)
+    cfg = ExperimentConfig()
+    q2 = plant_sim.default_params().q2
+    cfg.scenario = harness.ScenarioSection(
+        duration_h=1.0, reference_program=[[0.0, 7.0]],
+        disturbances=[[0.1, 1.0, "q2-override", factor * q2]], plant="ph",
+        settle_minutes=20.0)
+    metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
+    assert [list(w[:2]) for w in metrics["windows"]] == [
+        [pytest.approx(0.1 + 20.0 / 60.0), 1.0]]
+    assert metrics["max_settled_error"] < 1e-6
+    assert metrics["constraint_violations"] == 0 and metrics["fallback_ticks"] == 0
+    rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]
+    # the disturbance acted: the settled input is not the nominal one
+    assert abs(float(rows[-1][3]) - float(rows[0][3])) > 0.05
+
+
+def test_model_plant_refuses_a_buffer_flow_disturbance(tmp_path, capsys):
+    # the identified model has no q2 input, so a q2-override window would
+    # be ignored and the run would report settling under a disturbance that
+    # never acted: the command refuses it and writes nothing
+    cfg, _, _ = mid_range_config(tmp_path)
+    cfg.scenario.disturbances = [[0.02, 0.1, "q2-override", 0.4]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    rc = harness.main(["run-closed-loop", "--config", str(path),
+                       "--out", str(tmp_path)])
+    assert rc == 1
+    assert "q2-override" in capsys.readouterr().err
+    assert not (tmp_path / "closed_loop.csv").exists()
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate-data", "run-closed-loop"])
+def test_commands_load_no_scipy(tmp_path, command):
+    # data generation, the pH plant and the closed loop run without SciPy:
+    # importing scipy.optimize alone costs 0.35-0.5 s and 49 MB
+    pinned_artifacts(tmp_path)
+    code = ("from grumpc import harness\n"
+            "cfg = harness.ExperimentConfig()\n"
+            "cfg.data = harness.DataConfig(n_samples=300, test_n_samples=200)\n"
+            "cfg.scenario = harness.ScenarioSection(duration_h=0.05, "
+            "reference_program=[[0.0, 7.0]], disturbances=[], plant='ph')\n"
+            f"harness.COMMANDS[{command!r}](cfg, {str(tmp_path)!r})\n")
+    assert scipy_modules_after(code) == []
 
 
 def test_closed_loop_keeps_the_last_ingredients_when_a_rebuild_fails(

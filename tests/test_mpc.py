@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +11,7 @@ from grumpc.mpc import (ControllerConfig, UnreachableReferenceError,
                         terminal_set_radius, fhocp_solve)
 from grumpc.observer import AugmentedState
 
-from conftest import scaled_certified_weights
+from conftest import scaled_certified_weights, scipy_modules_after
 
 
 @pytest.fixture(scope="module")
@@ -357,21 +354,46 @@ def test_halton_points_equal_scipy(dim):
 
 
 def test_ingredients_build_without_scipy_stats():
-    # scipy.stats costs about 0.75 s and 22 MB on import; the terminal-set
-    # directions come from the in-repo Halton generator instead
-    code = ("import sys, numpy as np\n"
+    # importing scipy.stats, scipy.special or scipy.optimize costs 0.2-0.75 s
+    # and 22-49 MB: the terminal-set directions come from the in-repo Halton
+    # generator and inverse normal CDF, so no scipy module loads at all
+    code = ("import numpy as np\n"
             "from grumpc import mpc\n"
             "from conftest import scaled_certified_weights\n"
             "w = scaled_certified_weights(np.random.default_rng(201), n=5, target=-0.1)\n"
             "y = mpc.gru_model.gru_output(w, mpc.steady_state(w, [0.0]))\n"
-            "mpc.build_ingredients(w, y, mpc.ControllerConfig(terminal_samples=192))\n"
-            "print('scipy.stats' in sys.modules)\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(here.parent / "src"), str(here)]))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, env=env, check=True)
-    assert res.stdout.split() == ["False"]
+            "mpc.build_ingredients(w, y, mpc.ControllerConfig(terminal_samples=192))\n")
+    assert scipy_modules_after(code) == []
+
+
+def test_ndtri_is_within_3_ulp_of_scipy():
+    # the whole desk direction set before normalization, and the ends of
+    # the domain and of the central branch (exp(-2), 1 - exp(-2)) on both sides
+    from scipy.special import ndtri
+    e2 = np.exp(-2.0)
+    edges = [1e-12, np.nextafter(e2, 0.0), e2, np.nextafter(e2, 1.0),
+             np.nextafter(1.0 - e2, 0.0), 1.0 - e2, np.nextafter(1.0 - e2, 1.0),
+             0.5, 1.0 - 1e-12]
+    for y in (np.clip(mpc.halton_points(45056, 11, skip=1), 1e-12, 1.0 - 1e-12),
+              np.array(edges)):
+        ref = ndtri(y)
+        ulps = np.abs(mpc._ndtri(y) - ref) / np.spacing(np.abs(ref))
+        assert np.max(ulps) <= 3.0
+
+
+@pytest.mark.parametrize("ph", [6.8, 7.0, 7.4, 7.8])
+def test_terminal_radius_with_scipy_built_directions(ph, monkeypatch):
+    # the in-repo inverse normal CDF changes no accepted radius on the
+    # pinned model: a direction set built by scipy.special.ndtri gives the same
+    from scipy.special import ndtri
+    w, ing = pinned_ingredients(ph)
+    cfg = harness.ExperimentConfig().controller
+    g = ndtri(np.clip(mpc.halton_points(cfg.terminal_samples, w.n + w.p, skip=1),
+                      1e-12, 1.0 - 1e-12))
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    monkeypatch.setitem(mpc._HALTON_CACHE, (cfg.terminal_samples, w.n + w.p, 1), g)
+    assert terminal_set_radius(w, ing.eq, ing.K_lq, ing.Pi, ing.P_f, ing.Q_lq,
+                               cfg) == ing.omega
 
 
 def rolled_tail_cost(w, eq, ing, xa, steps):
