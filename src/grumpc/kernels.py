@@ -2,10 +2,13 @@
 reactor integrator, and the shooting-based optimal control evaluations.
 
 Plain NumPy, built on four shared pieces:
-cell                one GRU update; the z and f gates come from one matmul
-                    over the stacked [W_z U_z; W_f U_f] (see stack_gates)
-                    and the logistic is computed as 0.5 + 0.5 tanh(a/2).
-                    It takes a single vector or a matrix of rows.
+cell                one GRU update, on a single vector or a matrix of rows.
+                    Its packed weights (stack_gates) put the halved z and f
+                    gates and the r gate's input term, biases included, in
+                    one matrix M, so the gates take one matmul on [1; u; x]
+                    and the logistic is 0.5 + 0.5 tanh of the halved
+                    pre-activation.  The update itself is _cell_step, which
+                    writes every gate and the next state into given arrays.
 cell_vjp            the vector-Jacobian product of that update (reverse
                     mode, for truncated BPTT).
 cell_jacobians      the Jacobians of that update with respect to x and u,
@@ -13,7 +16,11 @@ cell_jacobians      the Jacobians of that update with respect to x and u,
 augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
                     xi+ = xi + y0 - y, under free moves for i < N_c and the
                     auxiliary law v = -K (xa - xa_eq) after that, for a
-                    fixed number of steps.
+                    fixed number of steps.  Each step is one _cell_step on
+                    a slot of one preallocated state array, so a rollout
+                    equals a loop of cell calls bit for bit.  Single plans,
+                    the sequential clamp and the terminal-sample blocks all
+                    go through it.
 
 The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
 the prediction horizon, 0 by default) and charges the quadratic terminal
@@ -34,9 +41,14 @@ rolls a plan again to report its trajectory.
 
 Every public kernel is a short caller of these.  Batched work (training
 sequences, terminal-set samples, tangent rows) runs as rows of one call.
+What the evaluations of one problem share (the packed cell, the factors of
+Q, R and P_f, the constant tangent columns) is an FhocpConstants that the
+controller builds once per setpoint; a kernel called without one builds it
+from its positional arrays.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,31 +60,77 @@ NUMBA_ENABLED = False
 # the GRU cell and its vector-Jacobian product
 # ---------------------------------------------------------------------------
 
-def logistic(a):
-    """Logistic function as 0.5 + 0.5 tanh(a/2): no overflow at any a."""
-    return 0.5 + 0.5 * np.tanh(0.5 * a)
-
-
 def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
-    """Cell parameters (G, b_zf, Wr, Ur, br) with G = [Wz Uz; Wf Uf]."""
+    """The packed cell (M, G, Wr, Ur) of one set of weights.
+
+    M = [bz Wz Uz; bf Wf Uf] / 2 stacked over [br Wr 0] maps the gate input
+    [1; u; x] to the halved z and f pre-activations and to the r
+    pre-activation without its Ur (f*x) term, in one matmul (halving is
+    exact).  G = [Wz Uz; Wf Uf] serves the derivatives.
+    """
+    n, m = Wz.shape
     G = np.concatenate((np.concatenate((Wz, Uz), axis=1),
                         np.concatenate((Wf, Uf), axis=1)))
-    return G, np.concatenate((bz, bf)), Wr, Ur, br
+    M = np.zeros((3 * n, 1 + m + n))
+    M[:2 * n, 0] = 0.5 * np.concatenate((bz, bf))
+    M[:2 * n, 1:] = 0.5 * G
+    M[2 * n:, 0] = br
+    M[2 * n:, 1:1 + m] = Wr
+    return M, G, Wr, Ur
 
 
-def cell(x, u, G, bzf, Wr, Ur, br):
+def shift_gate_biases(cellp, shift):
+    """The packed cell with shift (2n,) added to the z and f gate biases."""
+    M, G, Wr, Ur = cellp
+    M = M.copy()
+    M[:len(shift), 0] += 0.5 * shift
+    return M, G, Wr, Ur
+
+
+# the logistic's 0.5 as an array: with a Python float operand, a ufunc call
+# on a 10-vector takes about twice as long
+_HALF = np.array(0.5)
+
+
+def _cell_step(g, x, M, Ur, a, zf, z, f, r, x_next):
+    """One cell update of the gate inputs g = [1; u; x], features first.
+
+    Every operand holds its features along its first axis and, for a batch,
+    its rows along the second, so each gate is a contiguous block.  a is
+    the gate buffer [z; f; r] with its views zf, z, f and r; x+ = z*x +
+    (1-z)*r, computed as r + z*(x - r), goes into x_next, which serves as
+    scratch until then.  cell and augmented_rollout both step through here,
+    so a rollout equals a loop of cell calls bit for bit.
+    """
+    np.dot(M, g, a)
+    np.tanh(zf, zf)                     # logistic(a) = 0.5 + 0.5 tanh(a/2),
+    np.multiply(zf, _HALF, zf)          # which overflows at no a
+    np.add(zf, _HALF, zf)
+    np.multiply(f, x, x_next)
+    r += np.dot(Ur, x_next)
+    np.tanh(r, r)
+    np.subtract(x, r, x_next)
+    np.multiply(z, x_next, x_next)
+    np.add(r, x_next, x_next)
+
+
+def cell(x, u, M, G, Wr, Ur):
     """One update x+ = z*x + (1-z)*tanh(Wr u + Ur (f*x) + br).
 
-    x and u are vectors or matrices of rows.  Returns (x+, z, f, r).
+    x and u are vectors or matrices of rows; (M, G, Wr, Ur) is the packed
+    cell of stack_gates.  Returns (x+, z, f, r), for rows as transposed
+    views.
     """
-    n = x.shape[-1]
-    zf = logistic(np.concatenate((u, x), axis=-1) @ G.T + bzf)
-    z, f = zf[..., :n], zf[..., n:]
-    r = np.tanh(u @ Wr.T + (f * x) @ Ur.T + br)
-    return z * x + (1.0 - z) * r, z, f, r
+    n, m = x.shape[-1], u.shape[-1]
+    g = np.concatenate((np.ones((1,) + x.shape[:-1]), u.T, x.T))
+    a = np.empty((3 * n,) + x.shape[:-1])
+    x_next = np.empty(a[:n].shape)
+    z, f, r = a[:n], a[n:2 * n], a[2 * n:]
+    _cell_step(g, g[1 + m:], M, Ur, a, a[:2 * n], z, f, r, x_next)
+    return x_next.T, z.T, f.T, r.T
 
 
-def cell_vjp(lam, x, u, z, f, r, G, bzf, Wr, Ur, br):
+def cell_vjp(lam, x, u, z, f, r, M, G, Wr, Ur):
     """Pull lam = dJ/dx+ back through one cell.
 
     Returns (dJ/dx, dJ/du, dJ/da_zf, dJ/da_r), the last two with respect to
@@ -87,7 +145,7 @@ def cell_vjp(lam, x, u, z, f, r, G, bzf, Wr, Ur, br):
     return lam * z + dh * f + g[..., m:], g[..., :m] + da_r @ Wr, da_zf, da_r
 
 
-def cell_jacobians(x, u, z, f, r, G, bzf, Wr, Ur, br):
+def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):
     """Jacobians (dx+/dx, dx+/du) of one cell at (x, u).
 
     z, f and r are the gates cell returned at (x, u); rows in, rows out:
@@ -120,39 +178,69 @@ def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
     v = -K (xa - xa_eq), law = (K, xa_eq), after that.  With box_offset,
     the offset xi~ - xi of the controller's integrator from the model's,
     each free move is first clamped so that xi~ + v stays in [-1, 1].
-    Returns the states (T+1, ..., n+p), the moves applied (T, ..., p) and
-    the cache (U, Z, F, R) of cell inputs and gates for the adjoint.
+
+    Step i lives in S[i] = [1; u; x; xi] (u = v + xi, the cell input) of
+    one preallocated array, features first and the rows of a batch along a
+    last axis.  S[i, :1+m+n] is the gate input of the packed cell, whose M
+    holds the biases in its first column, so no step concatenates:
+    _cell_step writes x+ straight into S[i + 1] and the gates into a
+    preallocated cache, and with features first every gate of a batch is a
+    contiguous block.  Returns the states (T+1, ..., n+p), the moves applied
+    (T, ..., p) and the cache (U, Z, F, R) of cell inputs and gates for the
+    tangent, as views of those arrays in that (steps, rows, features) order.
     """
-    n = Uo.shape[1]
+    M, _, _, Ur = cellp
+    n, p = Uo.shape[1], len(bo)
     K, xa_eq = law
-    XA = np.empty((T + 1,) + xa0.shape)
-    XA[0] = xa0
-    moves = np.empty((T,) + xa0.shape[:-1] + bo.shape)
-    U = np.empty_like(moves)
-    Z, F, R = (np.empty((T,) + xa0.shape[:-1] + (n,)) for _ in range(3))
-    for i in range(T):
-        x, xi = XA[i, ..., :n], XA[i, ..., n:]
+    rows = xa0.shape[:-1]
+
+    def col(c):
+        """c (k,) shaped to broadcast against features-first (k, rows...)."""
+        return np.reshape(c, (-1,) + (1,) * len(rows))
+
+    S = np.empty((T + 1, 1 + p + n + p) + rows)
+    S[:, 0] = 1.0
+    S[0, 1 + p:] = xa0.T
+    gates = np.empty((T, 3 * n) + rows)
+    moves = np.empty((T, p) + rows)
+    if len(V):
+        moves[:len(V)] = V
+    y = np.empty((p,) + rows)
+    XA, U, X, XI = S[:, 1 + p:], S[:, 1:1 + p], S[:, 1 + p:1 + p + n], S[:, 1 + p + n:]
+    Z, F, R = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+    y0, bo = col(y0), col(bo)
+    if T > len(V):                      # auxiliary-law steps follow
+        xa_eq = col(xa_eq)
+    for i, (g, u, x, xi, v, a, zf, z, f, r, x1, xi1) in enumerate(zip(
+            S[:, :1 + p + n], U, X, XI, moves, gates, gates[:, :2 * n], Z, F, R,
+            X[1:], XI[1:])):
         if i >= len(V):
-            v = (xa_eq - XA[i]) @ K.T
-        elif box_offset is None:
-            v = V[i]
-        else:
-            v = np.clip(V[i], -1.0 - (xi + box_offset), 1.0 - (xi + box_offset))
-        moves[i] = v
-        U[i] = v + xi
-        XA[i + 1, ..., :n], Z[i], F[i], R[i] = cell(x, U[i], *cellp)
-        XA[i + 1, ..., n:] = xi + y0 - (x @ Uo.T + bo)
-    return XA, moves, (U, Z, F, R)
+            np.dot(K, xa_eq - XA[i], v)
+        elif box_offset is not None:
+            np.clip(v, -1.0 - (xi + box_offset), 1.0 - (xi + box_offset), v)
+        np.add(v, xi, u)
+        _cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
+        np.add(np.dot(Uo, x, y), bo, y)
+        np.subtract(np.add(xi, y0, xi1), y, xi1)
+    # back to the callers' layout, rows before features
+    return (XA.swapaxes(1, -1), moves.swapaxes(1, -1),
+            tuple(A.swapaxes(1, -1) for A in (U[:T], Z, F, R)))
 
 
-def augmented_tangent(cellp, Uo, K, XA, cache, Nc):
+def xi_columns(Uo):
+    """[-Uo'; I]: the integrator columns of every A_i' of augmented_tangent."""
+    return np.vstack((-Uo.T, np.eye(Uo.shape[0])))
+
+
+def augmented_tangent(cellp, Uo, K, XA, cache, Nc, xi_cols=None):
     """Tangents of one rollout with respect to its free moves.
 
     Row d carries the derivative along free-move coordinate d = i p + j:
     dv = e_d on the free moves and dv = -dxa K' under the auxiliary law.
     Step i is linear in the tangent, dxa+ = A_i dxa + B_i dv with
     A_i = [[Jx, Ju], [-Uo, I]] and B_i = [Ju; 0] from cell_jacobians of all
-    steps at once; the law folds into A_i - B_i K for i >= Nc.
+    steps at once; the law folds into A_i - B_i K for i >= Nc.  xi_cols is
+    xi_columns(Uo), built here when not given.
     Returns the state tangents (T+1, Nc p, n+p) and move tangents (T, Nc p, p).
     """
     n = Uo.shape[1]
@@ -161,14 +249,14 @@ def augmented_tangent(cellp, Uo, K, XA, cache, Nc):
     Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *cellp)
     AT = np.empty((T, n + p, n + p))            # A_i', so rows step as dxa A_i'
     AT[:, :, :n] = np.concatenate((Jx, Ju), axis=2).transpose(0, 2, 1)
-    AT[:, :, n:] = np.vstack((-Uo.T, np.eye(p)))
+    AT[:, :, n:] = xi_columns(Uo) if xi_cols is None else xi_cols
     AT[Nc:, :, :n] -= K.T @ AT[Nc:, n:, :n]     # (A_i - B_i K)' = A_i' - K'B_i'
     dXA = np.zeros((T + 1, Nc * p, n + p))
-    for i in range(T):
-        np.matmul(dXA[i], AT[i], out=dXA[i + 1])
+    for i, (d, d1, A) in enumerate(zip(dXA, dXA[1:], AT)):
+        np.matmul(d, A, out=d1)
         if i < Nc:
-            dXA[i + 1, i * p:(i + 1) * p, :n] += AT[i, n:, :n]
-    dV = np.zeros((T, Nc * p, p))
+            d1[i * p:(i + 1) * p, :n] += A[n:, :n]
+    dV = np.empty((T, Nc * p, p))
     dV[:Nc] = np.eye(Nc * p).reshape(Nc, p, Nc * p).transpose(0, 2, 1)  # dv = e_d
     dV[Nc:] = -dXA[Nc:T] @ K.T
     return dXA, dV
@@ -383,17 +471,30 @@ def _root(M):
         return U * np.sqrt(np.maximum(lam, 0.0))
 
 
-def _residuals(XA, V, xi_off, xa_eq, Qmat, Rmat, Pf, Pi, omega, Np, mu_box, mu_term):
+class FhocpConstants(NamedTuple):
+    """The set-up every evaluation of one problem shares; a kernel given none
+    builds it from its positional arrays (fhocp_constants)."""
+    cell: tuple            # the packed cell (stack_gates)
+    roots: tuple           # (Lq, Lr, Lf) with L L' = Q, R, P_f (_root)
+    xi_cols: np.ndarray    # xi_columns(Uo), for augmented_tangent
+
+
+def fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, Qmat, Rmat, Pf):
+    return FhocpConstants(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br),
+                          (_root(Qmat), _root(Rmat), _root(Pf)), xi_columns(Uo))
+
+
+def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
     """Residuals r of one rollout; r'r is the penalized cost.
 
-    With Q = Lq Lq', R = Lr Lr' and P_f = Lf Lf', the rows are e'Lq and v'Lr
-    of every stage (under the auxiliary law v = -K e they sum to
-    e'Q_lq e, Q_lq = Q + K'R K), e'Lf at the last state, sqrt(mu_box) times
-    the excess of xi~ + v = xi + xi_off + v over [-1, 1] for i < Np, and
-    sqrt(mu_term) max(s, 0) with s = e_Np'Pi e_Np - omega.
-    Returns (r, (J_pen, J, box_viol, term_viol), roots, box excess, Pi e_Np).
+    With roots (Lq, Lr, Lf), Q = Lq Lq', R = Lr Lr' and P_f = Lf Lf', the
+    rows are e'Lq and v'Lr of every stage (under the auxiliary law v = -K e
+    they sum to e'Q_lq e, Q_lq = Q + K'R K), e'Lf at the last state,
+    sqrt(mu_box) times the excess of xi~ + v = xi + xi_off + v over [-1, 1]
+    for i < Np, and sqrt(mu_term) max(s, 0) with s = e_Np'Pi e_Np - omega.
+    Returns (r, (J_pen, J, box_viol, term_viol), box excess, Pi e_Np).
     """
-    roots = Lq, Lr, Lf = _root(Qmat), _root(Rmat), _root(Pf)
+    Lq, Lr, Lf = roots
     p = V.shape[1]
     E = XA - xa_eq
     over, box_viol = _box_excess(XA[:Np, -p:] + xi_off + V[:Np])
@@ -404,7 +505,7 @@ def _residuals(XA, V, xi_off, xa_eq, Qmat, Rmat, Pf, Pi, omega, Np, mu_box, mu_t
                         [math.sqrt(mu_term) * max(s, 0.0)]))
     cost = r[:-over.size - 1]
     return (r, (float(r @ r), float(cost @ cost), float(box_viol), max(s, 0.0)),
-            roots, over, PeN)
+            over, PeN)
 
 
 def augmented_rollout_cached(xa0, V, y0,
@@ -419,22 +520,25 @@ def augmented_rollout_cached(xa0, V, y0,
 def fhocp_forward(vflat, xa_init, xi_init, y0,
                   Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                   Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
-                  Nc, Np, Nf, mu_box, mu_term):
+                  Nc, Np, Nf, mu_box, mu_term, *, consts=None):
     """Penalized shooting objective over Np + Nf steps, V_f = e'Pf e at the end.
 
-    Returns (J_pen, J, box_viol, term_viol).
+    consts is the FhocpConstants of the problem.  Returns (J_pen, J,
+    box_viol, term_viol).
     """
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
-                                 (Klq, xa_eq), Np + Nf)
-    return _residuals(XA, V, xi_init - xa_init[len(bz):], xa_eq, Qmat, Rmat, Pf,
+    if consts is None:
+        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo,
+                                 Qmat, Rmat, Pf)
+    XA, V, _ = augmented_rollout(consts.cell, Uo, bo, y0, xa_init,
+                                 vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
+    return _residuals(XA, V, xi_init - xa_init[len(bz):], xa_eq, consts.roots,
                       Pi, omega, Np, mu_box, mu_term)[1]
 
 
 def fhocp_residuals(vflat, xa_init, xi_init, y0,
                     Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                     Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
-                    Nc, Np, Nf, mu_box, mu_term):
+                    Nc, Np, Nf, mu_box, mu_term, *, consts=None):
     """fhocp_forward plus its residuals r (r'r = J_pen) and their Jacobian.
 
     The tangent rows of augmented_tangent follow the linearization of the
@@ -443,14 +547,17 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
     the states 0..Np of the rollout.
     """
     n = len(bz)
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, V, cache = augmented_rollout(cellp, Uo, bo, y0, xa_init,
+    if consts is None:
+        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo,
+                                 Qmat, Rmat, Pf)
+    XA, V, cache = augmented_rollout(consts.cell, Uo, bo, y0, xa_init,
                                      vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
-    r, cost, (Lq, Lr, Lf), over, PeN = _residuals(
-        XA, V, xi_init - xa_init[n:], xa_eq, Qmat, Rmat, Pf, Pi, omega, Np,
-        mu_box, mu_term)
-    dXA, dV = augmented_tangent(cellp, Uo, Klq, XA, cache, Nc)
+    r, cost, over, PeN = _residuals(XA, V, xi_init - xa_init[n:], xa_eq,
+                                    consts.roots, Pi, omega, Np, mu_box, mu_term)
+    dXA, dV = augmented_tangent(consts.cell, Uo, Klq, XA, cache, Nc,
+                                xi_cols=consts.xi_cols)
     D = dV.shape[1]
+    Lq, Lr, Lf = consts.roots
 
     def rows(T):
         """(steps, D, k) tangents of residual blocks -> (steps k, D)."""
@@ -467,7 +574,7 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
 def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
                            Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega,
-                           Nc, Np, Nf, mu_box, mu_term):
+                           Nc, Np, Nf, mu_box, mu_term, *, consts=None):
     """fhocp_forward plus the exact gradient 2 Jr'r of the penalized objective
     and its Gauss-Newton Hessian 2 Jr'Jr, from the residuals r and their
     Jacobian Jr (fhocp_residuals).
@@ -477,30 +584,34 @@ def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
     """
     Jp, J, box_viol, term_viol, r, Jr, XA = fhocp_residuals(
         vflat, xa_init, xi_init, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
-        Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega, Nc, Np, Nf, mu_box, mu_term)
+        Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega, Nc, Np, Nf, mu_box, mu_term,
+        consts=consts)
     return Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr), XA
 
 
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
                        Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
-                       Klq, xa_eq, Nc, Np):
+                       Klq, xa_eq, Nc, Np, *, cell=None):
     """Sequentially clamp v so the parallel-integrator box holds exactly.
 
     Walks the prediction once; at each free step v(i) is clipped into
     [-1 - xi~(i), 1 - xi~(i)] before advancing.  The auxiliary-law tail is
-    left untouched.  Returns the clamped free moves, the states 0..Np of the
-    clamped plan and the tail's residual box violation.
+    left untouched.  cell is the packed cell (stack_gates).  Returns the
+    clamped free moves, the states 0..Np of the clamped plan and the tail's
+    residual box violation.
     """
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    if cell is None:
+        cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
     xi_off = xi_init - xa_init[len(bz):]
-    XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
+    XA, V, _ = augmented_rollout(cell, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
                                  (Klq, xa_eq), Np, box_offset=xi_off)
     _, tail_viol = _box_excess(XA[Nc:Np, len(bz):] + xi_off + V[Nc:])
     return V[:Nc].ravel(), XA, float(tail_viol)
 
 
 def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
-                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, *, Pf, Qlq):
+                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, *, Pf, Qlq,
+                           cell=None):
     """Evaluate the terminal-set membership conditions at offsets E.
 
     Row k of E is a deviation from the equilibrium; all rows go through one
@@ -508,9 +619,11 @@ def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
     max(|xi + v_lq|) - 1, the Lyapunov-decrease left-hand side
     |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the terminal-cost
     decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with V_f(e) = e'Pf e.
+    cell is the packed cell (stack_gates).
     """
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, V, _ = augmented_rollout(cellp, Uo, bo, y0, xa_eq + E, (), (Klq, xa_eq), 1)
+    if cell is None:
+        cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    XA, V, _ = augmented_rollout(cell, Uo, bo, y0, xa_eq + E, (), (Klq, xa_eq), 1)
     e_next = XA[1] - xa_eq
     return (np.max(np.abs(XA[0, :, len(bz):] + V[0]), axis=1) - 1.0,
             _quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),

@@ -18,6 +18,7 @@ penalty schedule, the damping rule, the radius walk) are module constants.
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,7 @@ class Equilibrium:
             object.__setattr__(self, name,
                                np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)))
 
-    @property
+    @cached_property
     def xa0(self):
         return np.concatenate([self.x0, self.u0])
 
@@ -417,12 +418,13 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
               @ np.linalg.inv(L.T).T)
     Klq = np.ascontiguousarray(K_lq, dtype=np.float64)
     Pi = np.ascontiguousarray(Pi, dtype=np.float64)
+    cell = kernels.stack_gates(*w.arrays())
 
     def all_pass(scale):
         for lo in range(0, len(E_unit), TERMINAL_BLOCK):
             over, lhs, vf_lhs = kernels.terminal_samples_check(
                 scale * E_unit[lo:lo + TERMINAL_BLOCK], Klq, eq.xa0, eq.y0, Pi,
-                cfg.gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq)
+                cfg.gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq, cell=cell)
             if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
                     and np.all(vf_lhs <= 0.0)):
                 return False
@@ -439,6 +441,7 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
 
 @dataclass
 class TerminalIngredients:
+    """Everything the FHOCP of one setpoint needs; the arrays are C-contiguous."""
     eq: Equilibrium
     lin: LinearizedAugmented
     K_lq: np.ndarray
@@ -449,6 +452,11 @@ class TerminalIngredients:
     P_f: np.ndarray          # terminal cost V_f(e) = e'P_f e, P_f = P + Pi
     Q_tilde: np.ndarray
     omega: float
+    # the kernels' set-up for this problem (kernels.fhocp_constants): the
+    # model's packed cell, the factors of Q, R and P_f and the integrator
+    # columns of the tangent; derived from the fields above, so a copy
+    # with other Q, R or P_f needs it rebuilt
+    consts: kernels.FhocpConstants
 
 
 def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
@@ -472,14 +480,17 @@ def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
     R = cfg.r_weight * np.eye(w.p)
     Q_tilde = cfg.q_tilde_weight * np.eye(na)
     K, P = lq_gain(lin, Q, R)
+    K = np.ascontiguousarray(K)
     Q_lq = Q + K.T @ R @ K
-    Pi = lyapunov_Pi(lin, K, Q_tilde)
+    Pi = np.ascontiguousarray(lyapunov_Pi(lin, K, Q_tilde))
     # P solves Acl'P Acl - P = -Q_lq and Pi the same with -Q_tilde, so the
     # sum decreases by the stage cost plus the margin e'Q_tilde e on the
     # linearization; terminal_set_radius checks it on the nonlinear model
-    P_f = P + Pi
+    P_f = np.ascontiguousarray(P + Pi)
     omega = terminal_set_radius(w, eq, K, Pi, P_f, Q_lq, cfg)
-    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde, omega)
+    consts = kernels.fhocp_constants(*w.arrays(), w.U_o, Q, R, P_f)
+    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde, omega,
+                               consts)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +514,7 @@ class FhocpSolution:
     trajectory: np.ndarray   # (N_p + 1, n + p)
     cost: float
     iterations: int          # accepted Gauss-Newton steps
+    # the plan's box excess or terminal excess over max(1, omega), the larger
     max_violation: float
     evals: int = 0           # objective evaluations, with or without Jacobian
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
@@ -531,35 +543,38 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     """
     p = w.p
     Nc, Np = cfg.N_c, cfg.N_p
-    xa0 = np.ascontiguousarray(xa_hat.stacked())
+    D = Nc * p
+    xa0 = xa_hat.stacked()
     xi0 = np.atleast_1d(np.asarray(xi_true, dtype=np.float64))
     y0 = ing.eq.y0
     args_model = (*w.arrays(), w.U_o, w.b_o)
-    args_prob = (np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
-                 np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
-                 np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
+    args_prob = (ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
                  float(ing.omega), Nc, Np, int(cfg.N_f))
 
     ctol = cfg.constraint_tol
     omega_tol = ctol * max(1.0, ing.omega)
 
-    # best feasible plan and its states; states of the least violating plan
-    best = {"cost": np.inf, "v": None, "XA": None, "viol": np.inf, "least": None}
+    # best feasible plan, its states and violation; the least violation
+    # seen and the states of its plan
+    best = {"cost": np.inf, "v": None, "XA": None, "viol": np.inf,
+            "least": np.inf, "least_XA": None}
     evals = 0
 
     def evaluate(kernel, vflat, mu_box, mu_term):
         nonlocal evals
         evals += 1
-        return kernel(vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term)
+        return kernel(vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term,
+                      consts=ing.consts)
 
     def consider(vflat, Jc, bviol, tviol, XA):
         """Record a plan from its evaluation and the states XA it scored;
-        True when strictly interior."""
+        True when strictly interior.  A plan's violation is its box excess
+        or its terminal excess over max(1, omega), whichever is larger."""
         viol = max(bviol, tviol / max(1.0, ing.omega))
         if bviol <= ctol and tviol <= omega_tol and Jc < best["cost"]:
-            best.update(cost=Jc, v=vflat.copy(), XA=XA, viol=max(bviol, tviol))
-        if viol < best["viol"]:
-            best.update(viol=viol, least=XA)
+            best.update(cost=Jc, v=vflat.copy(), XA=XA, viol=viol)
+        if viol < best["least"]:
+            best.update(least=viol, least_XA=XA)
         return bviol <= 0.0 and tviol <= 0.0
 
     def level(XA):
@@ -584,7 +599,12 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             consider(v, Jc, bviol, tviol, XA)     # the warm start or zero plan
         lam = LM_LAMBDA0
         for _ in range(budget):
-            dv = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            # (H + lam diag(H)) dv = -g, on H with its diagonal damped in place
+            diag = H.reshape(-1)[::D + 1]
+            h = diag.copy()
+            np.add(h, lam * h, diag)
+            dv = np.linalg.solve(H, -g)
+            diag[:] = h
             stop = LM_STOP * (1.0 + Jp)
             # the decrease the Gauss-Newton model |r + Jr dv|^2 predicts
             if -float(dv @ (g + 0.5 * (H @ dv))) <= stop:
@@ -604,8 +624,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
         strict = consider(v, Jc, bviol, tviol, XA)
         if bviol > 0.0:
             v_clip, XA_clip, _ = kernels.fhocp_clip_restore(
-                v, xa0, xi0, y0, *args_model, np.ascontiguousarray(ing.K_lq),
-                ing.eq.xa0, Nc, Np)
+                v, xa0, xi0, y0, *args_model, ing.K_lq, ing.eq.xa0, Nc, Np,
+                cell=ing.consts.cell)
             if not np.array_equal(v_clip, v):
                 consider(v_clip, *evaluate(kernels.fhocp_forward, v_clip, 0.0, 0.0)[1:],
                          XA_clip)
@@ -616,8 +636,9 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
 
     if best["v"] is None:
         raise FhocpInfeasibleError(
-            best["viol"], evals,
-            np.nan if best["least"] is None else level(best["least"]), rejections)
+            best["least"], evals,
+            np.nan if best["least_XA"] is None else level(best["least_XA"]),
+            rejections)
 
     return FhocpSolution(v=best["v"].reshape(Nc, p), trajectory=best["XA"],
                          cost=best["cost"], iterations=iters,
@@ -697,7 +718,7 @@ class RecedingHorizonController:
         self.nonfinite_resets = 0
 
     def _key(self, y0):
-        return tuple(np.round(y0 / self.cfg.cache_quantum).astype(np.int64))
+        return tuple(np.rint(y0 / self.cfg.cache_quantum).astype(np.int64))
 
     def ingredients_for(self, y0) -> TerminalIngredients:
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -738,19 +759,19 @@ class RecedingHorizonController:
         y_meas = np.atleast_1d(np.asarray(y_meas, dtype=np.float64))
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
         ing = self.ingredients_for(y0)
-        if self._key(y0) in self._failed:
+        if self._failed and self._key(y0) in self._failed:
             y0 = ing.eq.y0          # hold the setpoint of the kept ingredients
         # a poisoned estimate or integrator gets no solve: start again at the
         # equilibrium of the held ingredients and apply its input (a finite
         # state always yields a finite plan or fallback move)
-        poisoned = not np.all(np.isfinite(np.concatenate((self.est.stacked(), self.xi))))
+        poisoned = not np.isfinite(np.concatenate((self.est.x, self.est.xi, self.xi))).all()
         if poisoned:
             self.nonfinite_resets += 1
             log.warning("non-finite estimate or integrator; re-seeding at the equilibrium")
             self._seed_at(ing)
         # a non-finite measurement is a dropout: the observer and the
         # integrator take the model's predicted output in its place
-        if not np.all(np.isfinite(y_meas)):
+        if not np.isfinite(y_meas).all():
             self.dropout_count += 1
             log.warning("non-finite measurement %s; using the model output", y_meas)
             y_meas = gru_model.gru_output(self.w, self.est.x)
@@ -761,9 +782,8 @@ class RecedingHorizonController:
         if not poisoned:
             t0 = time.perf_counter()
             try:
-                sol = fhocp_solve(self.w, ing, self.cfg,
-                                  AugmentedState(self.est.x, self.est.xi),
-                                  self.xi, warm_start=self._warm)
+                sol = fhocp_solve(self.w, ing, self.cfg, self.est, self.xi,
+                                  warm_start=self._warm)
                 v = sol.v[0].copy()
                 self._warm = shifted_warm_start(sol, ing, self.w, self.cfg)
                 cost, iters, feas = sol.cost, sol.iterations, True
@@ -778,7 +798,7 @@ class RecedingHorizonController:
                 self._warm = None
                 evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
             solve_ms = (time.perf_counter() - t0) * 1e3
-        u = np.clip(v + self.xi, -1.0, 1.0)
+        u = (v + self.xi).clip(-1.0, 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
                         terminal_level=level, rejections=rejections,
@@ -787,6 +807,6 @@ class RecedingHorizonController:
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error
         self.est = observer_step(self.w, self.gains, self.est, v, y0,
-                                 y_meas, self.xi)
+                                 y_meas, self.xi, cell=ing.consts.cell)
         self.xi = self.xi + y0 - y_meas
         return u, info

@@ -11,7 +11,7 @@ least on its own (the output-gate gains by an l1 fit per row).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,11 +48,17 @@ class ObserverGains:
     L_xiy: np.ndarray   # (p, p) output innovation on the integrator estimate
     L_xixi: np.ndarray  # (p, p) integrator innovation on itself
     delta: float        # certified contraction margin
+    # [L_zxi L_zy; L_fxi L_fy; L_xixi L_xiy]: the z and f gate bias shifts
+    # and the integrator correction, all from [e_xi; e_y]
+    innovation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in GAIN_FIELDS:
             object.__setattr__(self, name,
                                np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "innovation", np.block(
+            [[self.L_zxi, self.L_zy], [self.L_fxi, self.L_fy],
+             [self.L_xixi, self.L_xiy]]))
 
 
 @dataclass
@@ -85,12 +91,13 @@ def augmented_step(w: GruWeights, s: AugmentedState, v, y0):
 
 
 def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
-                  v, y0, y_meas, xi_meas) -> AugmentedState:
+                  v, y0, y_meas, xi_meas, *, cell=None) -> AugmentedState:
     """Observer update: gates and integrator receive innovation terms.
 
     The innovations only shift the update and forget gate biases, so the
     state update is one kernels.cell call.  xi_meas is the controller's own
-    integrator state, known exactly.
+    integrator state, known exactly.  cell is the packed cell of w
+    (kernels.stack_gates), built here when not given.
     """
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -98,14 +105,14 @@ def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
     xi_meas = np.atleast_1d(np.asarray(xi_meas, dtype=np.float64))
 
     y_hat = gru_model.gru_output(w, est.x)
-    e_y = y_meas - y_hat
-    e_xi = xi_meas - est.xi
-    G, bzf, Wr, Ur, br = kernels.stack_gates(*w.arrays())
-    shift = np.concatenate((g.L_zxi @ e_xi + g.L_zy @ e_y,
-                            g.L_fxi @ e_xi + g.L_fy @ e_y))
-    x_next = kernels.cell(est.x, v + est.xi, G, bzf + shift, Wr, Ur, br)[0]
-    xi_next = est.xi + y0 - y_hat + g.L_xiy @ e_y + g.L_xixi @ e_xi
-    return AugmentedState(x_next, xi_next)
+    if cell is None:
+        cell = kernels.stack_gates(*w.arrays())
+    # the z and f gate bias shifts, then the integrator correction
+    shift = g.innovation @ np.concatenate((xi_meas - est.xi, y_meas - y_hat))
+    n2 = 2 * w.n
+    x_next = kernels.cell(est.x, v + est.xi,
+                          *kernels.shift_gate_biases(cell, shift[:n2]))[0]
+    return AugmentedState(x_next, est.xi + y0 - y_hat + shift[n2:])
 
 
 def alpha_coefficient(w: GruWeights, g: ObserverGains) -> float:

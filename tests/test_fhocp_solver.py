@@ -179,11 +179,16 @@ def test_box_active_tick_after_an_unfiltered_step_to_ph_7_4(monkeypatch):
     sol = assert_matches_reference(w, solves[1])
     assert box_activity(w, ing, cfg, est, xi, sol.v) == pytest.approx(1.0, abs=1e-9)
     assert sol.rejections > 0
+    assert sol.max_violation == 0.0                   # the clamp is exact
     # a tolerance that admits the last iterate's small box excess makes that
-    # iterate, not its clamp, the best plan; the trajectory is still its own
+    # iterate, not its clamp, the best plan; the trajectory and the
+    # violation reported are still its own (the clamp that follows violates
+    # nothing and must not overwrite it)
     loose = dataclasses.replace(cfg, constraint_tol=1e-4)
     sol = mpc.fhocp_solve(w, ing, loose, est, xi, warm_start=warm)
-    assert box_activity(w, ing, loose, est, xi, sol.v) > 1.0
+    excess = box_activity(w, ing, loose, est, xi, sol.v) - 1.0
+    assert 0.0 < excess <= loose.constraint_tol
+    assert sol.max_violation == excess
     np.testing.assert_array_equal(sol.trajectory, rollout(w, ing, loose, est, sol.v)[0])
 
 
@@ -207,3 +212,24 @@ def test_interior_solve_rolls_each_plan_once(monkeypatch):
     assert sol.evals >= 2 and steps == [cfg.N_p + cfg.N_f] * sol.evals
     XA, _ = rollout(w, ing, cfg, est, sol.v)
     np.testing.assert_array_equal(sol.trajectory, XA)
+
+
+def test_a_solve_repeats_no_set_up(monkeypatch):
+    # the packed cell and the factors of Q, R and P_f come with the
+    # ingredients, and the rollout steps the fused cell: a regulate solve
+    # stacks no gates, factors no weight and makes no kernels.cell call, and
+    # its calls repeat exactly
+    w, solves = recorded_solves(monkeypatch, np.full(4, 7.0))
+    ing, cfg, est, xi, warm = solves[3]
+    calls = {}
+    for name in ("stack_gates", "_root", "cell", "augmented_rollout"):
+        def counted(*args, _fn=getattr(kernels, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"augmented_rollout": sol.evals}

@@ -237,6 +237,108 @@ def test_augmented_rollout_matches_stepwise_reference(setup):
     assert tail_viol == 0.0
 
 
+def reference_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
+    """augmented_rollout as a loop of kernels.cell calls on states kept as
+    rows [x xi] (the kernels' former rollout): the same arithmetic per step,
+    with every intermediate a fresh array."""
+    n = Uo.shape[1]
+    K, xa_eq = law
+    XA = np.empty((T + 1,) + xa0.shape)
+    XA[0] = xa0
+    moves = np.empty((T,) + xa0.shape[:-1] + bo.shape)
+    U = np.empty_like(moves)
+    Z, F, R = (np.empty((T,) + xa0.shape[:-1] + (n,)) for _ in range(3))
+    for i in range(T):
+        x, xi = XA[i, ..., :n], XA[i, ..., n:]
+        if i >= len(V):
+            v = (xa_eq - XA[i]) @ K.T
+        elif box_offset is None:
+            v = V[i]
+        else:
+            v = np.clip(V[i], -1.0 - (xi + box_offset), 1.0 - (xi + box_offset))
+        moves[i] = v
+        U[i] = v + xi
+        XA[i + 1, ..., :n], Z[i], F[i], R[i] = kernels.cell(x, U[i], *cellp)
+        XA[i + 1, ..., n:] = xi + y0 - (x @ Uo.T + bo)
+    return XA, moves, (U, Z, F, R)
+
+
+def assert_rollouts_agree(got, ref, atol):
+    """States, moves and the cache (U, Z, F, R) equal, or within atol."""
+    for a, b in zip(got[:2] + got[2], ref[:2] + ref[2]):
+        assert a.shape == b.shape
+        if atol == 0.0:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+
+
+def test_fused_rollout_equals_the_cell_loop(pinned):
+    # one plan (free moves, then the auxiliary law) and its sequential clamp
+    # share the reference's op order step for step: equal bit for bit
+    w, ing, cfg = pinned
+    cellp = kernels.stack_gates(*w.arrays())
+    law = (ing.K_lq, ing.eq.xa0)
+    rng = np.random.default_rng(441)
+    xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
+    for scale, box_offset in ((0.05, None), (2.0, rng.normal(0.0, 0.1, w.p))):
+        V = rng.normal(0.0, scale, (cfg.N_c, w.p))
+        args = (cellp, w.U_o, w.b_o, ing.eq.y0, xa0, V, law, cfg.N_p)
+        got = kernels.augmented_rollout(*args, box_offset=box_offset)
+        ref = reference_rollout(*args, box_offset=box_offset)
+        assert_rollouts_agree(got, ref, 0.0)
+        if box_offset is not None:      # the clamp binds
+            assert np.any(got[1][:cfg.N_c] != V)
+    # the auxiliary law from the first step on
+    args = (cellp, w.U_o, w.b_o, ing.eq.y0, xa0, (), law, 5)
+    assert_rollouts_agree(kernels.augmented_rollout(*args), reference_rollout(*args), 0.0)
+
+
+def test_fused_rollout_on_1024_rows_matches_the_cell_loop(pinned):
+    # a terminal-sample block: the gates come from the same gate matmul, but
+    # the law move and the output map multiply rows by the transposed
+    # weights, so BLAS may round them differently: within 1e-15
+    w, ing, cfg = pinned
+    cellp = kernels.stack_gates(*w.arrays())
+    rng = np.random.default_rng(443)
+    E = rng.normal(0.0, 0.05, (mpc.TERMINAL_BLOCK, w.n + w.p))
+    for T in (1, 3):
+        args = (cellp, w.U_o, w.b_o, ing.eq.y0, ing.eq.xa0 + E, (),
+                (ing.K_lq, ing.eq.xa0), T)
+        assert_rollouts_agree(kernels.augmented_rollout(*args),
+                              reference_rollout(*args), 1e-15)
+
+
+def test_closed_loop_agrees_with_the_cell_loop_rollout(monkeypatch):
+    # 60 regulate ticks with the fused rollout and with reference_rollout:
+    # the same solver steps, evaluations and rejections on every tick and
+    # applied inputs within 1e-12
+    fast = pinned_regulate(60)
+    monkeypatch.setattr(kernels, "augmented_rollout", reference_rollout)
+    slow = pinned_regulate(60)
+    assert [t[1:] for t in fast] == [t[1:] for t in slow]
+    assert max(abs(a[0] - b[0]) for a, b in zip(fast, slow)) <= 1e-12
+    assert sum(t[2] for t in fast) > 60
+
+
+def test_kernels_given_the_constants_equal_kernels_building_them(pinned):
+    # the per-setpoint constants change no bit of any FHOCP kernel
+    w, ing, cfg = pinned
+    model, prob = problem_args(w, ing)
+    rng = np.random.default_rng(447)
+    xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
+    vflat = rng.normal(0.0, 1.5, cfg.N_c * w.p)        # leaves the box
+    args = (vflat, xa0, xa0[w.n:], ing.eq.y0, *model, *prob, cfg.N_c, cfg.N_p,
+            cfg.N_f, 1e3, 1e3)
+    for kernel in (kernels.fhocp_forward, kernels.fhocp_forward_backward):
+        for a, b in zip(kernel(*args), kernel(*args, consts=ing.consts)):
+            np.testing.assert_array_equal(a, b)
+    clip_args = args[:15] + (ing.K_lq, ing.eq.xa0, cfg.N_c, cfg.N_p)
+    for a, b in zip(kernels.fhocp_clip_restore(*clip_args),
+                    kernels.fhocp_clip_restore(*clip_args, cell=ing.consts.cell)):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("model", ["small", "pinned"])
 def test_clip_restore_inside_the_box_keeps_the_scored_rollout(setup, pinned, model):
     # a plan with box violation 0 comes back bitwise, with the states that
@@ -445,12 +547,16 @@ def test_cell_helpers_consistent():
                                      rel=1e-7, abs=1e-9)
 
 
+def logistic(a):
+    return 0.5 + 0.5 * np.tanh(0.5 * a)
+
+
 def reference_jacobians(w, x, u):
     """dphi/dx and dphi/du written out from the nine weight arrays, gates
     recomputed: the formula gru_model.jacobians used on its own before it
     called kernels.cell_jacobians."""
-    z = kernels.logistic(w.W_z @ u + w.U_z @ x + w.b_z)
-    f = kernels.logistic(w.W_f @ u + w.U_f @ x + w.b_f)
+    z = logistic(w.W_z @ u + w.U_z @ x + w.b_z)
+    f = logistic(w.W_f @ u + w.U_f @ x + w.b_f)
     r = np.tanh(w.W_r @ u + w.U_r @ (f * x) + w.b_r)
     dz, df, dr = z * (1.0 - z), f * (1.0 - f), 1.0 - r * r
     dphi_dx = (np.diag(z) + ((x - r) * dz)[:, None] * w.U_z
@@ -462,7 +568,7 @@ def reference_jacobians(w, x, u):
     return dphi_dx, dphi_du
 
 
-def reference_cell_jvp(dx, du, x, u, z, f, r, G, bzf, Wr, Ur, br):
+def reference_cell_jvp(dx, du, x, u, z, f, r, M, G, Wr, Ur):
     """Forward-mode product of one cell on tangent rows (dx, du), from the
     gates cell returned: the kernels' former cell_jvp."""
     n = x.shape[-1]
@@ -473,9 +579,10 @@ def reference_cell_jvp(dx, du, x, u, z, f, r, G, bzf, Wr, Ur, br):
     return dz * (x - r) + z * dx + (1.0 - z) * dr
 
 
-def reference_tangent(cellp, Uo, K, XA, cache, Nc):
+def reference_tangent(cellp, Uo, K, XA, cache, Nc, xi_cols=None):
     """augmented_tangent step by step: every step pushes the tangent rows
-    through reference_cell_jvp (the kernels' former tangent recursion)."""
+    through reference_cell_jvp (the kernels' former tangent recursion);
+    xi_cols, the kernel's precomputed integrator columns, is not used."""
     n = Uo.shape[1]
     U, Z, F, R = cache
     T, p = U.shape
@@ -594,9 +701,13 @@ def test_closed_loop_agrees_with_the_stepwise_tangent(monkeypatch):
 
 
 def test_sigmoid_stable_at_extremes():
+    # the cell's z and f gates at extreme pre-activations (the biases alone)
     a = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
-    out = kernels.logistic(a)
-    assert np.all(np.isfinite(out))
-    assert out[0] == 0.0 or out[0] < 1e-300
-    assert out[-1] == 1.0
-    assert out[2] == 0.5
+    zero, col = np.zeros((5, 5)), np.zeros((5, 1))
+    cellp = kernels.stack_gates(col, zero, a, col, zero, a, col, zero, np.zeros(5))
+    _, z, f, _ = kernels.cell(np.zeros(5), np.zeros(1), *cellp)
+    for out in (z, f):
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0 or out[0] < 1e-300
+        assert out[-1] == 1.0
+        assert out[2] == 0.5
