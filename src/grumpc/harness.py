@@ -106,7 +106,10 @@ class ExperimentConfig:
                     where = key if section is None else f"{section}.{key}"
                     name = getattr(annotations[key], "__name__", annotations[key])
                     raise CommandError(f"config value {where} must be {name}, not {value!r}")
-            return tp(**sub)
+            try:
+                return tp(**sub)
+            except ValueError as exc:
+                raise CommandError(f"config section {section!r}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CommandError("config top level must be a JSON object, not "
                                f"{type(doc).__name__}")

@@ -1,7 +1,7 @@
 """Hot numerical kernels: GRU rollouts, truncated-BPTT gradients, the pH
 reactor integrator, and the shooting-based optimal control evaluations.
 
-Plain NumPy, built on four shared pieces:
+Plain NumPy, built on these shared pieces:
 cell                one GRU update, on a single vector or a matrix of rows.
                     Its packed weights (stack_gates) put the halved z and f
                     gates and the r gate's input term, biases included, in
@@ -9,8 +9,11 @@ cell                one GRU update, on a single vector or a matrix of rows.
                     and the logistic is 0.5 + 0.5 tanh of the halved
                     pre-activation.  The update itself is _cell_step, which
                     writes every gate and the next state into given arrays.
-cell_vjp            the vector-Jacobian product of that update (reverse
-                    mode, for truncated BPTT).
+_scan               the open-loop rollout under given inputs: each step is
+                    one _cell_step on a slot [1; u; x] of one preallocated
+                    array, so it equals a loop of cell calls bit for bit.
+                    Simulation, the training loss and its gradient all run
+                    on it.
 cell_jacobians      the Jacobians of that update with respect to x and u,
                     from the gates cell returned; for rows, one pair per row.
 augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
@@ -21,6 +24,12 @@ augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
                     equals a loop of cell calls bit for bit.  Single plans,
                     the sequential clamp and the terminal-sample blocks all
                     go through it.
+reverse pass        the adjoint of a _scan (tbptt_loss_grad_batch).  The
+                    factors of the cell's vector-Jacobian product that do
+                    not depend on the adjoint come from the scan's gates for
+                    all steps at once, so a reverse step makes only the
+                    adjoint's products; the weight gradients are outer sums
+                    over all steps afterwards.
 
 The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
 the prediction horizon, 0 by default) and charges the quadratic terminal
@@ -57,7 +66,7 @@ NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
-# the GRU cell and its vector-Jacobian product
+# the GRU cell and its Jacobians
 # ---------------------------------------------------------------------------
 
 def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
@@ -128,21 +137,6 @@ def cell(x, u, M, G, Wr, Ur):
     z, f, r = a[:n], a[n:2 * n], a[2 * n:]
     _cell_step(g, g[1 + m:], M, Ur, a, a[:2 * n], z, f, r, x_next)
     return x_next.T, z.T, f.T, r.T
-
-
-def cell_vjp(lam, x, u, z, f, r, M, G, Wr, Ur):
-    """Pull lam = dJ/dx+ back through one cell.
-
-    Returns (dJ/dx, dJ/du, dJ/da_zf, dJ/da_r), the last two with respect to
-    the gate pre-activations; rows in, rows out.
-    """
-    m = u.shape[-1]
-    da_r = lam * (1.0 - z) * (1.0 - r * r)
-    dh = da_r @ Ur
-    da_zf = np.concatenate((lam * (x - r) * z * (1.0 - z),
-                            dh * x * f * (1.0 - f)), axis=-1)
-    g = da_zf @ G
-    return lam * z + dh * f + g[..., m:], g[..., :m] + da_r @ Wr, da_zf, da_r
 
 
 def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):
@@ -266,19 +260,50 @@ def augmented_tangent(cellp, Uo, K, XA, cache, Nc, xi_cols=None):
 # GRU rollouts and the truncated-BPTT loss/gradient
 # ---------------------------------------------------------------------------
 
-def _scan(cellp, x0, U):
-    """States (T+1, ..., n) and gates (Z, F, R) under inputs U (T, ..., m)."""
-    X = np.empty((len(U) + 1,) + x0.shape)
-    X[0] = x0
-    Z, F, R = (np.empty((len(U),) + x0.shape) for _ in range(3))
-    for k in range(len(U)):
-        X[k + 1], Z[k], F[k], R[k] = cell(X[k], U[k], *cellp)
-    return X, (Z, F, R)
+def _scan(cellp, x0, U, keep_gates=True):
+    """Roll the cell over the inputs U (T, m, rows...) from x0 (n, rows...).
+
+    Operands are features first, with the rows of a batch along the last
+    axis.  Step k lives in the slot S[k] = [1; u_k; x_k] of one preallocated
+    array, the gate input of the packed cell, whose ones row and inputs are
+    written once; each step is one _cell_step that writes x+ into S[k + 1]
+    and the gates into a preallocated cache, so the states and gates equal a
+    loop of cell calls bit for bit.  Returns S (T+1, 1+m+n, rows...), whose
+    S[:, 1+m:] are the states, and the gates [z; f; r] (T, 3n, rows...) of
+    every step, or with keep_gates False of the last step only.
+    """
+    M, _, _, Ur = cellp
+    T, m = U.shape[:2]
+    n = len(x0)
+    S = np.empty((T + 1, 1 + m + n) + x0.shape[1:])
+    S[:, 0] = 1.0
+    S[:T, 1:1 + m] = U
+    S[0, 1 + m:] = x0
+    gates = np.empty((T if keep_gates else 1, 3 * n) + x0.shape[1:])
+    views = (gates, gates[:, :2 * n], gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:])
+    if not keep_gates:
+        views = tuple([v[0]] * T for v in views)
+    for g, x1, a, zf, z, f, r in zip(S, S[1:, 1 + m:], *views):
+        _cell_step(g, g[1 + m:], M, Ur, a, zf, z, f, r, x1)
+    return S, gates
 
 
 def gru_rollout(x0, useq, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     """Open-loop state trajectory; row 0 is x0, row k+1 the state after u[k]."""
-    return _scan(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), x0, useq)[0]
+    S, _ = _scan(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), x0, useq,
+                 keep_gates=False)
+    return S[:, useq.shape[1] + 1:]
+
+
+def _output_errors(X, Yb, Tw, Uo, bo):
+    """Errors (T-Tw, p, B) of the outputs of the states X (T+1, n, B) against
+    the targets Yb (B, T, p), from sample Tw on."""
+    return np.matmul(Uo, X[Tw + 1:]) + (bo[:, None] - Yb[:, Tw:].transpose(1, 2, 0))
+
+
+# steps per scan of tbptt_loss_batch: the validation batch holds one block's
+# states at a time (106 KB for 65 desk sequences), not the whole sequence's
+LOSS_BLOCK_STEPS = 16
 
 
 def tbptt_loss_batch(Ub, Yb, X0b, Tw,
@@ -287,51 +312,76 @@ def tbptt_loss_batch(Ub, Yb, X0b, Tw,
 
     Ub: (B, T, m) inputs, Yb: (B, T, p) targets, X0b: (B, n) initial states.
     Sample k of sequence b is the output after k+1 state updates; the first
-    Tw samples are not penalized.  The B sequences run as rows, and only the
-    current state rows are kept: the squared errors are summed as they come.
+    Tw samples are not penalized.  The B sequences run as rows of a scan
+    over blocks of LOSS_BLOCK_STEPS steps, each block starting from the last
+    state of the one before; the states, errors and loss equal those of
+    tbptt_loss_grad_batch's single scan bit for bit.
     """
+    B, T, m = Ub.shape
     cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    T = Ub.shape[1]
-    x = X0b
-    sq = np.zeros(Yb.shape[::2])
-    for k in range(T):
-        x = cell(x, Ub[:, k], *cellp)[0]
-        if k >= Tw:
-            e = x @ Uo.T + bo - Yb[:, k]
-            sq += e * e
-    return np.sum(sq) / (T - Tw)
+    U = Ub.transpose(1, 2, 0)
+    E = np.empty((T, Yb.shape[2], B))
+    x = X0b.T
+    for k in range(0, T, LOSS_BLOCK_STEPS):
+        S, _ = _scan(cellp, x, U[k:k + LOSS_BLOCK_STEPS], keep_gates=False)
+        E[k:k + LOSS_BLOCK_STEPS] = _output_errors(
+            S[:, 1 + m:], Yb[:, k:k + LOSS_BLOCK_STEPS], 0, Uo, bo)
+        x = S[-1, 1 + m:]
+    E = E[Tw:]
+    return np.sum(E * E) / (T - Tw)
 
 
 def tbptt_loss_grad_batch(Ub, Yb, X0b, Tw,
                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
-    """Loss of tbptt_loss_batch plus its exact reverse-mode weight gradient."""
+    """Loss of tbptt_loss_batch plus its exact reverse-mode weight gradient.
+
+    The reverse pass pulls lam = dJ/dx+ back through every step:
+    da_r = lam (1-z)(1-r^2), dh = Ur' da_r, da_z = lam (x-r) z(1-z),
+    da_f = dh x f(1-f) and dJ/dx = lam z + dh f + [Uz; Uf]' [da_z; da_f].
+    The lam-free factors come from the cached gates for all steps at once,
+    so a step makes only the lam-dependent products, into preallocated
+    buffers; the weight gradients are outer sums over all steps afterwards.
+    """
     B, T, m = Ub.shape
     n = Uz.shape[0]
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    U = np.ascontiguousarray(Ub.transpose(1, 0, 2))
-    X, (Z, F, R) = _scan(cellp, X0b, U)
-    E = np.zeros((T, B, Yb.shape[2]))         # output errors, zero in the washout
-    E[Tw:] = X[Tw + 1:] @ Uo.T + bo - Yb[:, Tw:].transpose(1, 0, 2)
+    _, G, _, _ = cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    S, gates = _scan(cellp, X0b.T, Ub.transpose(1, 2, 0))
+    UX, X = S[:T, 1:], S[:, 1 + m:]
+    Z, F, R = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+    E = _output_errors(X, Yb, Tw, Uo, bo)
     dE = (2.0 / (T - Tw)) * E
+    L = np.zeros((T + 1, n, B))         # dJ/dx_k: the output term, then what
+    L[Tw + 1:] = np.matmul(Uo.T, dE)    # step k pulls back is added
 
-    # reverse pass over time; the weight gradients are summed afterwards
-    dX = dE @ Uo
-    DZF = np.empty((T, B, 2 * n))
-    DR = np.empty((T, B, n))
-    lam = np.zeros((B, n))
-    for k in range(T - 1, -1, -1):
-        lam, _, DZF[k], DR[k] = cell_vjp(lam + dX[k], X[k], U[k], Z[k], F[k],
-                                         R[k], *cellp)
+    # the lam-free factors of every step
+    Ar = (1.0 - Z) * (1.0 - R * R)
+    Cz = (X[:-1] - R) * Z * (1.0 - Z)
+    Cf = X[:-1] * F * (1.0 - F)
+    UrT, GxT = Ur.T.copy(), G[:, m:].T.copy()
+    DZF = np.empty((T, 2 * n, B))
+    DR = np.empty((T, n, B))
+    dh, t1, t2 = np.empty((n, B)), np.empty((n, B)), np.empty((n, B))
+    for lam, prev, dzf, dz, df, dr, ar, cz, cf, z, f in zip(*(A[::-1] for A in (
+            L[1:], L[:-1], DZF, DZF[:, :n], DZF[:, n:], DR, Ar, Cz, Cf, Z, F))):
+        np.multiply(lam, ar, dr)
+        np.dot(UrT, dr, dh)
+        np.multiply(lam, cz, dz)
+        np.multiply(dh, cf, df)
+        np.multiply(lam, z, t1)
+        np.add(t1, np.multiply(dh, f, t2), t1)
+        np.add(t1, np.dot(GxT, dzf, t2), t1)
+        np.add(prev, t1, prev)
 
     def outer_sum(A, C):
-        return A.reshape(-1, A.shape[-1]).T @ C.reshape(-1, C.shape[-1])
+        """sum over steps and rows of A[k, :, b] C[k, :, b]'."""
+        return np.tensordot(A, C, axes=((0, 2), (0, 2)))
 
-    dG = outer_sum(DZF, np.concatenate((U, X[:-1]), axis=-1))
-    dbzf = DZF.sum(axis=(0, 1))
+    dG = outer_sum(DZF, UX)
+    dbzf = DZF.sum(axis=(0, 2))
     return (np.sum(E * E) / (T - Tw),
             dG[:n, :m], dG[:n, m:], dbzf[:n], dG[n:, :m], dG[n:, m:], dbzf[n:],
-            outer_sum(DR, U), outer_sum(DR, F * X[:-1]), DR.sum(axis=(0, 1)),
-            outer_sum(dE, X[1:]), dE.sum(axis=(0, 1)))
+            outer_sum(DR, UX[:, :m]), outer_sum(DR, F * X[:-1]), DR.sum(axis=(0, 2)),
+            outer_sum(dE, X[Tw + 1:]), dE.sum(axis=(0, 2)))
 
 
 # ---------------------------------------------------------------------------

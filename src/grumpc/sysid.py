@@ -3,9 +3,14 @@ batching, truncated-BPTT training with the stability penalty, and the
 standard model-quality metrics (MSE, FIT).
 
 TrainConfig is the train section of the experiment config, with the desk
-profile as its defaults; the training seed is an argument of train, drawn
-from the experiment's root seed.  Held-out validation runs the sequences
-as rows of one scan (kernels.tbptt_loss_batch).
+profile as its defaults, and refuses settings that leave no batch or no
+fitted sample; the training seed is an argument of train, drawn from the
+experiment's root seed.  Each training batch is one loss_gradient call:
+its sequences run as rows of one scan and one reverse pass
+(kernels.tbptt_loss_grad_batch), and penalty_subgradient evaluates the
+certificate nu once for both the penalty and its subgradient.  Held-out
+validation runs the sequences as rows of the same scan
+(kernels.tbptt_loss_batch).
 """
 
 import csv
@@ -178,8 +183,17 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if not (0 <= self.washout):
-            raise ValueError("washout must be nonnegative")
+        for name, low in (("n_states", 1), ("epochs", 0), ("batch_size", 1),
+                          ("T_s", 1), ("tau", 1), ("washout", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, "
+                                 f"not {getattr(self, name)!r}")
+        if self.washout >= self.T_s:
+            raise ValueError(f"washout ({self.washout}) must be smaller than "
+                             f"the sequence length T_s ({self.T_s})")
+        if not (0.0 <= self.val_fraction < 1.0):
+            raise ValueError(f"val_fraction must lie in [0, 1), "
+                             f"not {self.val_fraction!r}")
         if self.lr < 0:
             raise ValueError("step size must be nonnegative")
         for b in (self.beta1, self.beta2):
@@ -256,7 +270,8 @@ def _mat_inf_subgrad(M):
 
 
 def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
-    """Subgradient of rho(nu) with respect to every weight array."""
+    """The residual nu of w and a subgradient of rho(nu) with respect to
+    every weight array; returns (nu, grads)."""
     gb = gru_model.gate_bounds(w)
     nUr = gru_model.inf_norm(w.U_r)
     nUf = gru_model.inf_norm(w.U_f)
@@ -297,11 +312,14 @@ def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
 
     for name in grads:
         grads[name] *= coeff
-    return grads
+    return float(nu), grads
 
 
 def loss_gradient(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig):
-    """Exact reverse-mode gradient of tbptt_loss; returns (loss, grads)."""
+    """Exact reverse-mode gradient of tbptt_loss; returns (loss, grads).
+
+    nu comes from penalty_subgradient, which evaluates the certificate once.
+    """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if cfg.washout >= batch.T_s:
@@ -309,13 +327,9 @@ def loss_gradient(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig):
     x0s = np.ascontiguousarray(x0s, dtype=np.float64)
     out = kernels.tbptt_loss_grad_batch(batch.U, batch.Y, x0s, cfg.washout,
                                         *w.arrays(), w.U_o, w.b_o)
-    mse = out[0]
-    grads = dict(zip(WEIGHT_FIELDS, out[1:]))
-    pen = penalty_subgradient(w, cfg.rho_plus, cfg.rho_minus)
-    for name in WEIGHT_FIELDS:
-        grads[name] = grads[name] + pen[name]
-    nu = gru_model.diss_residual(w)
-    loss = float(mse + gru_model.stability_penalty(nu, cfg.rho_plus, cfg.rho_minus))
+    nu, pen = penalty_subgradient(w, cfg.rho_plus, cfg.rho_minus)
+    grads = {name: g + pen[name] for name, g in zip(WEIGHT_FIELDS, out[1:])}
+    loss = float(out[0] + gru_model.stability_penalty(nu, cfg.rho_plus, cfg.rho_minus))
     return loss, grads
 
 

@@ -4,10 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from grumpc import gru_model, harness, observer, plant_sim, sysid
+from grumpc import gru_model, plant_sim
 
 
 def scaled_certified_weights(rng, n=4, p=1, target=-0.05, keep_output=True):
@@ -51,24 +50,3 @@ def scipy_modules_after(code):
 @pytest.fixture(scope="session")
 def ph_params():
     return plant_sim.default_params()
-
-
-@pytest.fixture(scope="session")
-def desk_pipeline(tmp_path_factory):
-    """Full desk-scale pipeline run once per session via the CLI commands."""
-    out = tmp_path_factory.mktemp("desk")
-    cfg = harness.ExperimentConfig()
-    harness.cmd_generate_data(cfg, out)
-    train_result = harness.cmd_train(cfg, out)
-    observer_report = harness.cmd_synth_observer(cfg, out)
-    validation = harness.cmd_validate(cfg, out)
-    return {
-        "out": out,
-        "cfg": cfg,
-        "train": train_result,
-        "observer": observer_report,
-        "validation": validation,
-        "weights": gru_model.load_weights(out / "weights.json"),
-        "gains": observer.load_gains(out / "gains.json"),
-        "nmap": sysid.NormalizationMap.load(out / "normalization.json"),
-    }

@@ -482,6 +482,20 @@ def test_malformed_config_exits_with_an_error(tmp_path, capsys, doc, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_states", 0), ("epochs", -1), ("batch_size", 0), ("T_s", 0), ("tau", 0),
+    ("washout", -1), ("washout", 200), ("val_fraction", -0.1),
+    ("val_fraction", 1.0)])
+def test_bad_training_settings_are_refused_at_load(key, value):
+    # refused when the config is read, not by the train command later (a
+    # zero batch size used to fail there with "range() arg 3 must not be
+    # zero"); T_s is 200, so washout 200 leaves no sample to fit
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc["train"][key] = value
+    with pytest.raises(CommandError, match=key):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_values_take_the_json_forms_of_their_types():
     # an int for a float, an array for a tuple, null for an optional value
     cfg = ExperimentConfig.from_dict({"controller": {"gamma": 1},

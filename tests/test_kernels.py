@@ -1,9 +1,10 @@
-"""The shooting kernels against slow references.
+"""The shooting and training kernels against slow references.
 
 The references are written step by step on top of observer.augmented_step
 and the auxiliary law v = -K (xa - xa_eq), with the costs summed explicitly
 and the terminal cost e'P_f e charged at the last state, so that a kernel
-and its reference share no code beyond the GRU cell.
+and its reference share no code beyond the GRU cell.  The training
+references loop kernels.cell forward and a test-local cell_vjp backward.
 """
 
 import dataclasses
@@ -514,6 +515,118 @@ def test_tbptt_gradient_matches_central_differences():
                                    err_msg=gru_model.WEIGHT_FIELDS[k])
 
 
+def cell_vjp(lam, x, u, z, f, r, M, G, Wr, Ur):
+    """Pull lam = dJ/dx+ back through one cell (rows in, rows out): the
+    kernels' former per-step vector-Jacobian product.
+
+    Returns (dJ/dx, dJ/du, dJ/da_zf, dJ/da_r), the last two with respect to
+    the gate pre-activations.
+    """
+    m = u.shape[-1]
+    da_r = lam * (1.0 - z) * (1.0 - r * r)
+    dh = da_r @ Ur
+    da_zf = np.concatenate((lam * (x - r) * z * (1.0 - z),
+                            dh * x * f * (1.0 - f)), axis=-1)
+    g = da_zf @ G
+    return lam * z + dh * f + g[..., m:], g[..., :m] + da_r @ Wr, da_zf, da_r
+
+
+def reference_tbptt_grad(Ub, Yb, X0b, Tw, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
+    """tbptt_loss_grad_batch as a loop of kernels.cell calls forward and of
+    cell_vjp calls backward, on rows (the kernels' former gradient)."""
+    B, T, m = Ub.shape
+    n = Uz.shape[0]
+    cellp = kernels.stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    U = np.ascontiguousarray(Ub.transpose(1, 0, 2))
+    X = np.empty((T + 1, B, n))
+    X[0] = X0b
+    Z, F, R = (np.empty((T, B, n)) for _ in range(3))
+    for k in range(T):
+        X[k + 1], Z[k], F[k], R[k] = kernels.cell(X[k], U[k], *cellp)
+    E = np.zeros((T, B, Yb.shape[2]))
+    E[Tw:] = X[Tw + 1:] @ Uo.T + bo - Yb[:, Tw:].transpose(1, 0, 2)
+    dE = (2.0 / (T - Tw)) * E
+    dX = dE @ Uo
+    DZF, DR = np.empty((T, B, 2 * n)), np.empty((T, B, n))
+    lam = np.zeros((B, n))
+    for k in range(T - 1, -1, -1):
+        lam, _, DZF[k], DR[k] = cell_vjp(lam + dX[k], X[k], U[k], Z[k], F[k], R[k],
+                                         *cellp)
+
+    def outer_sum(A, C):
+        return A.reshape(-1, A.shape[-1]).T @ C.reshape(-1, C.shape[-1])
+
+    dG = outer_sum(DZF, np.concatenate((U, X[:-1]), axis=-1))
+    dbzf = DZF.sum(axis=(0, 1))
+    return (np.sum(E * E) / (T - Tw),
+            dG[:n, :m], dG[:n, m:], dbzf[:n], dG[n:, :m], dG[n:, m:], dbzf[n:],
+            outer_sum(DR, U), outer_sum(DR, F * X[:-1]), DR.sum(axis=(0, 1)),
+            outer_sum(dE, X[1:]), dE.sum(axis=(0, 1)))
+
+
+def training_batch(B, T, n, p, seed):
+    rng = np.random.default_rng(seed)
+    w = gru_model.random_weights(n, p, p, rng)
+    return (rng.uniform(-1, 1, (B, T, p)), rng.uniform(-1, 1, (B, T, p)),
+            rng.uniform(-1, 1, (B, n)), (*w.arrays(), w.U_o, w.b_o))
+
+
+@pytest.mark.parametrize("B,T,n,p,Tw", [(2, 200, 10, 1, 50), (1, 200, 10, 1, 50),
+                                        (3, 60, 5, 2, 10), (2, 80, 6, 1, 0)],
+                         ids=["desk", "one-row", "p=2", "no-washout"])
+def test_tbptt_gradient_matches_the_cell_loop_reference(B, T, n, p, Tw):
+    # the scan and the lean reverse pass against a loop of cell and cell_vjp
+    # calls: loss and all 11 gradients within 1e-12 relative (the reverse
+    # pass groups its products differently); the validation loss is the
+    # gradient kernel's, bit for bit
+    Ub, Yb, X0b, model = training_batch(B, T, n, p, 449 + B + p + Tw)
+    got = kernels.tbptt_loss_grad_batch(Ub, Yb, X0b, Tw, *model)
+    ref = reference_tbptt_grad(Ub, Yb, X0b, Tw, *model)
+    assert len(got) == len(ref) == 1 + len(gru_model.WEIGHT_FIELDS)
+    for name, a, b in zip(("loss",) + gru_model.WEIGHT_FIELDS, got, ref):
+        assert np.shape(a) == np.shape(b), name
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+    assert kernels.tbptt_loss_batch(Ub, Yb, X0b, Tw, *model) == got[0]
+
+
+def test_scan_states_equal_the_cell_loop():
+    # gru_rollout on one row, and the training scan on rows: the states (and
+    # the gates) equal a loop of kernels.cell calls bit for bit
+    Ub, _, X0b, model = training_batch(8, 120, 10, 1, 457)
+    cellp = kernels.stack_gates(*model[:9])
+    X = kernels.gru_rollout(X0b[0], Ub[0], *model[:9])
+    x = X0b[0]
+    assert X.shape == (121, 10)
+    np.testing.assert_array_equal(X[0], x)
+    for k, u in enumerate(Ub[0]):
+        x = kernels.cell(x, u, *cellp)[0]
+        np.testing.assert_array_equal(X[k + 1], x)
+    for B in (1, 2, 8):
+        S, gates = kernels._scan(cellp, X0b[:B].T, Ub[:B].transpose(1, 2, 0))
+        x = X0b[:B]
+        for k in range(Ub.shape[1]):
+            x, *zfr = kernels.cell(x, Ub[:B, k], *cellp)
+            np.testing.assert_array_equal(S[k + 1, 2:].T, x)
+            np.testing.assert_array_equal(gates[k].T, np.hstack(zfr))
+
+
+def test_a_gradient_call_packs_the_cell_once_and_calls_no_cell(monkeypatch):
+    Ub, Yb, X0b, model = training_batch(2, 30, 4, 1, 461)
+    calls = {"stack_gates": 0, "cell": 0}
+
+    def counted(name):
+        fn = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counted(name))
+    kernels.tbptt_loss_grad_batch(Ub, Yb, X0b, 5, *model)
+    assert calls == {"stack_gates": 1, "cell": 0}
+
+
 def test_cell_helpers_consistent():
     # the single-vector and the rows forms of the cell and of its VJP agree,
     # and the VJP matches central differences of the cell
@@ -524,10 +637,10 @@ def test_cell_helpers_consistent():
     U = rng.uniform(-1, 1, (7, 2))
     L = rng.normal(size=(7, 5))
     rows = kernels.cell(X, U, *cellp)
-    rows_vjp = kernels.cell_vjp(L, X, U, *rows[1:], *cellp)
+    rows_vjp = cell_vjp(L, X, U, *rows[1:], *cellp)
     for k in range(len(X)):
         one = kernels.cell(X[k], U[k], *cellp)
-        one_vjp = kernels.cell_vjp(L[k], X[k], U[k], *one[1:], *cellp)
+        one_vjp = cell_vjp(L[k], X[k], U[k], *one[1:], *cellp)
         for a, b in zip(one + one_vjp, rows + rows_vjp):
             np.testing.assert_allclose(a, b[k], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(kernels.gru_cell(X[0], U[0], *w.arrays()),
@@ -627,7 +740,7 @@ def test_cell_jacobians_match_differences_the_vjp_and_the_weight_formula(p):
             np.testing.assert_allclose(J[:, j], (plus - minus) / (2 * h),
                                        rtol=1e-7, atol=1e-9)
         lam = rng.normal(size=n)
-        gx, gu, _, _ = kernels.cell_vjp(lam, x, u, Z[k], F[k], R[k], *cellp)
+        gx, gu, _, _ = cell_vjp(lam, x, u, Z[k], F[k], R[k], *cellp)
         np.testing.assert_allclose(np.r_[gx, gu], lam @ J, rtol=0,
                                    atol=1e-12 * np.max(np.abs(lam @ J)))
         np.testing.assert_allclose(J, np.hstack(reference_jacobians(w, x, u)),

@@ -246,8 +246,9 @@ def test_penalty_gradient_scales_linearly_with_rho_plus():
     rng = np.random.default_rng(16)
     w = gru_model.random_weights(3, 1, 1, rng, scale=2.0)   # nu > 0 for sure
     assert gru_model.diss_residual(w) > 0
-    g1 = sysid.penalty_subgradient(w, 1e-2, 1e-6)
-    g2 = sysid.penalty_subgradient(w, 2e-2, 1e-6)
+    nu, g1 = sysid.penalty_subgradient(w, 1e-2, 1e-6)
+    assert nu == gru_model.diss_residual(w)
+    _, g2 = sysid.penalty_subgradient(w, 2e-2, 1e-6)
     for name in gru_model.WEIGHT_FIELDS:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-18)
 
@@ -291,6 +292,25 @@ def test_train_zero_epochs_returns_init():
     assert log == []
     w_init = gru_model.random_weights(2, 1, 1, np.random.default_rng(3))
     assert np.array_equal(w.U_r, w_init.U_r)
+
+
+def test_train_makes_one_loss_gradient_call_per_batch(monkeypatch):
+    # the benchmark counts training steps through sysid.loss_gradient; the
+    # last of the 6 batches of an epoch holds the 21st training sequence
+    rng = np.random.default_rng(23)
+    batch = training_batch(rng, B=23)
+    cfg = TrainConfig(n_states=2, epochs=3, batch_size=4, washout=2,
+                      val_fraction=0.1)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return loss_gradient(*args)
+    monkeypatch.setattr(sysid, "loss_gradient", counted)
+    train(batch, cfg, 5)
+    n_train = len(batch) - round(cfg.val_fraction * len(batch))
+    assert len(calls) == cfg.epochs * int(np.ceil(n_train / cfg.batch_size)) == 18
+    assert sum(calls) == cfg.epochs * n_train
 
 
 def test_train_reduces_loss():
