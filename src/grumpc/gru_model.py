@@ -162,10 +162,16 @@ def _sigma(s):
 
 def gate_bounds(w: GruWeights) -> GateBounds:
     """Gate bounds sigma(|[W U b]|_inf) resp. tanh for the candidate gate."""
-    return GateBounds(
-        sigma_z_bar=_sigma(_stacked_inf_norm(w.W_z, w.U_z, w.b_z)),
-        phi_r_bar=float(np.tanh(_stacked_inf_norm(w.W_r, w.U_r, w.b_r))),
-        sigma_f_bar=_sigma(_stacked_inf_norm(w.W_f, w.U_f, w.b_f)))
+    return bounds_from_norms(_stacked_inf_norm(w.W_z, w.U_z, w.b_z),
+                             _stacked_inf_norm(w.W_r, w.U_r, w.b_r),
+                             _stacked_inf_norm(w.W_f, w.U_f, w.b_f))
+
+
+def bounds_from_norms(nz, nr, nf) -> GateBounds:
+    """The gate bounds of the stacked norms |[W U b]|_inf of the z, r and f
+    gates."""
+    return GateBounds(sigma_z_bar=_sigma(nz), phi_r_bar=float(np.tanh(nr)),
+                      sigma_f_bar=_sigma(nf))
 
 
 def inf_norm(M):

@@ -19,11 +19,16 @@ cell_jacobians      the Jacobians of that update with respect to x and u,
 augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
                     xi+ = xi + y0 - y, under free moves for i < N_c and the
                     auxiliary law v = -K (xa - xa_eq) after that, for a
-                    fixed number of steps.  Each step is one _cell_step on
-                    a slot of one preallocated state array, so a rollout
-                    equals a loop of cell calls bit for bit.  Single plans,
-                    the sequential clamp and the terminal-sample blocks all
-                    go through it.
+                    fixed number of steps.  Step i lives in a slot
+                    [1; u; x; xi] of one preallocated state array, and each
+                    part of a step is one packed matrix acting on it
+                    (augmented_step_matrices, built once per setpoint): the
+                    law's u = v + xi is one product Ka slot, the cell one
+                    _cell_step on the slot's [1; u; x], so the gates and x+
+                    equal a cell call bit for bit, and xi+ one product
+                    Mxi slot: 13 NumPy calls a step.  Single plans, the
+                    sequential clamp and the terminal-sample blocks all go
+                    through it.
 reverse pass        the adjoint of a _scan (tbptt_loss_grad_batch).  The
                     factors of the cell's vector-Jacobian product that do
                     not depend on the adjoint come from the scan's gates for
@@ -41,19 +46,22 @@ least the stage cost e'Q_lq e under the auxiliary law on the terminal set.
 
 The objective is a sum of squares r'r (see _residuals).  fhocp_residuals
 returns r with its exact Jacobian Jr: augmented_tangent linearizes every step
-of the rollout in one cell_jacobians call on its cached gates and pushes one
-tangent row per free-move coordinate through those linear maps.
-fhocp_forward_backward turns r and Jr into the gradient 2 Jr'r and the
-Gauss-Newton Hessian 2 Jr'Jr that the solver in mpc steps on.  Both also
-hand back the states 0..Np of the rollout they scored, so the solver never
-rolls a plan again to report its trajectory.
+of the rollout in one cell_jacobians call on its cached gates and steps the
+tangents of all free-move coordinates at once, one product [A_i B_i] W_i a
+step, laid out features before directions so that each block of Jr (stages,
+moves, terminal state, active box rows, terminal penalty) is one product
+written straight into a preallocated Jr.  fhocp_forward_backward turns r
+and Jr into the gradient 2 Jr'r and the Gauss-Newton Hessian 2 Jr'Jr that
+the solver in mpc steps on.  Both also hand back the states 0..Np of the
+rollout they scored, so the solver never rolls a plan again to report its
+trajectory.
 
 Every public kernel is a short caller of these.  Batched work (training
 sequences, terminal-set samples, tangent rows) runs as rows of one call.
-What the evaluations of one problem share (the packed cell, the factors of
-Q, R and P_f, the constant tangent columns) is an FhocpConstants that the
-controller builds once per setpoint; a kernel called without one builds it
-from its positional arrays.
+What the evaluations of one problem share (the packed cell and step, the
+factors of Q, R and P_f, the integrator rows of the tangent) is an
+FhocpConstants that the controller builds once per setpoint; a kernel
+called without one builds the same from its positional arrays.
 """
 
 import math
@@ -146,13 +154,19 @@ def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):
     for T rows the results are (T, n, n) and (T, n, m).
     """
     n, m = x.shape[-1], u.shape[-1]
+
+    def diag(A):
+        """The diagonal of the x columns of every (n, m+n) block of a fresh A."""
+        return A.reshape(A.shape[:-2] + (-1,))[..., m::n + m + 1]
+
     # d(Wr u + Ur (f*x))/d[u x] = [Wr 0] + Ur (diag(x f(1-f)) [Wf Uf] + [0 diag(f)])
-    dar = Ur @ ((x * f * (1.0 - f))[..., None] * G[n:])
-    dar[..., :m] += Wr
-    dar[..., m:] += Ur * f[..., None, :]
-    J = (((x - r) * z * (1.0 - z))[..., None] * G[:n]
-         + ((1.0 - z) * (1.0 - r * r))[..., None] * dar)
-    J[..., range(n), range(m, m + n)] += z
+    Y = (x * f * (1.0 - f))[..., None] * G[n:]
+    diag(Y)[...] += f
+    J = Ur @ Y
+    J[..., :m] += Wr
+    J *= ((1.0 - z) * (1.0 - r * r))[..., None]
+    J += ((x - r) * z * (1.0 - z))[..., None] * G[:n]
+    diag(J)[...] += z
     return J[..., m:], J[..., :m]
 
 
@@ -165,95 +179,129 @@ def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
 # the integrator-augmented model: one rollout, one adjoint
 # ---------------------------------------------------------------------------
 
-def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
+def augmented_step_matrices(cellp, Uo, bo, y0, law):
+    """The packed step (M, Ur, Mxi, Ka) of the augmented model on its slot
+    [1; u; x; xi].
+
+    M and Ur are the packed cell's, whose gates act on the slot's prefix
+    [1; u; x].  Mxi = [y0 - bo, 0, -Uo, I] maps the slot to xi+ = xi + y0 -
+    (Uo x + bo), and Ka = [K xa_eq, 0, -K_x, I - K_xi] to the cell input
+    u = v + xi of the auxiliary law v = -K (xa - xa_eq), law = (K, xa_eq);
+    Ka is None without a law (K None).
+    """
+    M, _, _, Ur = cellp
+    p, n = Uo.shape
+    Mxi = np.zeros((p, 1 + p + n + p))
+    Mxi[:, 0] = y0 - bo
+    Mxi[:, 1 + p:1 + p + n] = -Uo
+    Mxi[:, 1 + p + n:] = np.eye(p)
+    K, xa_eq = law
+    Ka = None
+    if K is not None:
+        Ka = np.zeros((p, 1 + p + n + p))
+        Ka[:, 0] = K @ xa_eq
+        Ka[:, 1 + p:] = -K
+        Ka[:, 1 + p + n:] += np.eye(p)
+    return M, Ur, Mxi, Ka
+
+
+def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None, *,
+                      step=None):
     """Roll the augmented model T steps from xa0 (a vector or rows).
 
     Step i applies the free move V[i] for i < len(V) and the auxiliary law
     v = -K (xa - xa_eq), law = (K, xa_eq), after that.  With box_offset,
     the offset xi~ - xi of the controller's integrator from the model's,
     each free move is first clamped so that xi~ + v stays in [-1, 1].
+    step is the packed step augmented_step_matrices(cellp, Uo, bo, y0, law),
+    built here when not given.
 
     Step i lives in S[i] = [1; u; x; xi] (u = v + xi, the cell input) of
     one preallocated array, features first and the rows of a batch along a
-    last axis.  S[i, :1+m+n] is the gate input of the packed cell, whose M
-    holds the biases in its first column, so no step concatenates:
-    _cell_step writes x+ straight into S[i + 1] and the gates into a
-    preallocated cache, and with features first every gate of a batch is a
-    contiguous block.  Returns the states (T+1, ..., n+p), the moves applied
-    (T, ..., p) and the cache (U, Z, F, R) of cell inputs and gates for the
-    tangent, as views of those arrays in that (steps, rows, features) order.
+    last axis.  A free step writes u = v + xi; a law step gets u from one
+    product Ka S[i].  Then _cell_step writes x+ straight into S[i + 1] and
+    the gates into a preallocated cache, and one product Mxi S[i] writes
+    xi+ there too: 13 NumPy calls a step.  The gates act on S[i, :1+m+n]
+    = [1; u; x] as in cell, so a step's gates and x+ equal a cell call on
+    its (x, u) bit for bit, and with features first every gate of a batch
+    is a contiguous block.  The law's moves are recovered after the loop
+    as u - xi.
+    Returns the states (T+1, ..., n+p), the moves applied (T, ..., p) and
+    the cache (U, Z, F, R) of cell inputs and gates for the tangent, as
+    views of those arrays in that (steps, rows, features) order.
     """
-    M, _, _, Ur = cellp
-    n, p = Uo.shape[1], len(bo)
-    K, xa_eq = law
+    if step is None:
+        step = augmented_step_matrices(cellp, Uo, bo, y0, law)
+    M, Ur, Mxi, Ka = step
+    p, n = Uo.shape
+    Nv = len(V)
     rows = xa0.shape[:-1]
-
-    def col(c):
-        """c (k,) shaped to broadcast against features-first (k, rows...)."""
-        return np.reshape(c, (-1,) + (1,) * len(rows))
-
     S = np.empty((T + 1, 1 + p + n + p) + rows)
     S[:, 0] = 1.0
     S[0, 1 + p:] = xa0.T
     gates = np.empty((T, 3 * n) + rows)
     moves = np.empty((T, p) + rows)
-    if len(V):
-        moves[:len(V)] = V
-    y = np.empty((p,) + rows)
-    XA, U, X, XI = S[:, 1 + p:], S[:, 1:1 + p], S[:, 1 + p:1 + p + n], S[:, 1 + p + n:]
-    Z, F, R = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
-    y0, bo = col(y0), col(bo)
-    if T > len(V):                      # auxiliary-law steps follow
-        xa_eq = col(xa_eq)
-    for i, (g, u, x, xi, v, a, zf, z, f, r, x1, xi1) in enumerate(zip(
-            S[:, :1 + p + n], U, X, XI, moves, gates, gates[:, :2 * n], Z, F, R,
-            X[1:], XI[1:])):
-        if i >= len(V):
-            np.dot(K, xa_eq - XA[i], v)
-        elif box_offset is not None:
+    U, X, XI = S[:, 1:1 + p], S[:, 1 + p:1 + p + n], S[:, 1 + p + n:]
+    if Nv:
+        moves[:Nv] = V
+    if T > Nv:
+        U[Nv:T] = 0.0               # Ka's zero columns read u: keep it finite
+    # the views every step passes to _cell_step and to the xi+ product
+    steps = (S[:T], S[:T, :1 + p + n], X[:T], gates, gates[:, :2 * n], gates[:, :n],
+             gates[:, n:2 * n], gates[:, 2 * n:], X[1:], XI[1:])
+    for s, g, x, a, zf, z, f, r, x1, xi1, u, xi, v in zip(
+            *(A[:Nv] for A in steps), U, XI, moves):
+        if box_offset is not None:
             np.clip(v, -1.0 - (xi + box_offset), 1.0 - (xi + box_offset), v)
         np.add(v, xi, u)
         _cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
-        np.add(np.dot(Uo, x, y), bo, y)
-        np.subtract(np.add(xi, y0, xi1), y, xi1)
+        np.dot(Mxi, s, xi1)
+    for s, g, x, a, zf, z, f, r, x1, xi1, u in zip(
+            *(A[Nv:] for A in steps), U[Nv:]):
+        np.dot(Ka, s, u)
+        _cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
+        np.dot(Mxi, s, xi1)
+    if T > Nv:
+        np.subtract(U[Nv:T], XI[Nv:T], moves[Nv:])
     # back to the callers' layout, rows before features
-    return (XA.swapaxes(1, -1), moves.swapaxes(1, -1),
-            tuple(A.swapaxes(1, -1) for A in (U[:T], Z, F, R)))
+    return (S[:, 1 + p:].swapaxes(1, -1), moves.swapaxes(1, -1),
+            tuple(A.swapaxes(1, -1) for A in (U[:T], gates[:, :n],
+                                               gates[:, n:2 * n], gates[:, 2 * n:])))
 
 
-def xi_columns(Uo):
-    """[-Uo'; I]: the integrator columns of every A_i' of augmented_tangent."""
-    return np.vstack((-Uo.T, np.eye(Uo.shape[0])))
-
-
-def augmented_tangent(cellp, Uo, K, XA, cache, Nc, xi_cols=None):
+def augmented_tangent(cellp, Uo, K, XA, cache, Nc, *, xi_rows=None):
     """Tangents of one rollout with respect to its free moves.
 
-    Row d carries the derivative along free-move coordinate d = i p + j:
-    dv = e_d on the free moves and dv = -dxa K' under the auxiliary law.
+    Column d carries the derivative along free-move coordinate d = i p + j:
+    dv = e_d on the free moves and dv = -K dxa under the auxiliary law.
     Step i is linear in the tangent, dxa+ = A_i dxa + B_i dv with
     A_i = [[Jx, Ju], [-Uo, I]] and B_i = [Ju; 0] from cell_jacobians of all
-    steps at once; the law folds into A_i - B_i K for i >= Nc.  xi_cols is
-    xi_columns(Uo), built here when not given.
-    Returns the state tangents (T+1, Nc p, n+p) and move tangents (T, Nc p, p).
+    steps at once; the law folds into A_i - B_i K (and B_i = 0) for
+    i >= Nc.  The tangents of step i are stacked as W[i] = [dxa_i; dv_i],
+    so a step is one product dxa_{i+1} = [A_i B_i] W[i]; the law's dv
+    follow after the loop.  xi_rows is [-Uo I], built here when not given.
+    Returns the state tangents (T+1, n+p, Nc p) and move tangents
+    (T, p, Nc p), features before directions, so that every block of the
+    residual Jacobian is one product with them.
     """
-    n = Uo.shape[1]
+    p, n = Uo.shape
+    na, D = n + p, Nc * p
     U, Z, F, R = cache
-    T, p = U.shape
+    T = len(U)
     Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *cellp)
-    AT = np.empty((T, n + p, n + p))            # A_i', so rows step as dxa A_i'
-    AT[:, :, :n] = np.concatenate((Jx, Ju), axis=2).transpose(0, 2, 1)
-    AT[:, :, n:] = xi_columns(Uo) if xi_cols is None else xi_cols
-    AT[Nc:, :, :n] -= K.T @ AT[Nc:, n:, :n]     # (A_i - B_i K)' = A_i' - K'B_i'
-    dXA = np.zeros((T + 1, Nc * p, n + p))
-    for i, (d, d1, A) in enumerate(zip(dXA, dXA[1:], AT)):
-        np.matmul(d, A, out=d1)
-        if i < Nc:
-            d1[i * p:(i + 1) * p, :n] += A[n:, :n]
-    dV = np.empty((T, Nc * p, p))
-    dV[:Nc] = np.eye(Nc * p).reshape(Nc, p, Nc * p).transpose(0, 2, 1)  # dv = e_d
-    dV[Nc:] = -dXA[Nc:T] @ K.T
-    return dXA, dV
+    AB = np.zeros((T, na, na + p))             # [A_i B_i]
+    AB[:, :n, :n] = Jx
+    AB[:, :n, n:na] = Ju
+    AB[:, n:, :na] = np.hstack((-Uo, np.eye(p))) if xi_rows is None else xi_rows
+    AB[:Nc, :n, na:] = Ju[:Nc]
+    AB[Nc:, :n, :na] -= Ju[Nc:] @ K             # A_i - B_i K
+    W = np.zeros((T + 1, na + p, D))
+    d = np.arange(D)
+    W[d // p, na + d % p, d] = 1.0              # dv_i = e_d for i < Nc
+    for ab, w, dxa1 in zip(AB, W, W[1:, :na]):
+        np.dot(ab, w, dxa1)
+    np.matmul(-K, W[Nc:T, :na], out=W[Nc:T, na:])
+    return W[:, :na], W[:T, na:]
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +573,18 @@ class FhocpConstants(NamedTuple):
     """The set-up every evaluation of one problem shares; a kernel given none
     builds it from its positional arrays (fhocp_constants)."""
     cell: tuple            # the packed cell (stack_gates)
+    step: tuple            # the packed augmented step (augmented_step_matrices)
     roots: tuple           # (Lq, Lr, Lf) with L L' = Q, R, P_f (_root)
-    xi_cols: np.ndarray    # xi_columns(Uo), for augmented_tangent
+    xi_rows: np.ndarray    # [-Uo I], the integrator rows of every A_i (a view
+                           # of the step's Mxi)
 
 
-def fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, Qmat, Rmat, Pf):
-    return FhocpConstants(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br),
-                          (_root(Qmat), _root(Rmat), _root(Pf)), xi_columns(Uo))
+def fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, Klq, xa_eq,
+                    Qmat, Rmat, Pf):
+    cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    step = augmented_step_matrices(cell, Uo, bo, y0, (Klq, xa_eq))
+    return FhocpConstants(cell, step, (_root(Qmat), _root(Rmat), _root(Pf)),
+                          step[2][:, 1 + len(bo):])
 
 
 def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
@@ -541,21 +594,35 @@ def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
     rows are e'Lq and v'Lr of every stage (under the auxiliary law v = -K e
     they sum to e'Q_lq e, Q_lq = Q + K'R K), e'Lf at the last state,
     sqrt(mu_box) times the excess of xi~ + v = xi + xi_off + v over [-1, 1]
-    for i < Np, and sqrt(mu_term) max(s, 0) with s = e_Np'Pi e_Np - omega.
+    for i < Np, and sqrt(mu_term) max(s, 0) with s = e_Np'Pi e_Np - omega;
+    each block is written into one preallocated r (_blocks gives its rows).
     Returns (r, (J_pen, J, box_viol, term_viol), box excess, Pi e_Np).
     """
     Lq, Lr, Lf = roots
-    p = V.shape[1]
+    T, p = V.shape
+    na = XA.shape[1]
     E = XA - xa_eq
     over, box_viol = _box_excess(XA[:Np, -p:] + xi_off + V[:Np])
     PeN = Pi @ E[Np]
     s = float(E[Np] @ PeN) - omega
-    r = np.concatenate(((E[:-1] @ Lq).ravel(), (V @ Lr).ravel(), E[-1] @ Lf,
-                        math.sqrt(mu_box) * over.ravel(),
-                        [math.sqrt(mu_term) * max(s, 0.0)]))
-    cost = r[:-over.size - 1]
+    st, mv, term, box = _blocks(T, na, p, Np)
+    r = np.empty(box.stop + 1)
+    np.matmul(E[:-1], Lq, out=r[st].reshape(T, na))
+    np.matmul(V, Lr, out=r[mv].reshape(T, p))
+    np.dot(E[-1], Lf, out=r[term])
+    np.multiply(over, math.sqrt(mu_box), out=r[box].reshape(Np, p))
+    r[-1] = math.sqrt(mu_term) * max(s, 0.0)
+    cost = r[:box.start]
     return (r, (float(r @ r), float(cost @ cost), float(box_viol), max(s, 0.0)),
             over, PeN)
+
+
+def _blocks(T, na, p, Np):
+    """The row ranges of r's stage, move, terminal and box blocks; the
+    terminal penalty is the last row."""
+    k1, k2 = T * na, T * (na + p)
+    return (slice(0, k1), slice(k1, k2), slice(k2, k2 + na),
+            slice(k2 + na, k2 + na + Np * p))
 
 
 def augmented_rollout_cached(xa0, V, y0,
@@ -577,10 +644,11 @@ def fhocp_forward(vflat, xa_init, xi_init, y0,
     box_viol, term_viol).
     """
     if consts is None:
-        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo,
-                                 Qmat, Rmat, Pf)
+        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0,
+                                 Klq, xa_eq, Qmat, Rmat, Pf)
     XA, V, _ = augmented_rollout(consts.cell, Uo, bo, y0, xa_init,
-                                 vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
+                                 vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf,
+                                 step=consts.step)
     return _residuals(XA, V, xi_init - xa_init[len(bz):], xa_eq, consts.roots,
                       Pi, omega, Np, mu_box, mu_term)[1]
 
@@ -591,33 +659,37 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
                     Nc, Np, Nf, mu_box, mu_term, *, consts=None):
     """fhocp_forward plus its residuals r (r'r = J_pen) and their Jacobian.
 
-    The tangent rows of augmented_tangent follow the linearization of the
-    same rollout at its cached gates.  Returns (J_pen, J, box_viol,
-    term_viol, r, Jr, XA) with Jr = dr/dv of shape (len(r), Nc p) and XA
-    the states 0..Np of the rollout.
+    The tangents of augmented_tangent follow the linearization of the same
+    rollout at its cached gates; each block of Jr is one product with them,
+    written into one preallocated Jr (the box block only on its active
+    rows).  Returns (J_pen, J, box_viol, term_viol, r, Jr, XA) with
+    Jr = dr/dv of shape (len(r), Nc p) and XA the states 0..Np of the
+    rollout.
     """
     n = len(bz)
     if consts is None:
-        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo,
-                                 Qmat, Rmat, Pf)
+        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0,
+                                 Klq, xa_eq, Qmat, Rmat, Pf)
     XA, V, cache = augmented_rollout(consts.cell, Uo, bo, y0, xa_init,
-                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf)
+                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf,
+                                     step=consts.step)
     r, cost, over, PeN = _residuals(XA, V, xi_init - xa_init[n:], xa_eq,
                                     consts.roots, Pi, omega, Np, mu_box, mu_term)
     dXA, dV = augmented_tangent(consts.cell, Uo, Klq, XA, cache, Nc,
-                                xi_cols=consts.xi_cols)
-    D = dV.shape[1]
+                                xi_rows=consts.xi_rows)
+    T, p, D = dV.shape
+    na = n + p
     Lq, Lr, Lf = consts.roots
-
-    def rows(T):
-        """(steps, D, k) tangents of residual blocks -> (steps k, D)."""
-        return T.transpose(0, 2, 1).reshape(-1, D)
-
-    dover = np.where(over[:, None] != 0.0, dXA[:Np, :, n:] + dV[:Np], 0.0)
-    dterm = 2.0 * (dXA[Np] @ PeN) if cost[3] > 0.0 else np.zeros(D)
-    Jr = np.concatenate((rows(dXA[:-1] @ Lq), rows(dV @ Lr), (dXA[-1] @ Lf).T,
-                         math.sqrt(mu_box) * rows(dover),
-                         math.sqrt(mu_term) * dterm[None]))
+    st, mv, term, box = _blocks(T, na, p, Np)
+    Jr = np.empty((len(r), D))
+    np.matmul(Lq.T, dXA[:T], out=Jr[st].reshape(T, na, D))
+    np.matmul(Lr.T, dV, out=Jr[mv].reshape(T, p, D))
+    np.dot(Lf.T, dXA[T], out=Jr[term])
+    Jr[box] = 0.0
+    i, j = np.nonzero(over)
+    if len(i):
+        Jr[box][i * p + j] = math.sqrt(mu_box) * (dXA[i, n + j] + dV[i, j])
+    Jr[-1] = math.sqrt(mu_term) * (2.0 * (PeN @ dXA[Np])) if cost[3] > 0.0 else 0.0
     return (*cost, r, Jr, XA[:Np + 1])
 
 
@@ -641,40 +713,45 @@ def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
 
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
                        Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
-                       Klq, xa_eq, Nc, Np, *, cell=None):
+                       Klq, xa_eq, Nc, Np, *, consts=None):
     """Sequentially clamp v so the parallel-integrator box holds exactly.
 
     Walks the prediction once; at each free step v(i) is clipped into
     [-1 - xi~(i), 1 - xi~(i)] before advancing.  The auxiliary-law tail is
-    left untouched.  cell is the packed cell (stack_gates).  Returns the
-    clamped free moves, the states 0..Np of the clamped plan and the tail's
-    residual box violation.
+    left untouched.  Of consts, the problem's FhocpConstants, it uses the
+    packed cell and step.  Returns the clamped free moves, the states 0..Np
+    of the clamped plan and the tail's residual box violation.
     """
-    if cell is None:
-        cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    if consts is None:
+        cell, step = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), None
+    else:
+        cell, step = consts.cell, consts.step
     xi_off = xi_init - xa_init[len(bz):]
     XA, V, _ = augmented_rollout(cell, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
-                                 (Klq, xa_eq), Np, box_offset=xi_off)
+                                 (Klq, xa_eq), Np, box_offset=xi_off, step=step)
     _, tail_viol = _box_excess(XA[Nc:Np, len(bz):] + xi_off + V[Nc:])
     return V[:Nc].ravel(), XA, float(tail_viol)
 
 
 def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
                            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, *, Pf, Qlq,
-                           cell=None):
+                           cell=None, step=None):
     """Evaluate the terminal-set membership conditions at offsets E.
 
     Row k of E is a deviation from the equilibrium; all rows go through one
-    cell call.  Returns per sample the total-input overshoot
-    max(|xi + v_lq|) - 1, the Lyapunov-decrease left-hand side
-    |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the terminal-cost
+    augmented-model step.  Returns per sample the total-input overshoot
+    max(|u|) - 1 of the law's cell input u = xi + v_lq, the
+    Lyapunov-decrease left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2
+    + gamma |e|^2, and the terminal-cost
     decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with V_f(e) = e'Pf e.
-    cell is the packed cell (stack_gates).
+    cell and step are the packed cell (stack_gates) and the law's packed
+    step (augmented_step_matrices), built here when not given.
     """
     if cell is None:
         cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, V, _ = augmented_rollout(cell, Uo, bo, y0, xa_eq + E, (), (Klq, xa_eq), 1)
+    XA, _, (U, _, _, _) = augmented_rollout(cell, Uo, bo, y0, xa_eq + E, (),
+                                            (Klq, xa_eq), 1, step=step)
     e_next = XA[1] - xa_eq
-    return (np.max(np.abs(XA[0, :, len(bz):] + V[0]), axis=1) - 1.0,
+    return (np.max(np.abs(U[0]), axis=1) - 1.0,
             _quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
             _quad(e_next, Pf) + _quad(E, Qlq - Pf))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import gru_model, kernels
 from .gru_model import GruWeights
@@ -308,16 +309,21 @@ def halton_points(count, dim, skip=0):
 
     Coordinate j is the radical inverse of the point index in the j-th
     prime base, its digits summed from the least significant one on, the
-    same arithmetic as scipy.stats.qmc.Halton(scramble=False).
+    same arithmetic as scipy.stats.qmc.Halton(scramble=False).  Each
+    coordinate is summed in a contiguous buffer, one np.divmod per digit,
+    over the digit count of the largest index.
     """
-    pts = np.zeros((count, dim))
+    pts = np.empty((count, dim))
+    index = np.arange(skip, skip + count)
     for j, base in enumerate(_primes(dim)):
-        q = np.arange(skip, skip + count)
-        scale = 1.0 / base
-        while np.any(q > 0):
-            pts[:, j] += (q % base) * scale
+        acc = np.zeros(count)
+        q, scale, top = index, 1.0 / base, skip + count - 1
+        while top > 0:
+            q, digit = np.divmod(q, base)
+            acc += digit * scale
             scale /= base
-            q //= base
+            top //= base
+        pts[:, j] = acc
     return pts
 
 
@@ -344,27 +350,41 @@ _EXP_M2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242
 
 
+def _horner(coeffs, x):
+    """The polynomial of coeffs (highest power first) at x, in place, with
+    np.polyval's arithmetic."""
+    y = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y *= x
+        y += c
+    return y
+
+
 def _ndtri(y):
     """Inverse standard normal CDF for y in [1e-12, 1 - 1e-12].
 
     Cephes `ndtri`, as `scipy.special.ndtri` evaluates it, in NumPy: the
-    central approximation and the tail below z = 8; the z >= 8 branch
-    (y < exp(-32)) cannot be reached on this domain and is not ported.  The
-    result equals SciPy's to within 3 ulp (np.log and libm's log round
-    differently in the tail).  It is in-repo because `import scipy.special`
-    costs 0.2-0.25 s and 26 MB of resident memory (2-vCPU x86-64 guest).
+    central approximation and the tail below z = 8, each on its own subset
+    of y; the z >= 8 branch (y < exp(-32)) cannot be reached on this domain
+    and is not ported.  The result equals SciPy's to within 3 ulp (np.log
+    and libm's log round differently in the tail).  It is in-repo because
+    `import scipy.special` costs 0.2-0.25 s and 26 MB of resident memory
+    (2-vCPU x86-64 guest).
     """
     upper = y > 1.0 - _EXP_M2
     t = np.where(upper, 1.0 - y, y)
-    c = t - 0.5
+    out = np.empty_like(t)
+    central = t > _EXP_M2
+    c = t[central] - 0.5
     c2 = c * c
-    central = _SQRT_2PI * (
-        c + c * (c2 * np.polyval(_NDTRI_P0, c2) / np.polyval(_NDTRI_Q0, c2)))
-    z = np.sqrt(-2.0 * np.log(t))
+    out[central] = _SQRT_2PI * (
+        c + c * (c2 * _horner(_NDTRI_P0, c2) / _horner(_NDTRI_Q0, c2)))
+    tail = ~central
+    z = np.sqrt(-2.0 * np.log(t[tail]))
     r = 1.0 / z
-    tail = (z - np.log(z) / z
-            - r * np.polyval(_NDTRI_P1, r) / np.polyval(_NDTRI_Q1, r))
-    return np.where(t > _EXP_M2, central, np.where(upper, tail, -tail))
+    x = z - np.log(z) / z - r * _horner(_NDTRI_P1, r) / _horner(_NDTRI_Q1, r)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 def _halton_directions(count, dim, skip=0):
@@ -419,12 +439,14 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
     Klq = np.ascontiguousarray(K_lq, dtype=np.float64)
     Pi = np.ascontiguousarray(Pi, dtype=np.float64)
     cell = kernels.stack_gates(*w.arrays())
+    step = kernels.augmented_step_matrices(cell, w.U_o, w.b_o, eq.y0, (Klq, eq.xa0))
 
     def all_pass(scale):
         for lo in range(0, len(E_unit), TERMINAL_BLOCK):
             over, lhs, vf_lhs = kernels.terminal_samples_check(
                 scale * E_unit[lo:lo + TERMINAL_BLOCK], Klq, eq.xa0, eq.y0, Pi,
-                cfg.gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq, cell=cell)
+                cfg.gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq, cell=cell,
+                step=step)
             if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
                     and np.all(vf_lhs <= 0.0)):
                 return False
@@ -453,9 +475,9 @@ class TerminalIngredients:
     Q_tilde: np.ndarray
     omega: float
     # the kernels' set-up for this problem (kernels.fhocp_constants): the
-    # model's packed cell, the factors of Q, R and P_f and the integrator
-    # columns of the tangent; derived from the fields above, so a copy
-    # with other Q, R or P_f needs it rebuilt
+    # model's packed cell and augmented step, the factors of Q, R and P_f
+    # and the constant blocks of the tangent; derived from the fields above
+    # and the model, so a copy with other Q, R or P_f needs it rebuilt
     consts: kernels.FhocpConstants
 
 
@@ -488,7 +510,8 @@ def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
     # linearization; terminal_set_radius checks it on the nonlinear model
     P_f = np.ascontiguousarray(P + Pi)
     omega = terminal_set_radius(w, eq, K, Pi, P_f, Q_lq, cfg)
-    consts = kernels.fhocp_constants(*w.arrays(), w.U_o, Q, R, P_f)
+    consts = kernels.fhocp_constants(*w.arrays(), w.U_o, w.b_o, eq.y0, K, eq.xa0,
+                                     Q, R, P_f)
     return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde, omega,
                                consts)
 
@@ -506,6 +529,18 @@ LM_RAISE = 10.0
 LM_STOP = 1e-12
 # penalty weights of the successive rounds
 MU_SCHEDULE = (1e3, 1e5, 1e7)
+
+
+def _solve(A, b):
+    """x with A x = b: LAPACK's gesv through the same gufunc np.linalg.solve
+    calls, without its Python wrapper, which costs 15-35 us per call in the
+    first ticks of a process against 5-10 us for the 20 x 20 solve itself.
+    A singular A raises LinAlgError, as in np.linalg.solve (after NumPy's
+    invalid-value warning)."""
+    x = _umath_linalg.solve1(A, b, signature="dd->d")
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 @dataclass
@@ -599,12 +634,11 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             consider(v, Jc, bviol, tviol, XA)     # the warm start or zero plan
         lam = LM_LAMBDA0
         for _ in range(budget):
-            # (H + lam diag(H)) dv = -g, on H with its diagonal damped in place
-            diag = H.reshape(-1)[::D + 1]
-            h = diag.copy()
-            np.add(h, lam * h, diag)
-            dv = np.linalg.solve(H, -g)
-            diag[:] = h
+            # (H + lam diag(H)) dv = -g, on a copy of H with its diagonal damped
+            Hd = H.copy()
+            diag = Hd.reshape(-1)[::D + 1]
+            diag += lam * diag
+            dv = _solve(Hd, -g)
             stop = LM_STOP * (1.0 + Jp)
             # the decrease the Gauss-Newton model |r + Jr dv|^2 predicts
             if -float(dv @ (g + 0.5 * (H @ dv))) <= stop:
@@ -625,7 +659,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
         if bviol > 0.0:
             v_clip, XA_clip, _ = kernels.fhocp_clip_restore(
                 v, xa0, xi0, y0, *args_model, ing.K_lq, ing.eq.xa0, Nc, Np,
-                cell=ing.consts.cell)
+                consts=ing.consts)
             if not np.array_equal(v_clip, v):
                 consider(v_clip, *evaluate(kernels.fhocp_forward, v_clip, 0.0, 0.0)[1:],
                          XA_clip)
@@ -649,11 +683,9 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
                        cfg: ControllerConfig):
     """Standard shift: drop v*(0), append the auxiliary move at the end."""
-    p = w.p
-    v = np.zeros((cfg.N_c, p))
+    v = np.empty((cfg.N_c, w.p))
     v[:-1] = sol.v[1:]
-    xa_Nc = sol.trajectory[cfg.N_c]
-    v[-1] = -(ing.K_lq @ (xa_Nc - ing.eq.xa0))
+    np.negative(ing.K_lq @ (sol.trajectory[cfg.N_c] - ing.eq.xa0), out=v[-1])
     return v.ravel()
 
 
@@ -718,7 +750,7 @@ class RecedingHorizonController:
         self.nonfinite_resets = 0
 
     def _key(self, y0):
-        return tuple(np.rint(y0 / self.cfg.cache_quantum).astype(np.int64))
+        return tuple(np.rint(y0 / self.cfg.cache_quantum).astype(np.int64).tolist())
 
     def ingredients_for(self, y0) -> TerminalIngredients:
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -798,7 +830,7 @@ class RecedingHorizonController:
                 self._warm = None
                 evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
             solve_ms = (time.perf_counter() - t0) * 1e3
-        u = (v + self.xi).clip(-1.0, 1.0)
+        u = np.minimum(np.maximum(v + self.xi, -1.0), 1.0)
         info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
                         terminal_level=level, rejections=rejections,

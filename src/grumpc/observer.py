@@ -99,20 +99,15 @@ def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
     integrator state, known exactly.  cell is the packed cell of w
     (kernels.stack_gates), built here when not given.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
-    y_meas = np.atleast_1d(np.asarray(y_meas, dtype=np.float64))
-    xi_meas = np.atleast_1d(np.asarray(xi_meas, dtype=np.float64))
-
-    y_hat = gru_model.gru_output(w, est.x)
     if cell is None:
         cell = kernels.stack_gates(*w.arrays())
+    x, xi = est.x, est.xi
+    y_hat = w.U_o @ x + w.b_o       # gru_output; est.x has the model's shape
     # the z and f gate bias shifts, then the integrator correction
-    shift = g.innovation @ np.concatenate((xi_meas - est.xi, y_meas - y_hat))
+    shift = g.innovation @ np.concatenate((xi_meas - xi, y_meas - y_hat))
     n2 = 2 * w.n
-    x_next = kernels.cell(est.x, v + est.xi,
-                          *kernels.shift_gate_biases(cell, shift[:n2]))[0]
-    return AugmentedState(x_next, est.xi + y0 - y_hat + shift[n2:])
+    x_next = kernels.cell(x, v + xi, *kernels.shift_gate_biases(cell, shift[:n2]))[0]
+    return AugmentedState(x_next, xi + y0 - y_hat + shift[n2:])
 
 
 def alpha_coefficient(w: GruWeights, g: ObserverGains) -> float:

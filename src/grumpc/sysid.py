@@ -249,69 +249,56 @@ def tbptt_loss(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig) -> fl
     return float(mse + gru_model.stability_penalty(nu, cfg.rho_plus, cfg.rho_minus))
 
 
-def _row_argmax_subgrads(W, U, b):
-    """Subgradient of |[W U b]|_inf: route through the max row (lowest index
-    on ties), entrywise through the sign."""
-    rows = np.sum(np.abs(W), axis=1) + np.sum(np.abs(U), axis=1) + np.abs(b)
-    i = int(np.argmax(rows))
-    gW = np.zeros_like(W); gU = np.zeros_like(U); gb = np.zeros_like(b)
-    gW[i] = np.sign(W[i])
-    gU[i] = np.sign(U[i])
-    gb[i] = np.sign(b[i])
-    return gW, gU, gb
-
-
-def _mat_inf_subgrad(M):
-    rows = np.sum(np.abs(M), axis=1)
-    i = int(np.argmax(rows))
-    g = np.zeros_like(M)
-    g[i] = np.sign(M[i])
+def _rows_subgrad(A, terms, coeff):
+    """coeff times the sum of d sign(A[i]) placed in row i, over (d, i) in
+    terms: the arithmetic of scaling zero-filled arrays, on the rows that
+    are not zero."""
+    g = np.zeros_like(A)
+    for d, i in terms:
+        g[i] += d * np.sign(A[i])
+    for i in {i for _, i in terms}:
+        g[i] *= coeff
     return g
 
 
 def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
     """The residual nu of w and a subgradient of rho(nu) with respect to
-    every weight array; returns (nu, grads)."""
-    gb = gru_model.gate_bounds(w)
-    nUr = gru_model.inf_norm(w.U_r)
-    nUf = gru_model.inf_norm(w.U_f)
-    nUz = gru_model.inf_norm(w.U_z)
+    every weight array; returns (nu, grads).
+
+    Each norm in nu is a max absolute row sum (|U|_inf, and |[W U b]|_inf
+    in the gate bounds); its subgradient routes through its max row (lowest
+    index on ties), entrywise through the sign.  Every row-sum vector is
+    formed once, and both its max and its argmax are taken from it.
+    """
+    norm, row, stacked, srow = {}, {}, {}, {}
+    for g in "zfr":
+        W, U, b = getattr(w, f"W_{g}"), getattr(w, f"U_{g}"), getattr(w, f"b_{g}")
+        sums = np.sum(np.abs(U), axis=1)
+        norm[g], row[g] = float(np.max(sums)), int(np.argmax(sums))
+        sums = np.sum(np.abs(W), axis=1) + sums + np.abs(b)
+        stacked[g], srow[g] = float(np.max(sums)), int(np.argmax(sums))
+    gb = gru_model.bounds_from_norms(stacked["z"], stacked["r"], stacked["f"])
+    nUr, nUf, nUz = norm["r"], norm["f"], norm["z"]
     sz, pr, sf = gb.sigma_z_bar, gb.phi_r_bar, gb.sigma_f_bar
 
     nu = nUr * (0.25 * nUf + sf) + 0.25 * (1.0 + pr) / (1.0 - sz) * nUz - 1.0
     coeff = rho_plus if nu > 0 else rho_minus
 
-    grads = {name: np.zeros_like(getattr(w, name)) for name in WEIGHT_FIELDS}
-
-    # direct norm terms
+    # direct norm terms, then the gate-bound terms through the stacked norms
     d_nUr = 0.25 * nUf + sf
     d_nUf = 0.25 * nUr
     d_nUz = 0.25 * (1.0 + pr) / (1.0 - sz)
-    grads["U_r"] += d_nUr * _mat_inf_subgrad(w.U_r)
-    grads["U_f"] += d_nUf * _mat_inf_subgrad(w.U_f)
-    grads["U_z"] += d_nUz * _mat_inf_subgrad(w.U_z)
-
-    # gate-bound terms through the stacked-matrix norms
     d_sf = nUr * sf * (1.0 - sf)
-    gW, gU, gbv = _row_argmax_subgrads(w.W_f, w.U_f, w.b_f)
-    grads["W_f"] += d_sf * gW
-    grads["U_f"] += d_sf * gU
-    grads["b_f"] += d_sf * gbv
-
     d_pr = 0.25 * nUz / (1.0 - sz) * (1.0 - pr * pr)
-    gW, gU, gbv = _row_argmax_subgrads(w.W_r, w.U_r, w.b_r)
-    grads["W_r"] += d_pr * gW
-    grads["U_r"] += d_pr * gU
-    grads["b_r"] += d_pr * gbv
-
     d_sz = 0.25 * (1.0 + pr) * nUz / (1.0 - sz) ** 2 * sz * (1.0 - sz)
-    gW, gU, gbv = _row_argmax_subgrads(w.W_z, w.U_z, w.b_z)
-    grads["W_z"] += d_sz * gW
-    grads["U_z"] += d_sz * gU
-    grads["b_z"] += d_sz * gbv
-
-    for name in grads:
-        grads[name] *= coeff
+    grads = {}
+    for g, d_norm, d_gate in (("z", d_nUz, d_sz), ("f", d_nUf, d_sf), ("r", d_nUr, d_pr)):
+        gate = [(d_gate, srow[g])]
+        grads[f"W_{g}"] = _rows_subgrad(getattr(w, f"W_{g}"), gate, coeff)
+        grads[f"U_{g}"] = _rows_subgrad(getattr(w, f"U_{g}"),
+                                        [(d_norm, row[g])] + gate, coeff)
+        grads[f"b_{g}"] = _rows_subgrad(getattr(w, f"b_{g}"), gate, coeff)
+    grads["U_o"], grads["b_o"] = np.zeros_like(w.U_o), np.zeros_like(w.b_o)
     return float(nu), grads
 
 

@@ -215,18 +215,21 @@ def test_interior_solve_rolls_each_plan_once(monkeypatch):
 
 
 def test_a_solve_repeats_no_set_up(monkeypatch):
-    # the packed cell and the factors of Q, R and P_f come with the
-    # ingredients, and the rollout steps the fused cell: a regulate solve
-    # stacks no gates, factors no weight and makes no kernels.cell call, and
-    # its calls repeat exactly
+    # the packed cell and step, the factors of Q, R and P_f and the
+    # integrator rows of the tangent come with the ingredients, and the
+    # rollout steps the fused cell: a regulate solve stacks no gates, packs
+    # no step matrix, builds no identity block, factors no weight and makes
+    # no kernels.cell call, and its calls repeat exactly
     w, solves = recorded_solves(monkeypatch, np.full(4, 7.0))
     ing, cfg, est, xi, warm = solves[3]
     calls = {}
-    for name in ("stack_gates", "_root", "cell", "augmented_rollout"):
-        def counted(*args, _fn=getattr(kernels, name), _name=name, **kwargs):
+    for owner, name in ((kernels, "stack_gates"), (kernels, "augmented_step_matrices"),
+                        (kernels, "_root"), (kernels, "cell"),
+                        (kernels, "augmented_rollout"), (np, "eye")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(kernels, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     counts = []
     for _ in range(2):
         calls.clear()

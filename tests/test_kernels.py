@@ -238,10 +238,12 @@ def test_augmented_rollout_matches_stepwise_reference(setup):
     assert tail_viol == 0.0
 
 
-def reference_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None):
+def reference_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None, step=None):
     """augmented_rollout as a loop of kernels.cell calls on states kept as
-    rows [x xi] (the kernels' former rollout): the same arithmetic per step,
-    with every intermediate a fresh array."""
+    rows [x xi] (the kernels' former rollout), with every intermediate a
+    fresh array: the law's move v = K (xa_eq - xa) and xi+ = xi + y0 -
+    (Uo x + bo) are formed as written; step, the kernel's packed step, is
+    not used."""
     n = Uo.shape[1]
     K, xa_eq = law
     XA = np.empty((T + 1,) + xa0.shape)
@@ -274,9 +276,36 @@ def assert_rollouts_agree(got, ref, atol):
             np.testing.assert_allclose(a, b, rtol=0, atol=atol)
 
 
+def assert_steps_agree_with_the_cell(w, cellp, law, y0, V, box_offset, got):
+    """Each step of a rollout against its own states: the gates and x+ equal
+    a kernels.cell call on the step's (x, u) and a free move its clamp
+    (u = v + xi) bit for bit; xi+ and the law's u, each one product with
+    the step's slot, lie within 2e-15 of the former formulas xi + y0 -
+    (Uo x + bo) and K (xa_eq - xa) + xi, and a law move is u - xi."""
+    n, (K, xa_eq) = w.n, law
+    XA, moves, (U, Z, F, R) = got
+    for i in range(len(moves)):
+        x, xi = XA[i, :n], XA[i, n:]
+        for a, b in zip((XA[i + 1, :n], Z[i], F[i], R[i]), kernels.cell(x, U[i], *cellp)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(XA[i + 1, n:], xi + y0 - (w.U_o @ x + w.b_o),
+                                   rtol=0, atol=2e-15)
+        if i < len(V):
+            v = V[i] if box_offset is None else np.clip(
+                V[i], -1.0 - (xi + box_offset), 1.0 - (xi + box_offset))
+            np.testing.assert_array_equal(moves[i], v)
+            np.testing.assert_array_equal(U[i], v + xi)
+        else:
+            np.testing.assert_allclose(U[i], K @ (xa_eq - XA[i]) + xi, rtol=0, atol=2e-15)
+            np.testing.assert_array_equal(moves[i], U[i] - xi)
+
+
 def test_fused_rollout_equals_the_cell_loop(pinned):
-    # one plan (free moves, then the auxiliary law) and its sequential clamp
-    # share the reference's op order step for step: equal bit for bit
+    # one plan (free moves, then the auxiliary law) and its sequential
+    # clamp, step by step against the cell (assert_steps_agree_with_the_cell);
+    # the integrator and law rows round differently from the former
+    # formulas, so the whole rollout lies within 1e-14 of reference_rollout
+    # (4.4e-15 at most over 240 plans at pH 6.8, 7.0 and 7.4)
     w, ing, cfg = pinned
     cellp = kernels.stack_gates(*w.arrays())
     law = (ing.K_lq, ing.eq.xa0)
@@ -286,19 +315,21 @@ def test_fused_rollout_equals_the_cell_loop(pinned):
         V = rng.normal(0.0, scale, (cfg.N_c, w.p))
         args = (cellp, w.U_o, w.b_o, ing.eq.y0, xa0, V, law, cfg.N_p)
         got = kernels.augmented_rollout(*args, box_offset=box_offset)
-        ref = reference_rollout(*args, box_offset=box_offset)
-        assert_rollouts_agree(got, ref, 0.0)
+        assert_steps_agree_with_the_cell(w, cellp, law, ing.eq.y0, V, box_offset, got)
+        assert_rollouts_agree(got, reference_rollout(*args, box_offset=box_offset), 1e-14)
         if box_offset is not None:      # the clamp binds
             assert np.any(got[1][:cfg.N_c] != V)
     # the auxiliary law from the first step on
     args = (cellp, w.U_o, w.b_o, ing.eq.y0, xa0, (), law, 5)
-    assert_rollouts_agree(kernels.augmented_rollout(*args), reference_rollout(*args), 0.0)
+    got = kernels.augmented_rollout(*args)
+    assert_steps_agree_with_the_cell(w, cellp, law, ing.eq.y0, (), None, got)
+    assert_rollouts_agree(got, reference_rollout(*args), 1e-14)
 
 
 def test_fused_rollout_on_1024_rows_matches_the_cell_loop(pinned):
     # a terminal-sample block: the gates come from the same gate matmul, but
-    # the law move and the output map multiply rows by the transposed
-    # weights, so BLAS may round them differently: within 1e-15
+    # the law's u and xi+ are each one product with the step's slot, which
+    # rounds differently from the reference's formulas: within 1e-15
     w, ing, cfg = pinned
     cellp = kernels.stack_gates(*w.arrays())
     rng = np.random.default_rng(443)
@@ -336,7 +367,7 @@ def test_kernels_given_the_constants_equal_kernels_building_them(pinned):
             np.testing.assert_array_equal(a, b)
     clip_args = args[:15] + (ing.K_lq, ing.eq.xa0, cfg.N_c, cfg.N_p)
     for a, b in zip(kernels.fhocp_clip_restore(*clip_args),
-                    kernels.fhocp_clip_restore(*clip_args, cell=ing.consts.cell)):
+                    kernels.fhocp_clip_restore(*clip_args, consts=ing.consts)):
         np.testing.assert_array_equal(a, b)
 
 
@@ -692,10 +723,11 @@ def reference_cell_jvp(dx, du, x, u, z, f, r, M, G, Wr, Ur):
     return dz * (x - r) + z * dx + (1.0 - z) * dr
 
 
-def reference_tangent(cellp, Uo, K, XA, cache, Nc, xi_cols=None):
+def reference_tangent(cellp, Uo, K, XA, cache, Nc, xi_rows=None):
     """augmented_tangent step by step: every step pushes the tangent rows
     through reference_cell_jvp (the kernels' former tangent recursion);
-    xi_cols, the kernel's precomputed integrator columns, is not used."""
+    xi_rows, the kernel's precomputed integrator rows, is not used.  Returns
+    the kernel's layout, features before directions."""
     n = Uo.shape[1]
     U, Z, F, R = cache
     T, p = U.shape
@@ -710,7 +742,7 @@ def reference_tangent(cellp, Uo, K, XA, cache, Nc, xi_cols=None):
         dXA[i + 1, :, :n] = reference_cell_jvp(dx, dV[i] + dxi, XA[i, :n], U[i],
                                                Z[i], F[i], R[i], *cellp)
         dXA[i + 1, :, n:] = dxi - dx @ Uo.T
-    return dXA, dV
+    return dXA.transpose(0, 2, 1), dV.transpose(0, 2, 1)
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -381,6 +381,48 @@ def test_ndtri_is_within_3_ulp_of_scipy():
         assert np.max(ulps) <= 3.0
 
 
+def reference_ndtri(y):
+    """mpc._ndtri as first ported: both branches on all of y, np.polyval,
+    np.where to pick."""
+    upper = y > 1.0 - mpc._EXP_M2
+    t = np.where(upper, 1.0 - y, y)
+    c = t - 0.5
+    c2 = c * c
+    central = mpc._SQRT_2PI * (c + c * (c2 * np.polyval(mpc._NDTRI_P0, c2)
+                                        / np.polyval(mpc._NDTRI_Q0, c2)))
+    z = np.sqrt(-2.0 * np.log(t))
+    r = 1.0 / z
+    tail = (z - np.log(z) / z
+            - r * np.polyval(mpc._NDTRI_P1, r) / np.polyval(mpc._NDTRI_Q1, r))
+    return np.where(t > mpc._EXP_M2, central, np.where(upper, tail, -tail))
+
+
+def test_ndtri_equals_the_two_branch_form():
+    # each branch on its own subset, Horner in place: the same values bit
+    # for bit, on the desk direction set and the branch edges
+    e2 = np.exp(-2.0)
+    edges = np.array([1e-12, np.nextafter(e2, 0.0), e2, np.nextafter(e2, 1.0),
+                      np.nextafter(1.0 - e2, 0.0), 1.0 - e2,
+                      np.nextafter(1.0 - e2, 1.0), 0.5, 1.0 - 1e-12])
+    for y in (np.clip(mpc.halton_points(45056, 11, skip=1), 1e-12, 1.0 - 1e-12),
+              edges):
+        np.testing.assert_array_equal(mpc._ndtri(y), reference_ndtri(y))
+
+
+def test_damped_system_solve_equals_numpy_solve():
+    # the solver's LAPACK call without np.linalg.solve's wrapper: the same
+    # solution bit for bit, and a singular system still raises
+    rng = np.random.default_rng(5)
+    J = rng.normal(size=(60, 20))
+    H = 2.0 * J.T @ J
+    H.reshape(-1)[::21] *= 1.0 + 1e-3
+    for A in (H, rng.normal(size=(20, 20))):
+        b = rng.normal(size=20)
+        np.testing.assert_array_equal(mpc._solve(A, b), np.linalg.solve(A, b))
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        mpc._solve(np.zeros((3, 3)), np.ones(3))
+
+
 @pytest.mark.parametrize("ph", [6.8, 7.0, 7.4, 7.8])
 def test_terminal_radius_with_scipy_built_directions(ph, monkeypatch):
     # the in-repo inverse normal CDF changes no accepted radius on the

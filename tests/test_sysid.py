@@ -242,6 +242,58 @@ def test_gradient_zero_when_no_error_and_no_penalty_slope():
     assert np.max(np.abs(flatten_grads(grads))) < 1e-12
 
 
+def reference_penalty_subgradient(w, rho_plus, rho_minus):
+    """penalty_subgradient as first written: the norms from gate_bounds and
+    inf_norm, the argmax rows from the row sums formed again, every gradient
+    array zero-filled, summed into and scaled."""
+    def row_argmax(*arrays):
+        rows = sum(np.sum(np.abs(np.atleast_2d(A.T).T), axis=1) for A in arrays)
+        i = int(np.argmax(rows))
+        out = []
+        for A in arrays:
+            g = np.zeros_like(A)
+            g[i] = np.sign(A[i])
+            out.append(g)
+        return out
+
+    gb = gru_model.gate_bounds(w)
+    nUr, nUf, nUz = (gru_model.inf_norm(U) for U in (w.U_r, w.U_f, w.U_z))
+    sz, pr, sf = gb.sigma_z_bar, gb.phi_r_bar, gb.sigma_f_bar
+    nu = nUr * (0.25 * nUf + sf) + 0.25 * (1.0 + pr) / (1.0 - sz) * nUz - 1.0
+    coeff = rho_plus if nu > 0 else rho_minus
+    grads = {name: np.zeros_like(getattr(w, name)) for name in gru_model.WEIGHT_FIELDS}
+    grads["U_r"] += (0.25 * nUf + sf) * row_argmax(w.U_r)[0]
+    grads["U_f"] += 0.25 * nUr * row_argmax(w.U_f)[0]
+    grads["U_z"] += 0.25 * (1.0 + pr) / (1.0 - sz) * row_argmax(w.U_z)[0]
+    for gate, d in (("f", nUr * sf * (1.0 - sf)),
+                    ("r", 0.25 * nUz / (1.0 - sz) * (1.0 - pr * pr)),
+                    ("z", 0.25 * (1.0 + pr) * nUz / (1.0 - sz) ** 2 * sz * (1.0 - sz))):
+        names = (f"W_{gate}", f"U_{gate}", f"b_{gate}")
+        for name, g in zip(names, row_argmax(*(getattr(w, k) for k in names))):
+            grads[name] += d * g
+    for name in grads:
+        grads[name] *= coeff
+    return float(nu), grads
+
+
+def test_penalty_subgradient_equals_the_zero_filled_form():
+    # each row sum formed once, only the rows that are not zero written: nu
+    # and every gradient array equal the reference bit for bit, ties included
+    rng = np.random.default_rng(17)
+    for k in range(200):
+        n, p = int(rng.integers(1, 12)), int(rng.integers(1, 3))
+        w = gru_model.random_weights(n, p, p, rng, scale=float(rng.uniform(0.05, 1.5)))
+        if k % 5 == 0:      # tied rows: the lowest index wins on both sides
+            w = w.replace(U_r=np.round(w.U_r, 1), W_z=np.zeros_like(w.W_z))
+        rho = (float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1e-6, 1e-2)))
+        nu, grads = sysid.penalty_subgradient(w, *rho)
+        ref_nu, ref = reference_penalty_subgradient(w, *rho)
+        assert nu == ref_nu
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            np.testing.assert_array_equal(grads[name], ref[name])
+
+
 def test_penalty_gradient_scales_linearly_with_rho_plus():
     rng = np.random.default_rng(16)
     w = gru_model.random_weights(3, 1, 1, rng, scale=2.0)   # nu > 0 for sure
