@@ -231,19 +231,19 @@ def jacobians(w: GruWeights, x, u):
 # serialization: self-describing JSON, lossless for float64 via repr
 # ---------------------------------------------------------------------------
 
-def _array_doc(a):
+def array_doc(a):
     a = np.asarray(a, dtype=np.float64)
     return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
 
 
-def _array_from_doc(doc):
+def array_from_doc(doc):
     return np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
 
 
 def save_weights(w: GruWeights, path):
     doc = {"n": w.n, "m": w.m, "p": w.p}
     for name in WEIGHT_FIELDS:
-        doc[name] = _array_doc(getattr(w, name))
+        doc[name] = array_doc(getattr(w, name))
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -252,5 +252,5 @@ def save_weights(w: GruWeights, path):
 def load_weights(path) -> GruWeights:
     with open(path) as fh:
         doc = json.load(fh)
-    kw = {name: _array_from_doc(doc[name]) for name in WEIGHT_FIELDS}
+    kw = {name: array_from_doc(doc[name]) for name in WEIGHT_FIELDS}
     return GruWeights(n=doc["n"], m=doc["m"], p=doc["p"], **kw)

@@ -78,6 +78,18 @@ class ControllerConfig:
     def __post_init__(self):
         if not (1 <= self.N_c <= self.N_p):
             raise ValueError("require 1 <= N_c <= N_p")
+        # each of these would void the terminal-set certificate, share one
+        # cache key among all setpoints, fail every ingredient build or the
+        # reference filter, or refuse every plan as infeasible
+        for name in ("q_weight", "q_tilde_weight", "omega_max",
+                     "terminal_samples", "cache_quantum", "ref_filter_window"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"not {getattr(self, name)!r}")
+        for name in ("gamma", "constraint_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, "
+                                 f"not {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -277,9 +277,7 @@ def save_gains(g: ObserverGains, w: GruWeights, path):
            "spectral_radius": rep.spectral_radius,
            "A_delta": [[float(v) for v in row] for row in rep.A_delta]}
     for name in GAIN_FIELDS:
-        arr = getattr(g, name)
-        doc[name] = {"shape": list(arr.shape),
-                     "data": [float(v) for v in arr.ravel()]}
+        doc[name] = gru_model.array_doc(getattr(g, name))
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -288,6 +286,5 @@ def save_gains(g: ObserverGains, w: GruWeights, path):
 def load_gains(path) -> ObserverGains:
     with open(path) as fh:
         doc = json.load(fh)
-    arrs = {name: np.array(doc[name]["data"]).reshape(doc[name]["shape"])
-            for name in GAIN_FIELDS}
+    arrs = {name: gru_model.array_from_doc(doc[name]) for name in GAIN_FIELDS}
     return ObserverGains(**arrs, delta=float(doc["delta"]))

@@ -14,6 +14,10 @@ and the pH solves the implicit charge balance
     c(x, y) = x1 + 10^(y-14) - 10^(-y)
               + x2 (1 + 2*10^(y-pK2)) / (1 + 10^(pK1-y) + 10^(y-pK2)) = 0.
 
+At a steady state the invariants are flow-weighted means of the feeds
+(Henson & Seborg, IEEE TCST 2(3), 1994) and c is affine in (x1, x2), so the
+base flow that holds a given pH solves a linear equation (`_nominal_q3`).
+
 Published tables of this benchmark circulate with inconsistent exponent
 notation for the concentration parameters; `calibrate_params` settles the
 interpretation at startup by checking the authoritative nominal condition
@@ -21,9 +25,9 @@ interpretation at startup by checking the authoritative nominal condition
 default parameter record.
 """
 
+import functools
 import json
 import logging
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -151,68 +155,21 @@ def _equilibrium_ph(p: PhParams, q3):
     return float(kernels.ph_output_solve(x1, x2, p.pK1, p.pK2))
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """Root of f in [xa, xb] by Brent's method.
-
-    A line-for-line port of SciPy's `scipy.optimize.brentq` (its C routine
-    `Zeros/brentq.c`, with the wrapper's NaN and convergence checks) to
-    Python floats: it takes the same steps and returns the same root, bit
-    for bit.  It lives here so that calibration imports no SciPy module;
-    `import scipy.optimize` costs 0.35-0.5 s and 49 MB of resident memory
-    (2-vCPU x86-64 guest).
-    """
-    def ev(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = ev(xpre), ev(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:                       # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                                  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry            # good short step
-            else:
-                spre = scur = sbis                 # bisect
-        else:
-            spre = scur = sbis                     # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = ev(xcur)
-    raise RuntimeError(f"Brent root failed to converge after {maxiter} "
-                       f"iterations, value is {xcur}")
-
-
 def _nominal_q3(p: PhParams) -> float:
     """Base flow q3 in the actuator range [11.2, 17.2] at which the
-    equilibrium pH is p.pH."""
-    return _brentq(lambda q: _equilibrium_ph(p, q) - p.pH, 11.2, 17.2,
-                   xtol=1e-13, rtol=8.9e-16)
+    equilibrium pH is p.pH: the root of (q1 + q2 + q3) c(x, pH), which is
+    the sum of q_i c(Wa_i, Wb_i, pH) over the three feeds.
+    """
+    def charge(wa, wb):
+        return kernels.ph_c_residual(wa, wb, p.pH, p.pK1, p.pK2)
+
+    base = charge(p.Wa3, p.Wb3)
+    if base == 0.0:
+        raise ValueError("the base stream carries no charge at the nominal pH")
+    q3 = -(p.q1 * charge(p.Wa1, p.Wb1) + p.q2 * charge(p.Wa2, p.Wb2)) / base
+    if not 11.2 <= q3 <= 17.2:
+        raise ValueError(f"nominal base flow {q3} lies outside [11.2, 17.2]")
+    return q3
 
 
 def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
@@ -221,10 +178,8 @@ def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
     Tries the printed concentration magnitudes, the sign-flipped exponents
     and the standard benchmark molarities; the first whose implied nominal
     equilibrium sits within `tol` of pH 7.0 wins.  The nominal base flow is
-    then refined so the equilibrium pH is exactly 7.0 (the printed q3 is a
-    rounded value).  The refinement is `_brentq`, an in-repo port of
-    `scipy.optimize.brentq` that returns SciPy's root bit for bit, so that
-    start-up imports no SciPy module.
+    then set so the equilibrium pH is exactly 7.0 (the printed q3 is a
+    rounded value); `_nominal_q3` gives it in closed form.
     """
     candidates = [("printed", PRINTED_CONCENTRATIONS),
                   ("exponent-flipped", FLIPPED_CONCENTRATIONS),
@@ -233,9 +188,7 @@ def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
         p = params_with(conc)
         ph_table = _equilibrium_ph(p, p.q3)
         if np.isfinite(ph_table) and abs(ph_table - p.pH) < tol:
-            q3_star = _nominal_q3(p)
-            x1, x2, x3 = _mixing_equilibrium(p, q3_star)
-            state = PlantState(x1, x2, x3)
+            state, q3_star = nominal_point(p)
             ph_star = output_solve(state, p)
             log.info("pH parameter calibration: interpretation %r passes "
                      "(pH %.6f at table q3, nominal q3 refined to %.6f)",
@@ -246,30 +199,20 @@ def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
     raise ValueError("no parameter interpretation reproduces the nominal pH")
 
 
-_CALIBRATED: tuple[PhParams, CalibrationReport] | None = None
-
-
+@functools.cache
 def default_params() -> PhParams:
-    global _CALIBRATED
-    if _CALIBRATED is None:
-        _CALIBRATED = calibrate_params()
-    return _CALIBRATED[0]
+    return calibrate_params()[0]
 
 
 def nominal_point(p: PhParams | None = None) -> tuple[PlantState, float]:
-    """Calibrated nominal operating point: (state, base flow q3).
+    """Nominal operating point: (state, base flow q3).
 
-    The state solves xdot = 0 and the pH there is 7.0 to solver accuracy.
+    The state solves xdot = 0 and the charge balance vanishes there at p.pH.
     """
     if p is None:
         p = default_params()
-    if _CALIBRATED is not None and p is _CALIBRATED[0]:
-        rep = _CALIBRATED[1]
-        return PlantState(rep.nominal_state.x1, rep.nominal_state.x2,
-                          rep.nominal_state.x3), rep.nominal_q3
     q3_star = _nominal_q3(p)
-    x1, x2, x3 = _mixing_equilibrium(p, q3_star)
-    return PlantState(x1, x2, x3), q3_star
+    return PlantState(*_mixing_equilibrium(p, q3_star)), q3_star
 
 
 def ph_dynamics(s: PlantState, u, d, p: PhParams) -> np.ndarray:

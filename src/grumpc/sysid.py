@@ -194,11 +194,16 @@ class TrainConfig:
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError(f"val_fraction must lie in [0, 1), "
                              f"not {self.val_fraction!r}")
+        for name in ("rho_plus", "rho_minus"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"not {getattr(self, name)!r}")
         if self.lr < 0:
-            raise ValueError("step size must be nonnegative")
-        for b in (self.beta1, self.beta2):
-            if not (0.0 < b < 1.0):
-                raise ValueError("moment decay rates must lie in (0, 1)")
+            raise ValueError(f"lr must be nonnegative, not {self.lr!r}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1), "
+                                 f"not {getattr(self, name)!r}")
 
 
 def generate_mprs(levels, hold_range, length, seed=None, rng=None):

@@ -485,13 +485,29 @@ def test_malformed_config_exits_with_an_error(tmp_path, capsys, doc, where):
 @pytest.mark.parametrize("key,value", [
     ("n_states", 0), ("epochs", -1), ("batch_size", 0), ("T_s", 0), ("tau", 0),
     ("washout", -1), ("washout", 200), ("val_fraction", -0.1),
-    ("val_fraction", 1.0)])
+    ("val_fraction", 1.0), ("rho_plus", 0.0), ("rho_minus", -1e-6),
+    ("lr", -1.0), ("beta1", 1.0), ("beta2", 0.0)])
 def test_bad_training_settings_are_refused_at_load(key, value):
     # refused when the config is read, not by the train command later (a
     # zero batch size used to fail there with "range() arg 3 must not be
     # zero"); T_s is 200, so washout 200 leaves no sample to fit
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc["train"][key] = value
+    with pytest.raises(CommandError, match=key):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("terminal_samples", 0), ("cache_quantum", 0.0), ("gamma", -1.0),
+    ("q_tilde_weight", 0.0), ("omega_max", 0.0), ("omega_max", -1.0),
+    ("ref_filter_window", 0), ("q_weight", 0.0), ("constraint_tol", -1.0)])
+def test_bad_controller_settings_are_refused_at_load(key, value):
+    # each would pass an unchecked terminal set (no samples, a negative
+    # decrease margin), give every setpoint one cache key, fail every
+    # ingredient build or the reference filter in the loop, or make every
+    # tick fall back to the auxiliary law
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc["controller"][key] = value
     with pytest.raises(CommandError, match=key):
         ExperimentConfig.from_dict(doc)
 

@@ -449,3 +449,9 @@ def test_gain_serialization_round_trip(tmp_path):
     for name in observer.GAIN_FIELDS:
         assert np.array_equal(getattr(g, name), getattr(g2, name)), name
     assert g2.delta == g.delta
+    # re-saving the pinned benchmark gains writes the same bytes
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+    resaved = tmp_path / "resaved.json"
+    observer.save_gains(observer.load_gains(fixture / "gains.json"),
+                        gru_model.load_weights(fixture / "weights.json"), resaved)
+    assert resaved.read_bytes() == (fixture / "gains.json").read_bytes()

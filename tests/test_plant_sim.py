@@ -233,45 +233,38 @@ def test_params_file_round_trip(tmp_path, ph_params):
         assert getattr(p2, key) == getattr(ph_params, key), key
 
 
-def test_brent_root_equals_scipy_brentq(ph_params):
-    # the in-repo Brent solver takes SciPy's steps: the calibrated q3 and
-    # the roots of 1000 seeded brackets are SciPy's, bit for bit
+def test_nominal_flow_closed_form_equals_scipy_brentq():
+    # the closed-form base flow is SciPy's Brent root of the equilibrium pH,
+    # bit for bit on the standard parameters and within Brent's xtol on
+    # perturbed ones; a root outside the actuator range is refused by both
     from scipy.optimize import brentq
+
+    def scipy_q3(p):
+        return brentq(lambda q: plant_sim._equilibrium_ph(p, q) - p.pH,
+                      11.2, 17.2, xtol=1e-13, rtol=8.9e-16)
+
     p = plant_sim.params_with(plant_sim.STANDARD_CONCENTRATIONS)
-    q3 = brentq(lambda q: plant_sim._equilibrium_ph(p, q) - p.pH, 11.2, 17.2,
-                xtol=1e-13, rtol=8.9e-16)
+    q3 = scipy_q3(p)
     assert plant_sim._nominal_q3(p) == q3
     assert plant_sim.calibrate_params()[1].nominal_q3 == q3
     assert nominal_point(p)[1] == q3
-    rng = np.random.default_rng(12)
-    brackets = same_sign = 0
-    while brackets < 1000:
-        c = rng.normal(size=4)
-
-        def f(x, c=c):
-            return float(((c[0] * x + c[1]) * x + c[2]) * x + c[3]
-                         + c[0] * np.sin(3.0 * x))
-        lo, hi = np.sort(rng.uniform(-5.0, 5.0, 2))
-        xtol, rtol = rng.choice([1e-13, 2e-12, 1e-6]), rng.choice([8.9e-16, 1e-10])
-        if (f(lo) < 0.0) == (f(hi) < 0.0):
-            same_sign += 1
-            with pytest.raises(ValueError, match="different signs"):
-                plant_sim._brentq(f, lo, hi, xtol, rtol)
+    rng = np.random.default_rng(17)
+    fields = {k: getattr(p, k) for k in plant_sim.PARAM_KEYS}
+    outside = 0
+    for _ in range(200):
+        pp = PhParams(**{**fields, "q1": p.q1 * rng.uniform(0.9, 1.1),
+                         "q2": p.q2 * rng.uniform(0.5, 1.5),
+                         "Wa1": p.Wa1 * rng.uniform(0.95, 1.05)})
+        try:
+            want = scipy_q3(pp)
+        except ValueError:
+            outside += 1
+            with pytest.raises(ValueError, match="outside"):
+                nominal_point(pp)
             continue
-        brackets += 1
-        assert plant_sim._brentq(f, lo, hi, xtol, rtol) == \
-            brentq(f, lo, hi, xtol=xtol, rtol=rtol)
-    assert same_sign > 100
-
-
-@pytest.mark.parametrize("f, error, match", [
-    (lambda x: x * x + 1.0, ValueError, "different signs"),
-    (lambda x: np.nan if x > 0.0 else -1.0, ValueError, "NaN"),
-    (lambda x: float(np.tanh(20.0 * (x - 0.3))), RuntimeError,
-     "failed to converge after 5 iterations")])
-def test_brent_root_refuses_what_scipy_refuses(f, error, match):
-    from scipy.optimize import brentq
-    with pytest.raises(error):
-        brentq(f, -1.0, 1.0, xtol=1e-12, rtol=1e-15, maxiter=5)
-    with pytest.raises(error, match=match):
-        plant_sim._brentq(f, -1.0, 1.0, 1e-12, 1e-15, maxiter=5)
+        s, got = nominal_point(pp)
+        assert abs(got - want) <= 1e-13
+        assert abs(output_residual(s.x1, s.x2, pp.pH, pp)) <= 1e-12
+    assert 0 < outside < 100
+    with pytest.raises(ValueError, match="outside"):
+        plant_sim._nominal_q3(PhParams(**{**fields, "q1": 2.0 * p.q1}))
