@@ -17,6 +17,7 @@ also built), and lossless JSON (de)serialization of the weights.
 import json
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,8 @@ WEIGHT_FIELDS = ("W_z", "U_z", "b_z", "W_f", "U_f", "b_f",
 class GruWeights:
     """All trainable matrices/vectors plus the explicit dimensions.
 
-    Arrays are float64 and treated as immutable after construction; sharing
-    across threads is safe.
+    Arrays are read-only float64 copies made at construction, so the packed
+    cell cached from them cannot go stale; sharing across threads is safe.
     """
 
     n: int
@@ -70,7 +71,8 @@ class GruWeights:
             "U_o": (self.p, self.n), "b_o": (self.p,),
         }
         for name, want in shapes.items():
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
+            arr.flags.writeable = False
             if arr.shape != want:
                 raise DimensionMismatchError(name, want, arr.shape)
             if not np.all(np.isfinite(arr)):
@@ -81,6 +83,11 @@ class GruWeights:
         """The nine recurrent arrays in kernel argument order."""
         return (self.W_z, self.U_z, self.b_z, self.W_f, self.U_f, self.b_f,
                 self.W_r, self.U_r, self.b_r)
+
+    @cached_property
+    def cell(self):
+        """The packed cell of the nine recurrent arrays (kernels.stack_gates)."""
+        return kernels.stack_gates(*self.arrays())
 
     def replace(self, **updates):
         kw = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -142,7 +149,7 @@ def gru_step(w: GruWeights, x, u):
     if np.max(np.abs(u)) > 1.0 + 1e-12:
         warnings.warn("input leaves the unit box; stability analysis assumes "
                       "normalized inputs", stacklevel=2)
-    return kernels.gru_cell(x, u, *w.arrays())
+    return kernels.cell(x, u, *w.cell)[0]
 
 
 def gru_output(w: GruWeights, x):
@@ -180,16 +187,18 @@ def inf_norm(M):
     return float(np.max(np.sum(np.abs(M), axis=1)))
 
 
-def diss_residual(w: GruWeights) -> float:
-    """Contraction-certificate residual nu; nu < 0 certifies the model.
+def contraction(nUr, nUf, nUz, gb: GateBounds) -> float:
+    """|Ur| (|Uf| / 4 + sigma_f_bar) + (1 + phi_r_bar) / (4 (1 - sigma_z_bar)) |Uz|
+    from the inf-norms nUr, nUf and nUz: the model contracts below 1."""
+    return (nUr * (0.25 * nUf + gb.sigma_f_bar)
+            + 0.25 * (1.0 + gb.phi_r_bar) / (1.0 - gb.sigma_z_bar) * nUz)
 
-    nu = |Ur|_inf (|Uf|_inf / 4 + sigma_f_bar)
-         + (1 + phi_r_bar) / (4 (1 - sigma_z_bar)) |Uz|_inf - 1
-    """
-    gb = gate_bounds(w)
-    return float(inf_norm(w.U_r) * (0.25 * inf_norm(w.U_f) + gb.sigma_f_bar)
-                 + 0.25 * (1.0 + gb.phi_r_bar) / (1.0 - gb.sigma_z_bar)
-                 * inf_norm(w.U_z) - 1.0)
+
+def diss_residual(w: GruWeights) -> float:
+    """Contraction-certificate residual nu = contraction - 1; nu < 0
+    certifies the model."""
+    return float(contraction(inf_norm(w.U_r), inf_norm(w.U_f), inf_norm(w.U_z),
+                             gate_bounds(w)) - 1.0)
 
 
 def stability_penalty(nu, rho_plus, rho_minus):
@@ -222,9 +231,8 @@ def jacobians(w: GruWeights, x, u):
     """Analytic Jacobians (dphi/dx, dphi/du, deta/dx) at (x, u)."""
     x = _check_vec("x", x, w.n)
     u = _check_vec("u", u, w.m)
-    cellp = kernels.stack_gates(*w.arrays())
-    gates = kernels.cell(x, u, *cellp)[1:]
-    return (*kernels.cell_jacobians(x, u, *gates, *cellp), w.U_o.copy())
+    gates = kernels.cell(x, u, *w.cell)[1:]
+    return (*kernels.cell_jacobians(x, u, *gates, *w.cell), w.U_o.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,14 @@ class ExperimentConfig:
     controller: mpc.ControllerConfig = field(default_factory=mpc.ControllerConfig)
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
 
+    def __post_init__(self):
+        # a zero substep count divides by zero in the RK4 integrator, and a
+        # sample time of zero gives the recorded data no increasing time axis
+        if not self.tau_s > 0:
+            raise ValueError(f"tau_s must be positive, not {self.tau_s!r}")
+        if not self.substeps >= 1:
+            raise ValueError(f"substeps must be at least 1, not {self.substeps!r}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         def build(tp, sub, section=None):
@@ -109,7 +117,8 @@ class ExperimentConfig:
             try:
                 return tp(**sub)
             except ValueError as exc:
-                raise CommandError(f"config section {section!r}: {exc}") from exc
+                where = "config" if section is None else f"config section {section!r}"
+                raise CommandError(f"{where}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CommandError("config top level must be a JSON object, not "
                                f"{type(doc).__name__}")

@@ -3,12 +3,13 @@ reactor integrator, and the shooting-based optimal control evaluations.
 
 Plain NumPy, built on these shared pieces:
 cell                one GRU update, on a single vector or a matrix of rows.
-                    Its packed weights (stack_gates) put the halved z and f
-                    gates and the r gate's input term, biases included, in
-                    one matrix M, so the gates take one matmul on [1; u; x]
-                    and the logistic is 0.5 + 0.5 tanh of the halved
-                    pre-activation.  The update itself is _cell_step, which
-                    writes every gate and the next state into given arrays.
+                    Its packed weights (stack_gates, cached per model as
+                    GruWeights.cell) put the halved z and f gates and the r
+                    gate's input term, biases included, in one matrix M, so
+                    the gates take one matmul on [1; u; x] and the logistic
+                    is 0.5 + 0.5 tanh of the halved pre-activation.  The
+                    update itself is _cell_step, which writes every gate and
+                    the next state into given arrays.
 _scan               the open-loop rollout under given inputs: each step is
                     one _cell_step on a slot [1; u; x] of one preallocated
                     array, so it equals a loop of cell calls bit for bit.
@@ -16,19 +17,17 @@ _scan               the open-loop rollout under given inputs: each step is
                     on it.
 cell_jacobians      the Jacobians of that update with respect to x and u,
                     from the gates cell returned; for rows, one pair per row.
-augmented_rollout   the integrator-augmented model x+ = phi(x, v + xi),
-                    xi+ = xi + y0 - y, under free moves for i < N_c and the
-                    auxiliary law v = -K (xa - xa_eq) after that, for a
-                    fixed number of steps.  Step i lives in a slot
-                    [1; u; x; xi] of one preallocated state array, and each
-                    part of a step is one packed matrix acting on it
-                    (augmented_step_matrices, built once per setpoint): the
-                    law's u = v + xi is one product Ka slot, the cell one
-                    _cell_step on the slot's [1; u; x], so the gates and x+
-                    equal a cell call bit for bit, and xi+ one product
-                    Mxi slot: 13 NumPy calls a step.  Single plans, the
-                    sequential clamp and the terminal-sample blocks all go
-                    through it.
+AugmentedStep       the integrator-augmented model x+ = phi(x, v + xi),
+                    xi+ = xi + y0 - y of one setpoint with its auxiliary law
+                    v = -K (xa - xa_eq), packed once (augmented_step_matrices)
+                    as matrices on a slot [1; u; x; xi].  augmented_rollout
+                    steps it under free moves for i < N_c and the law after
+                    that: the law's u = v + xi is one product Ka slot, the
+                    cell one _cell_step on the slot's [1; u; x], so the
+                    gates and x+ equal a cell call bit for bit, and xi+ one
+                    product Mxi slot: 13 NumPy calls a step.  Single plans,
+                    the sequential clamp and the terminal-sample blocks all
+                    go through it.
 reverse pass        the adjoint of a _scan (tbptt_loss_grad_batch).  The
                     factors of the cell's vector-Jacobian product that do
                     not depend on the adjoint come from the scan's gates for
@@ -56,12 +55,14 @@ the solver in mpc steps on.  Both also hand back the states 0..Np of the
 rollout they scored, so the solver never rolls a plan again to report its
 trajectory.
 
-Every public kernel is a short caller of these.  Batched work (training
-sequences, terminal-set samples, tangent rows) runs as rows of one call.
-What the evaluations of one problem share (the packed cell and step, the
-factors of Q, R and P_f, the integrator rows of the tangent) is an
-FhocpConstants that the controller builds once per setpoint; a kernel
-called without one builds the same from its positional arrays.
+Batched work (training sequences, terminal-set samples, tangent rows) runs
+as rows of one call.  The controller builds the AugmentedStep of a setpoint
+and the factors of Q, R and P_f once, as an FhocpConstants.  Four entry
+points keep the former positional weight arrays, because perfbench calls
+them by position and counts work from their arguments: fhocp_forward,
+fhocp_residuals with fhocp_forward_backward, fhocp_clip_restore and
+augmented_rollout_cached.  Without an FhocpConstants they build the step
+from those arrays; ROADMAP item E moves perfbench off them.
 """
 
 import math
@@ -93,14 +94,6 @@ def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     M[:2 * n, 1:] = 0.5 * G
     M[2 * n:, 0] = br
     M[2 * n:, 1:1 + m] = Wr
-    return M, G, Wr, Ur
-
-
-def shift_gate_biases(cellp, shift):
-    """The packed cell with shift (2n,) added to the z and f gate biases."""
-    M, G, Wr, Ur = cellp
-    M = M.copy()
-    M[:len(shift), 0] += 0.5 * shift
     return M, G, Wr, Ur
 
 
@@ -139,11 +132,11 @@ def cell(x, u, M, G, Wr, Ur):
     views.
     """
     n, m = x.shape[-1], u.shape[-1]
-    g = np.concatenate((np.ones((1,) + x.shape[:-1]), u.T, x.T))
-    a = np.empty((3 * n,) + x.shape[:-1])
-    x_next = np.empty(a[:n].shape)
-    z, f, r = a[:n], a[n:2 * n], a[2 * n:]
-    _cell_step(g, g[1 + m:], M, Ur, a, a[:2 * n], z, f, r, x_next)
+    g = np.empty((1 + m + n,) + x.shape[:-1])
+    g[0], g[1:1 + m], g[1 + m:] = 1.0, u.T, x.T     # [1; u; x]
+    a = np.empty((4 * n,) + x.shape[:-1])            # the gates [z; f; r], x+
+    z, f, r, x_next = a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:]
+    _cell_step(g, g[1 + m:], M, Ur, a[:3 * n], a[:2 * n], z, f, r, x_next)
     return x_next.T, z.T, f.T, r.T
 
 
@@ -170,26 +163,25 @@ def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):
     return J[..., m:], J[..., :m]
 
 
-def gru_cell(x, u, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
-    """One state update from the nine weight arrays."""
-    return cell(x, u, *stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br))[0]
-
-
 # ---------------------------------------------------------------------------
 # the integrator-augmented model: one rollout, one adjoint
 # ---------------------------------------------------------------------------
 
-def augmented_step_matrices(cellp, Uo, bo, y0, law):
-    """The packed step (M, Ur, Mxi, Ka) of the augmented model on its slot
-    [1; u; x; xi].
+class AugmentedStep(NamedTuple):
+    """The packed augmented step (augmented_step_matrices) with the arrays
+    it was packed from."""
+    cell: tuple            # the packed cell (stack_gates): gates act on [1; u; x]
+    Uo: np.ndarray
+    bo: np.ndarray
+    y0: np.ndarray
+    law: tuple             # (K, xa_eq) of v = -K (xa - xa_eq), or (None, None)
+    Mxi: np.ndarray        # [y0 - bo, 0, -Uo, I]: the slot to xi+
+    Ka: np.ndarray         # [K xa_eq, 0, -K_x, I - K_xi]: the slot to u; or None
 
-    M and Ur are the packed cell's, whose gates act on the slot's prefix
-    [1; u; x].  Mxi = [y0 - bo, 0, -Uo, I] maps the slot to xi+ = xi + y0 -
-    (Uo x + bo), and Ka = [K xa_eq, 0, -K_x, I - K_xi] to the cell input
-    u = v + xi of the auxiliary law v = -K (xa - xa_eq), law = (K, xa_eq);
-    Ka is None without a law (K None).
-    """
-    M, _, _, Ur = cellp
+
+def augmented_step_matrices(cellp, Uo, bo, y0, law):
+    """The AugmentedStep of the packed cell, the output map (Uo, bo), the
+    setpoint y0 and the auxiliary law (K, xa_eq), whose K may be None."""
     p, n = Uo.shape
     Mxi = np.zeros((p, 1 + p + n + p))
     Mxi[:, 0] = y0 - bo
@@ -202,19 +194,17 @@ def augmented_step_matrices(cellp, Uo, bo, y0, law):
         Ka[:, 0] = K @ xa_eq
         Ka[:, 1 + p:] = -K
         Ka[:, 1 + p + n:] += np.eye(p)
-    return M, Ur, Mxi, Ka
+    return AugmentedStep(cellp, Uo, bo, y0, law, Mxi, Ka)
 
 
-def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None, *,
-                      step=None):
-    """Roll the augmented model T steps from xa0 (a vector or rows).
+def augmented_rollout(step, xa0, V, T, box_offset=None):
+    """Roll the augmented model of the AugmentedStep step T steps from xa0
+    (a vector or rows).
 
-    Step i applies the free move V[i] for i < len(V) and the auxiliary law
-    v = -K (xa - xa_eq), law = (K, xa_eq), after that.  With box_offset,
-    the offset xi~ - xi of the controller's integrator from the model's,
-    each free move is first clamped so that xi~ + v stays in [-1, 1].
-    step is the packed step augmented_step_matrices(cellp, Uo, bo, y0, law),
-    built here when not given.
+    Step i applies the free move V[i] for i < len(V) and the step's
+    auxiliary law v = -K (xa - xa_eq) after that.  With box_offset, the
+    offset xi~ - xi of the controller's integrator from the model's, each
+    free move is first clamped so that xi~ + v stays in [-1, 1].
 
     Step i lives in S[i] = [1; u; x; xi] (u = v + xi, the cell input) of
     one preallocated array, features first and the rows of a batch along a
@@ -230,10 +220,8 @@ def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None, *,
     the cache (U, Z, F, R) of cell inputs and gates for the tangent, as
     views of those arrays in that (steps, rows, features) order.
     """
-    if step is None:
-        step = augmented_step_matrices(cellp, Uo, bo, y0, law)
-    M, Ur, Mxi, Ka = step
-    p, n = Uo.shape
+    M, Ur, Mxi, Ka = step.cell[0], step.cell[3], step.Mxi, step.Ka
+    p, n = step.Uo.shape
     Nv = len(V)
     rows = xa0.shape[:-1]
     S = np.empty((T + 1, 1 + p + n + p) + rows)
@@ -269,8 +257,9 @@ def augmented_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None, *,
                                                gates[:, n:2 * n], gates[:, 2 * n:])))
 
 
-def augmented_tangent(cellp, Uo, K, XA, cache, Nc, *, xi_rows=None):
-    """Tangents of one rollout with respect to its free moves.
+def augmented_tangent(step, XA, cache, Nc):
+    """Tangents of one rollout of the AugmentedStep step with respect to its
+    free moves.
 
     Column d carries the derivative along free-move coordinate d = i p + j:
     dv = e_d on the free moves and dv = -K dxa under the auxiliary law.
@@ -279,20 +268,22 @@ def augmented_tangent(cellp, Uo, K, XA, cache, Nc, *, xi_rows=None):
     steps at once; the law folds into A_i - B_i K (and B_i = 0) for
     i >= Nc.  The tangents of step i are stacked as W[i] = [dxa_i; dv_i],
     so a step is one product dxa_{i+1} = [A_i B_i] W[i]; the law's dv
-    follow after the loop.  xi_rows is [-Uo I], built here when not given.
+    follow after the loop.  The integrator rows [-Uo I] are a view of the
+    step's Mxi.
     Returns the state tangents (T+1, n+p, Nc p) and move tangents
     (T, p, Nc p), features before directions, so that every block of the
     residual Jacobian is one product with them.
     """
-    p, n = Uo.shape
+    p, n = step.Uo.shape
     na, D = n + p, Nc * p
+    K = step.law[0]
     U, Z, F, R = cache
     T = len(U)
-    Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *cellp)
+    Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *step.cell)
     AB = np.zeros((T, na, na + p))             # [A_i B_i]
     AB[:, :n, :n] = Jx
     AB[:, :n, n:na] = Ju
-    AB[:, n:, :na] = np.hstack((-Uo, np.eye(p))) if xi_rows is None else xi_rows
+    AB[:, n:, :na] = step.Mxi[:, 1 + p:]
     AB[:Nc, :n, na:] = Ju[:Nc]
     AB[Nc:, :n, :na] -= Ju[Nc:] @ K             # A_i - B_i K
     W = np.zeros((T + 1, na + p, D))
@@ -570,21 +561,13 @@ def _root(M):
 
 
 class FhocpConstants(NamedTuple):
-    """The set-up every evaluation of one problem shares; a kernel given none
-    builds it from its positional arrays (fhocp_constants)."""
-    cell: tuple            # the packed cell (stack_gates)
-    step: tuple            # the packed augmented step (augmented_step_matrices)
+    """The set-up every evaluation of one problem shares (fhocp_constants)."""
+    step: AugmentedStep    # the packed augmented step under the auxiliary law
     roots: tuple           # (Lq, Lr, Lf) with L L' = Q, R, P_f (_root)
-    xi_rows: np.ndarray    # [-Uo I], the integrator rows of every A_i (a view
-                           # of the step's Mxi)
 
 
-def fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, Klq, xa_eq,
-                    Qmat, Rmat, Pf):
-    cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    step = augmented_step_matrices(cell, Uo, bo, y0, (Klq, xa_eq))
-    return FhocpConstants(cell, step, (_root(Qmat), _root(Rmat), _root(Pf)),
-                          step[2][:, 1 + len(bo):])
+def fhocp_constants(step, Qmat, Rmat, Pf):
+    return FhocpConstants(step, (_root(Qmat), _root(Rmat), _root(Pf)))
 
 
 def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
@@ -625,12 +608,41 @@ def _blocks(T, na, p, Np):
             slice(k2 + na, k2 + na + Np * p))
 
 
+def terminal_samples_check(E, step, Pi, Pf, Qlq, gamma):
+    """Evaluate the terminal-set membership conditions at offsets E.
+
+    Row k of E is a deviation from the equilibrium xa_eq of the law of the
+    AugmentedStep step; all rows go through one step of it.  Returns per
+    sample the total-input overshoot max(|u|) - 1 of the law's cell input
+    u = xi + v_lq, the Lyapunov-decrease left-hand side
+    |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the terminal-cost
+    decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with
+    V_f(e) = e'Pf e.
+    """
+    xa_eq = step.law[1]
+    XA, _, (U, _, _, _) = augmented_rollout(step, xa_eq + E, (), 1)
+    e_next = XA[1] - xa_eq
+    return (np.max(np.abs(U[0]), axis=1) - 1.0,
+            _quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
+            _quad(e_next, Pf) + _quad(E, Qlq - Pf))
+
+
+# The adapters below keep the positional weight arrays of the former kernel
+# convention, because perfbench calls them by position; the FHOCP ones take
+# the problem's FhocpConstants as consts and build them only without it.
+
+def _positional_step(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, law):
+    """The AugmentedStep of the positional arrays of the adapters."""
+    return augmented_step_matrices(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br),
+                                   Uo, bo, y0, law)
+
+
 def augmented_rollout_cached(xa0, V, y0,
                              Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
     """Roll the integrator-augmented model under an explicit v sequence."""
-    cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, _, (_, Z, F, R) = augmented_rollout(cellp, Uo, bo, y0, xa0, V,
-                                            (None, None), len(V))
+    step = _positional_step(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0,
+                            (None, None))
+    XA, _, (_, Z, F, R) = augmented_rollout(step, xa0, V, len(V))
     return XA, Z, F, R
 
 
@@ -640,15 +652,12 @@ def fhocp_forward(vflat, xa_init, xi_init, y0,
                   Nc, Np, Nf, mu_box, mu_term, *, consts=None):
     """Penalized shooting objective over Np + Nf steps, V_f = e'Pf e at the end.
 
-    consts is the FhocpConstants of the problem.  Returns (J_pen, J,
-    box_viol, term_viol).
+    Returns (J_pen, J, box_viol, term_viol).
     """
     if consts is None:
-        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0,
-                                 Klq, xa_eq, Qmat, Rmat, Pf)
-    XA, V, _ = augmented_rollout(consts.cell, Uo, bo, y0, xa_init,
-                                 vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf,
-                                 step=consts.step)
+        consts = fhocp_constants(_positional_step(
+            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, (Klq, xa_eq)), Qmat, Rmat, Pf)
+    XA, V, _ = augmented_rollout(consts.step, xa_init, vflat.reshape(Nc, -1), Np + Nf)
     return _residuals(XA, V, xi_init - xa_init[len(bz):], xa_eq, consts.roots,
                       Pi, omega, Np, mu_box, mu_term)[1]
 
@@ -668,15 +677,13 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
     """
     n = len(bz)
     if consts is None:
-        consts = fhocp_constants(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0,
-                                 Klq, xa_eq, Qmat, Rmat, Pf)
-    XA, V, cache = augmented_rollout(consts.cell, Uo, bo, y0, xa_init,
-                                     vflat.reshape(Nc, -1), (Klq, xa_eq), Np + Nf,
-                                     step=consts.step)
+        consts = fhocp_constants(_positional_step(
+            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, (Klq, xa_eq)), Qmat, Rmat, Pf)
+    XA, V, cache = augmented_rollout(consts.step, xa_init, vflat.reshape(Nc, -1),
+                                     Np + Nf)
     r, cost, over, PeN = _residuals(XA, V, xi_init - xa_init[n:], xa_eq,
                                     consts.roots, Pi, omega, Np, mu_box, mu_term)
-    dXA, dV = augmented_tangent(consts.cell, Uo, Klq, XA, cache, Nc,
-                                xi_rows=consts.xi_rows)
+    dXA, dV = augmented_tangent(consts.step, XA, cache, Nc)
     T, p, D = dV.shape
     na = n + p
     Lq, Lr, Lf = consts.roots
@@ -718,40 +725,14 @@ def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
 
     Walks the prediction once; at each free step v(i) is clipped into
     [-1 - xi~(i), 1 - xi~(i)] before advancing.  The auxiliary-law tail is
-    left untouched.  Of consts, the problem's FhocpConstants, it uses the
-    packed cell and step.  Returns the clamped free moves, the states 0..Np
-    of the clamped plan and the tail's residual box violation.
+    left untouched.  Of consts it uses the packed step.  Returns the
+    clamped free moves, the states 0..Np of the clamped plan and the tail's
+    residual box violation.
     """
-    if consts is None:
-        cell, step = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), None
-    else:
-        cell, step = consts.cell, consts.step
+    step = (_positional_step(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, (Klq, xa_eq))
+            if consts is None else consts.step)
     xi_off = xi_init - xa_init[len(bz):]
-    XA, V, _ = augmented_rollout(cell, Uo, bo, y0, xa_init, vflat.reshape(Nc, -1),
-                                 (Klq, xa_eq), Np, box_offset=xi_off, step=step)
+    XA, V, _ = augmented_rollout(step, xa_init, vflat.reshape(Nc, -1), Np,
+                                 box_offset=xi_off)
     _, tail_viol = _box_excess(XA[Nc:Np, len(bz):] + xi_off + V[Nc:])
     return V[:Nc].ravel(), XA, float(tail_viol)
-
-
-def terminal_samples_check(E, Klq, xa_eq, y0, Pi, gamma,
-                           Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, *, Pf, Qlq,
-                           cell=None, step=None):
-    """Evaluate the terminal-set membership conditions at offsets E.
-
-    Row k of E is a deviation from the equilibrium; all rows go through one
-    augmented-model step.  Returns per sample the total-input overshoot
-    max(|u|) - 1 of the law's cell input u = xi + v_lq, the
-    Lyapunov-decrease left-hand side |phi_a - xa0|_Pi^2 - |e|_Pi^2
-    + gamma |e|^2, and the terminal-cost
-    decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with V_f(e) = e'Pf e.
-    cell and step are the packed cell (stack_gates) and the law's packed
-    step (augmented_step_matrices), built here when not given.
-    """
-    if cell is None:
-        cell = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    XA, _, (U, _, _, _) = augmented_rollout(cell, Uo, bo, y0, xa_eq + E, (),
-                                            (Klq, xa_eq), 1, step=step)
-    e_next = XA[1] - xa_eq
-    return (np.max(np.abs(U[0]), axis=1) - 1.0,
-            _quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
-            _quad(e_next, Pf) + _quad(E, Qlq - Pf))

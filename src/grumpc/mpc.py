@@ -8,6 +8,9 @@ radius with its certificates, and the finite-horizon optimal control
 problem solved by penalized single shooting: Levenberg-Marquardt
 Gauss-Newton on the residuals of the penalized cost, with their exact
 Jacobian from one batched linearization of the rollout (cell_jacobians).
+Each setpoint packs its augmented model under the auxiliary law once
+(kernels.AugmentedStep, inside the ingredients' FhocpConstants); the radius
+search and every solver evaluation step through it.
 
 ControllerConfig holds every controller setting (horizons, weights, the
 terminal-set search, the solver's budget); the ingredient build, the
@@ -16,6 +19,7 @@ penalty schedule, the damping rule, the radius walk) are module constants.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -79,14 +83,15 @@ class ControllerConfig:
         if not (1 <= self.N_c <= self.N_p):
             raise ValueError("require 1 <= N_c <= N_p")
         # each of these would void the terminal-set certificate, share one
-        # cache key among all setpoints, fail every ingredient build or the
-        # reference filter, or refuse every plan as infeasible
+        # cache key among all setpoints, fail every ingredient build, the
+        # reference filter or the first solve, or refuse every plan as
+        # infeasible
         for name in ("q_weight", "q_tilde_weight", "omega_max",
                      "terminal_samples", "cache_quantum", "ref_filter_window"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, "
                                  f"not {getattr(self, name)!r}")
-        for name in ("gamma", "constraint_tol"):
+        for name in ("gamma", "constraint_tol", "r_weight", "N_f"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, "
                                  f"not {getattr(self, name)!r}")
@@ -122,10 +127,9 @@ class LinearizedAugmented:
 def steady_state(w: GruWeights, u_const, max_steps=50000, tol=1e-13):
     """Steady state under a constant input, by rollout to convergence."""
     u = np.atleast_1d(np.asarray(u_const, dtype=np.float64))
-    cellp = kernels.stack_gates(*w.arrays())
     x = np.zeros(w.n)
     for _ in range(max_steps):
-        xn = kernels.cell(x, u, *cellp)[0]
+        xn = kernels.cell(x, u, *w.cell)[0]
         if np.max(np.abs(xn - x)) < tol:
             return xn
         x = xn
@@ -162,7 +166,7 @@ def find_equilibrium(w: GruWeights, y0, max_iter=100, tol=1e-12,
         u = np.asarray(u_guess, dtype=np.float64).copy()
 
     def residual(x, u):
-        return np.concatenate([kernels.gru_cell(x, u, *w.arrays()) - x,
+        return np.concatenate([kernels.cell(x, u, *w.cell)[0] - x,
                                gru_model.gru_output(w, x) - y0])
 
     F = residual(x, u)
@@ -431,9 +435,10 @@ TERMINAL_MIN_OMEGA = 1e-12
 TERMINAL_BLOCK = 1024
 
 
-def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
+def terminal_set_radius(step: kernels.AugmentedStep, Pi, P_f, Q_lq,
                         cfg: ControllerConfig):
-    """Largest sampled radius for which the auxiliary law stays admissible.
+    """Largest sampled radius for which the auxiliary law of the setpoint's
+    packed step stays admissible.
 
     Walks a geometric grid from cfg.omega_max downward by TERMINAL_SHRINK.
     The samples are one ordered Halton set of cfg.terminal_samples boundary
@@ -446,19 +451,13 @@ def terminal_set_radius(w: GruWeights, eq: Equilibrium, K_lq, Pi, P_f, Q_lq,
     """
     L = np.linalg.cholesky(Pi)
     # rows satisfy e' Pi e = 1
-    E_unit = (_halton_directions(cfg.terminal_samples, w.n + w.p, skip=1)
+    E_unit = (_halton_directions(cfg.terminal_samples, len(Pi), skip=1)
               @ np.linalg.inv(L.T).T)
-    Klq = np.ascontiguousarray(K_lq, dtype=np.float64)
-    Pi = np.ascontiguousarray(Pi, dtype=np.float64)
-    cell = kernels.stack_gates(*w.arrays())
-    step = kernels.augmented_step_matrices(cell, w.U_o, w.b_o, eq.y0, (Klq, eq.xa0))
 
     def all_pass(scale):
         for lo in range(0, len(E_unit), TERMINAL_BLOCK):
             over, lhs, vf_lhs = kernels.terminal_samples_check(
-                scale * E_unit[lo:lo + TERMINAL_BLOCK], Klq, eq.xa0, eq.y0, Pi,
-                cfg.gamma, *w.arrays(), w.U_o, w.b_o, Pf=P_f, Qlq=Q_lq, cell=cell,
-                step=step)
+                scale * E_unit[lo:lo + TERMINAL_BLOCK], step, Pi, P_f, Q_lq, cfg.gamma)
             if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
                     and np.all(vf_lhs <= 0.0)):
                 return False
@@ -487,9 +486,9 @@ class TerminalIngredients:
     Q_tilde: np.ndarray
     omega: float
     # the kernels' set-up for this problem (kernels.fhocp_constants): the
-    # model's packed cell and augmented step, the factors of Q, R and P_f
-    # and the constant blocks of the tangent; derived from the fields above
-    # and the model, so a copy with other Q, R or P_f needs it rebuilt
+    # packed augmented step under the auxiliary law and the factors of Q, R
+    # and P_f; derived from the fields above and the model, so a copy with
+    # other Q, R or P_f needs it rebuilt
     consts: kernels.FhocpConstants
 
 
@@ -521,9 +520,10 @@ def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
     # sum decreases by the stage cost plus the margin e'Q_tilde e on the
     # linearization; terminal_set_radius checks it on the nonlinear model
     P_f = np.ascontiguousarray(P + Pi)
-    omega = terminal_set_radius(w, eq, K, Pi, P_f, Q_lq, cfg)
-    consts = kernels.fhocp_constants(*w.arrays(), w.U_o, w.b_o, eq.y0, K, eq.xa0,
-                                     Q, R, P_f)
+    consts = kernels.fhocp_constants(
+        kernels.augmented_step_matrices(w.cell, w.U_o, w.b_o, eq.y0, (K, eq.xa0)),
+        Q, R, P_f)
+    omega = terminal_set_radius(consts.step, Pi, P_f, Q_lq, cfg)
     return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde, omega,
                                consts)
 
@@ -544,12 +544,12 @@ MU_SCHEDULE = (1e3, 1e5, 1e7)
 
 
 def _solve(A, b):
-    """x with A x = b: LAPACK's gesv through the same gufunc np.linalg.solve
-    calls, without its Python wrapper, which costs 15-35 us per call in the
-    first ticks of a process against 5-10 us for the 20 x 20 solve itself.
-    A singular A raises LinAlgError, as in np.linalg.solve (after NumPy's
-    invalid-value warning)."""
-    x = _umath_linalg.solve1(A, b, signature="dd->d")
+    """x with A x = b for float64 A and b: LAPACK's gesv through the same
+    gufunc np.linalg.solve calls, without its Python wrapper (15-35 us per
+    call in the first ticks of a process, against 5-10 us for the 20 x 20
+    solve itself) and its "dd->d" signature (a third of a call).  A
+    singular A raises LinAlgError, as in np.linalg.solve."""
+    x = _umath_linalg.solve1(A, b)
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -591,12 +591,10 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     p = w.p
     Nc, Np = cfg.N_c, cfg.N_p
     D = Nc * p
-    xa0 = xa_hat.stacked()
-    xi0 = np.atleast_1d(np.asarray(xi_true, dtype=np.float64))
-    y0 = ing.eq.y0
-    args_model = (*w.arrays(), w.U_o, w.b_o)
-    args_prob = (ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
-                 float(ing.omega), Nc, Np, int(cfg.N_f))
+    # the adapters' arguments after the plan: start, model and law, then problem
+    head = (xa_hat.stacked(), np.atleast_1d(np.asarray(xi_true, dtype=np.float64)),
+            ing.eq.y0, *w.arrays(), w.U_o, w.b_o, ing.K_lq, ing.eq.xa0)
+    args = (*head, ing.Q, ing.R, ing.P_f, ing.Pi, float(ing.omega), Nc, Np, int(cfg.N_f))
 
     ctol = cfg.constraint_tol
     omega_tol = ctol * max(1.0, ing.omega)
@@ -610,16 +608,16 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     def evaluate(kernel, vflat, mu_box, mu_term):
         nonlocal evals
         evals += 1
-        return kernel(vflat, xa0, xi0, y0, *args_model, *args_prob, mu_box, mu_term,
-                      consts=ing.consts)
+        return kernel(vflat, *args, mu_box, mu_term, consts=ing.consts)
 
     def consider(vflat, Jc, bviol, tviol, XA):
         """Record a plan from its evaluation and the states XA it scored;
         True when strictly interior.  A plan's violation is its box excess
-        or its terminal excess over max(1, omega), whichever is larger."""
+        or its terminal excess over max(1, omega), whichever is larger.
+        Plans are fresh arrays that nothing writes into: none is copied."""
         viol = max(bviol, tviol / max(1.0, ing.omega))
         if bviol <= ctol and tviol <= omega_tol and Jc < best["cost"]:
-            best.update(cost=Jc, v=vflat.copy(), XA=XA, viol=viol)
+            best.update(cost=Jc, v=vflat, XA=XA, viol=viol)
         if viol < best["least"]:
             best.update(least=viol, least_XA=XA)
         return bviol <= 0.0 and tviol <= 0.0
@@ -627,10 +625,10 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     def level(XA):
         """e_Np'Pi e_Np / omega of a plan's states."""
         eN = XA[Np] - ing.eq.xa0
-        return float(eN @ ing.Pi @ eN) / ing.omega
+        return float(eN.dot(ing.Pi).dot(eN)) / ing.omega
 
     if warm_start is not None:
-        v = np.asarray(warm_start, dtype=np.float64).ravel().copy()
+        v = np.array(warm_start, dtype=np.float64).ravel()
         if v.size != Nc * p:
             raise ValueError("warm start has the wrong length")
     else:
@@ -646,14 +644,18 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             consider(v, Jc, bviol, tviol, XA)     # the warm start or zero plan
         lam = LM_LAMBDA0
         for _ in range(budget):
+            stop = LM_STOP * (1.0 + Jp)
+            # no step predicts a decrease above the cost Jp = |r|^2 (the model
+            # |r + Jr dv|^2 is nonnegative): a plan at equilibrium needs no solve
+            if Jp <= stop:
+                break
             # (H + lam diag(H)) dv = -g, on a copy of H with its diagonal damped
             Hd = H.copy()
             diag = Hd.reshape(-1)[::D + 1]
             diag += lam * diag
             dv = _solve(Hd, -g)
-            stop = LM_STOP * (1.0 + Jp)
-            # the decrease the Gauss-Newton model |r + Jr dv|^2 predicts
-            if -float(dv @ (g + 0.5 * (H @ dv))) <= stop:
+            # the decrease the model predicts (ndarray.dot: @ without its dispatch)
+            if -float(dv.dot(g + 0.5 * H.dot(dv))) <= stop:
                 break
             trial = evaluate(kernels.fhocp_forward_backward, v + dv, mu_box, mu_term)
             if trial[0] >= Jp:
@@ -669,9 +671,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                 break
         strict = consider(v, Jc, bviol, tviol, XA)
         if bviol > 0.0:
-            v_clip, XA_clip, _ = kernels.fhocp_clip_restore(
-                v, xa0, xi0, y0, *args_model, ing.K_lq, ing.eq.xa0, Nc, Np,
-                consts=ing.consts)
+            v_clip, XA_clip, _ = kernels.fhocp_clip_restore(v, *head, Nc, Np,
+                                                            consts=ing.consts)
             if not np.array_equal(v_clip, v):
                 consider(v_clip, *evaluate(kernels.fhocp_forward, v_clip, 0.0, 0.0)[1:],
                          XA_clip)
@@ -697,7 +698,7 @@ def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeigh
     """Standard shift: drop v*(0), append the auxiliary move at the end."""
     v = np.empty((cfg.N_c, w.p))
     v[:-1] = sol.v[1:]
-    np.negative(ing.K_lq @ (sol.trajectory[cfg.N_c] - ing.eq.xa0), out=v[-1])
+    np.negative(ing.K_lq.dot(sol.trajectory[cfg.N_c] - ing.eq.xa0), out=v[-1])
     return v.ravel()
 
 
@@ -762,7 +763,9 @@ class RecedingHorizonController:
         self.nonfinite_resets = 0
 
     def _key(self, y0):
-        return tuple(np.rint(y0 / self.cfg.cache_quantum).astype(np.int64).tolist())
+        # round, as np.rint, rounds half to even; non-finite values share None
+        return tuple(round(y / self.cfg.cache_quantum) if math.isfinite(y) else None
+                     for y in y0.tolist())
 
     def ingredients_for(self, y0) -> TerminalIngredients:
         y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -828,7 +831,8 @@ class RecedingHorizonController:
             try:
                 sol = fhocp_solve(self.w, ing, self.cfg, self.est, self.xi,
                                   warm_start=self._warm)
-                v = sol.v[0].copy()
+                # neither the plan nor self.xi (in info) is written in place: no copies
+                v = sol.v[0]
                 self._warm = shifted_warm_start(sol, ing, self.w, self.cfg)
                 cost, iters, feas = sol.cost, sol.iterations, True
                 evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
@@ -843,7 +847,7 @@ class RecedingHorizonController:
                 evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
             solve_ms = (time.perf_counter() - t0) * 1e3
         u = np.minimum(np.maximum(v + self.xi, -1.0), 1.0)
-        info = StepInfo(v=v, xi=self.xi.copy(), cost=cost, iterations=iters,
+        info = StepInfo(v=v, xi=self.xi, cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
                         terminal_level=level, rejections=rejections,
                         solve_ms=solve_ms)
@@ -851,6 +855,6 @@ class RecedingHorizonController:
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error
         self.est = observer_step(self.w, self.gains, self.est, v, y0,
-                                 y_meas, self.xi, cell=ing.consts.cell)
+                                 y_meas, self.xi)
         self.xi = self.xi + y0 - y_meas
         return u, info

@@ -2,12 +2,14 @@
 
 The model is augmented with a discrete integrator of the output tracking
 error (u = v + xi, xi+ = xi + y0 - y).  The observer injects innovation
-terms into both gates and into the integrator estimate; its nominal error
-dynamics are bounded componentwise by a nonnegative 2x2 matrix A_delta,
-and Schur stability of A_delta (checked by the Jury criterion) certifies
-convergence.  Gain synthesis finds the least ||A_delta||_2 in closed
-form: every entry of A_delta depends on its own gains, so each is made
-least on its own (the output-gate gains by an l1 fit per row).
+terms into both gates and into the integrator estimate, which shift the
+gate biases of the model's packed cell (GruWeights.cell).  Its nominal
+error dynamics are bounded componentwise by a nonnegative 2x2 matrix
+A_delta, and Schur stability of A_delta (checked by the Jury criterion)
+certifies convergence; build_A_delta returns A_delta with that verdict as
+one CertificationReport.  Gain synthesis finds the least ||A_delta||_2 in
+closed form: every entry of A_delta depends on its own gains, so each is
+made least on its own (the output-gate gains by an l1 fit per row).
 """
 
 import json
@@ -61,52 +63,34 @@ class ObserverGains:
              [self.L_xixi, self.L_xiy]]))
 
 
-@dataclass
-class ErrorDynamicsMatrix:
-    A: np.ndarray
-    delta: float
-    alpha: float
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        if self.A.shape != (2, 2):
-            raise ValueError("error dynamics matrix must be 2x2")
-
-    def spectral_radius(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
-
-    def spectral_norm(self):
-        return float(np.linalg.norm(self.A, 2))
-
-
 def augmented_step(w: GruWeights, s: AugmentedState, v, y0):
     """One step of the augmented system; returns (next state, y_a)."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
     u = v + s.xi
     y = gru_model.gru_output(w, s.x)
-    x_next = kernels.gru_cell(s.x, u, *w.arrays())
+    x_next = kernels.cell(s.x, u, *w.cell)[0]
     xi_next = s.xi + y0 - y
     return AugmentedState(x_next, xi_next), np.concatenate([y, s.xi])
 
 
 def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
-                  v, y0, y_meas, xi_meas, *, cell=None) -> AugmentedState:
+                  v, y0, y_meas, xi_meas) -> AugmentedState:
     """Observer update: gates and integrator receive innovation terms.
 
     The innovations only shift the update and forget gate biases, so the
-    state update is one kernels.cell call.  xi_meas is the controller's own
-    integrator state, known exactly.  cell is the packed cell of w
-    (kernels.stack_gates), built here when not given.
+    state update is one kernels.cell call on the model's packed cell with
+    those biases shifted.  xi_meas is the controller's own integrator state,
+    known exactly.
     """
-    if cell is None:
-        cell = kernels.stack_gates(*w.arrays())
     x, xi = est.x, est.xi
-    y_hat = w.U_o @ x + w.b_o       # gru_output; est.x has the model's shape
+    y_hat = w.U_o.dot(x) + w.b_o    # gru_output; est.x has the model's shape
     # the z and f gate bias shifts, then the integrator correction
-    shift = g.innovation @ np.concatenate((xi_meas - xi, y_meas - y_hat))
+    shift = g.innovation.dot(np.concatenate((xi_meas - xi, y_meas - y_hat)))
     n2 = 2 * w.n
-    x_next = kernels.cell(x, v + xi, *kernels.shift_gate_biases(cell, shift[:n2]))[0]
+    M = w.cell[0].copy()            # the packed cell with those biases shifted
+    M[:n2, 0] += 0.5 * shift[:n2]
+    x_next = kernels.cell(x, v + xi, M, *w.cell[1:])[0]
     return AugmentedState(x_next, xi + y0 - y_hat + shift[n2:])
 
 
@@ -119,23 +103,9 @@ def alpha_coefficient(w: GruWeights, g: ObserverGains) -> float:
 
 def delta_margin(w: GruWeights, g: ObserverGains) -> float:
     """Contraction margin delta; nonpositive values signal infeasibility."""
-    gb = gru_model.gate_bounds(w)
-    lhs = (inf_norm(w.U_r) * (0.25 * inf_norm(w.U_f - g.L_fy @ w.U_o)
-                              + gb.sigma_f_bar)
-           + 0.25 * (1.0 + gb.phi_r_bar) / (1.0 - gb.sigma_z_bar)
-           * inf_norm(w.U_z - g.L_zy @ w.U_o))
-    return 1.0 - lhs
-
-
-def build_A_delta(w: GruWeights, g: ObserverGains) -> ErrorDynamicsMatrix:
-    delta = delta_margin(w, g)
-    alpha = alpha_coefficient(w, g)
-    eye = np.eye(w.p)
-    A = np.array([
-        [1.0 - delta, alpha],
-        [inf_norm(w.U_o) * inf_norm(eye + g.L_xiy), inf_norm(eye - g.L_xixi)],
-    ])
-    return ErrorDynamicsMatrix(A, delta, alpha)
+    return 1.0 - gru_model.contraction(
+        inf_norm(w.U_r), inf_norm(w.U_f - g.L_fy @ w.U_o),
+        inf_norm(w.U_z - g.L_zy @ w.U_o), gru_model.gate_bounds(w))
 
 
 def jury_schur_check(A) -> bool:
@@ -148,12 +118,14 @@ def jury_schur_check(A) -> bool:
 
 @dataclass
 class CertificationReport:
+    """The error-dynamics bound A_delta of some gains and its verdict: the
+    gains certify when the margin delta is positive and A_delta is Schur."""
     delta: float
     alpha: float
     A_delta: np.ndarray
     schur_ok: bool
     passed: bool
-    reason: str
+    reason: str         # "ok", or the first failing condition: "margin", "schur"
 
     @property
     def spectral_radius(self):
@@ -164,18 +136,25 @@ class CertificationReport:
         return float(np.linalg.norm(self.A_delta, 2))
 
 
+def build_A_delta(w: GruWeights, g: ObserverGains) -> CertificationReport:
+    """A_delta = [[1 - delta, alpha], [|Uo| |I + L_xiy|, |I - L_xixi|]] and
+    its verdict."""
+    delta = delta_margin(w, g)
+    alpha = alpha_coefficient(w, g)
+    eye = np.eye(w.p)
+    A = np.array([
+        [1.0 - delta, alpha],
+        [inf_norm(w.U_o) * inf_norm(eye + g.L_xiy), inf_norm(eye - g.L_xixi)],
+    ])
+    schur = jury_schur_check(A)
+    reason = "margin" if delta <= 0.0 else "schur" if not schur else "ok"
+    return CertificationReport(float(delta), float(alpha), A, schur,
+                               bool(delta > 0.0 and schur), reason)
+
+
 def certify_gains(w: GruWeights, g: ObserverGains) -> CertificationReport:
     """Check the sufficient conditions for nominal observer convergence."""
-    ed = build_A_delta(w, g)
-    schur = jury_schur_check(ed.A)
-    if ed.delta <= 0.0:
-        reason = "margin"
-    elif not schur:
-        reason = "schur"
-    else:
-        reason = "ok"
-    return CertificationReport(float(ed.delta), float(ed.alpha), ed.A, schur,
-                               bool(ed.delta > 0.0 and schur), reason)
+    return build_A_delta(w, g)
 
 
 def trivial_gains(w: GruWeights, lam=0.5) -> ObserverGains:

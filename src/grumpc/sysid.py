@@ -286,7 +286,7 @@ def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
     nUr, nUf, nUz = norm["r"], norm["f"], norm["z"]
     sz, pr, sf = gb.sigma_z_bar, gb.phi_r_bar, gb.sigma_f_bar
 
-    nu = nUr * (0.25 * nUf + sf) + 0.25 * (1.0 + pr) / (1.0 - sz) * nUz - 1.0
+    nu = gru_model.contraction(nUr, nUf, nUz, gb) - 1.0
     coeff = rho_plus if nu > 0 else rho_minus
 
     # direct norm terms, then the gate-bound terms through the stacked norms
@@ -372,11 +372,10 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
     t_adam = 0
 
     log = []
-    best = None   # (certified, val_mse, epoch, params)
+    best = None   # ((not certified, val_mse, epoch), weights)
 
     def snapshot():
-        return GruWeights(n=cfg.n_states, m=m, p=p,
-                          **{k: v.copy() for k, v in params.items()})
+        return GruWeights(n=cfg.n_states, m=m, p=p, **params)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(train_idx)
@@ -413,12 +412,8 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
 
         cand = (not (nu < 0.0), val_mse, epoch)
         if best is None or cand < best[0]:
-            best = (cand, {k: v.copy() for k, v in params.items()})
-
-    if cfg.epochs == 0 or best is None:
-        return snapshot(), log
-    final = GruWeights(n=cfg.n_states, m=m, p=p, **best[1])
-    return final, log
+            best = (cand, cur)
+    return (snapshot() if best is None else best[1]), log
 
 
 # ---------------------------------------------------------------------------

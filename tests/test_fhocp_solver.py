@@ -121,9 +121,10 @@ def recorded_solves(monkeypatch, refs_ph, disturbances=()):
 
 def rollout(w, ing, cfg, est, v):
     """States 0..N_p and moves of a plan, rolled afresh."""
-    XA, V, _ = kernels.augmented_rollout(
-        kernels.stack_gates(*w.arrays()), w.U_o, w.b_o, ing.eq.y0, est.stacked(),
-        v.reshape(cfg.N_c, -1), (ing.K_lq, ing.eq.xa0), cfg.N_p)
+    step = kernels.augmented_step_matrices(kernels.stack_gates(*w.arrays()), w.U_o,
+                                           w.b_o, ing.eq.y0, (ing.K_lq, ing.eq.xa0))
+    XA, V, _ = kernels.augmented_rollout(step, est.stacked(), v.reshape(cfg.N_c, -1),
+                                         cfg.N_p)
     return XA, V
 
 
@@ -236,3 +237,26 @@ def test_a_solve_repeats_no_set_up(monkeypatch):
         sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
         counts.append(dict(calls))
     assert counts[0] == counts[1] == {"augmented_rollout": sol.evals}
+
+
+def test_a_plan_at_the_equilibrium_ends_without_a_linear_solve(monkeypatch):
+    # the first regulate tick starts at the equilibrium of its setpoint with
+    # the zero plan, whose cost is at rounding level: no Gauss-Newton step
+    # can predict a larger decrease, so the solve makes its one evaluation
+    # and no damped linear solve
+    window = harness.ExperimentConfig().controller.ref_filter_window
+    raw = np.r_[7.0, np.full(2, 7.2)]
+    w, solves = recorded_solves(monkeypatch, mpc.reference_filter(raw, window))
+    ing, cfg, est, xi, warm = solves[0]
+    assert warm is None
+    solved = []
+    lin = mpc._solve
+    monkeypatch.setattr(mpc, "_solve", lambda A, b: solved.append(1) or lin(A, b))
+    sol = mpc.fhocp_solve(w, ing, cfg, est, xi)
+    assert sol.cost <= mpc.LM_STOP
+    assert solved == [] and sol.evals == 1 and sol.iterations == 0
+    np.testing.assert_array_equal(sol.v, 0.0)
+    # a tick of the ramp to pH 7.2 starts away from its equilibrium: it solves
+    ing, cfg, est, xi, warm = solves[1]
+    sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+    assert sol.iterations >= 1 and len(solved) > sol.iterations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grumpc import gru_model
+from grumpc import gru_model, kernels
 from grumpc.gru_model import (DimensionMismatchError, GruWeights, gate_bounds,
                               diss_residual, gru_output, gru_step, jacobians,
                               simulate, stability_penalty, zero_weights)
@@ -209,6 +209,23 @@ def test_weights_validation():
                    U_o=np.zeros((1, 2)), b_o=np.zeros(1))
     with pytest.raises(ValueError, match="finite"):
         zero_weights(2, 1, 1).replace(b_r=np.array([np.nan, 0.0]))
+
+
+def test_weights_are_read_only_copies_with_a_cached_packed_cell():
+    # the arrays are copies that refuse writes, so the packed cell cached
+    # on first use equals a fresh kernels.stack_gates for the life of w
+    rng = np.random.default_rng(31)
+    src = gru_model.random_weights(4, 2, 2, rng)
+    arrays = {name: getattr(src, name).copy() for name in gru_model.WEIGHT_FIELDS}
+    w = GruWeights(n=4, m=2, p=2, **arrays)
+    arrays["U_z"][0, 0] += 1.0                  # the caller's array is not w's
+    assert w.U_z[0, 0] == src.U_z[0, 0]
+    for name in gru_model.WEIGHT_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(w, name)[...] = 0.0
+    assert w.cell is w.cell
+    for a, b in zip(w.cell, kernels.stack_gates(*w.arrays())):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_weight_serialization_round_trip(tmp_path):

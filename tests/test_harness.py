@@ -500,16 +500,32 @@ def test_bad_training_settings_are_refused_at_load(key, value):
 @pytest.mark.parametrize("key,value", [
     ("terminal_samples", 0), ("cache_quantum", 0.0), ("gamma", -1.0),
     ("q_tilde_weight", 0.0), ("omega_max", 0.0), ("omega_max", -1.0),
-    ("ref_filter_window", 0), ("q_weight", 0.0), ("constraint_tol", -1.0)])
+    ("ref_filter_window", 0), ("q_weight", 0.0), ("constraint_tol", -1.0),
+    ("N_f", -1), ("r_weight", -1.0)])
 def test_bad_controller_settings_are_refused_at_load(key, value):
     # each would pass an unchecked terminal set (no samples, a negative
     # decrease margin), give every setpoint one cache key, fail every
-    # ingredient build or the reference filter in the loop, or make every
-    # tick fall back to the auxiliary law
+    # ingredient build (r_weight -1: the Riccati iteration diverges), the
+    # reference filter or the first solve (N_f -1: a broadcast error) in the
+    # loop, or make every tick fall back to the auxiliary law
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc["controller"][key] = value
     with pytest.raises(CommandError, match=key):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [("tau_s", 0.0), ("tau_s", -10.0),
+                                       ("substeps", 0)])
+def test_bad_plant_settings_are_refused_at_load(key, value):
+    # substeps 0 made generate-data crash with a ZeroDivisionError in the
+    # RK4 integrator, and tau_s 0 was refused only later, as "t must be
+    # strictly increasing"
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc[key] = value
+    with pytest.raises(CommandError, match=key):
+        ExperimentConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: value})
 
 
 def test_config_values_take_the_json_forms_of_their_types():

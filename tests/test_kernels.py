@@ -238,14 +238,14 @@ def test_augmented_rollout_matches_stepwise_reference(setup):
     assert tail_viol == 0.0
 
 
-def reference_rollout(cellp, Uo, bo, y0, xa0, V, law, T, box_offset=None, step=None):
+def reference_rollout(step, xa0, V, T, box_offset=None):
     """augmented_rollout as a loop of kernels.cell calls on states kept as
     rows [x xi] (the kernels' former rollout), with every intermediate a
     fresh array: the law's move v = K (xa_eq - xa) and xi+ = xi + y0 -
-    (Uo x + bo) are formed as written; step, the kernel's packed step, is
-    not used."""
+    (Uo x + bo) are formed as written from the step's source arrays; its
+    packed Mxi and Ka are not used."""
+    cellp, Uo, bo, y0, (K, xa_eq) = step.cell, step.Uo, step.bo, step.y0, step.law
     n = Uo.shape[1]
-    K, xa_eq = law
     XA = np.empty((T + 1,) + xa0.shape)
     XA[0] = xa0
     moves = np.empty((T,) + xa0.shape[:-1] + bo.shape)
@@ -309,18 +309,19 @@ def test_fused_rollout_equals_the_cell_loop(pinned):
     w, ing, cfg = pinned
     cellp = kernels.stack_gates(*w.arrays())
     law = (ing.K_lq, ing.eq.xa0)
+    step = kernels.augmented_step_matrices(cellp, w.U_o, w.b_o, ing.eq.y0, law)
     rng = np.random.default_rng(441)
     xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
     for scale, box_offset in ((0.05, None), (2.0, rng.normal(0.0, 0.1, w.p))):
         V = rng.normal(0.0, scale, (cfg.N_c, w.p))
-        args = (cellp, w.U_o, w.b_o, ing.eq.y0, xa0, V, law, cfg.N_p)
+        args = (step, xa0, V, cfg.N_p)
         got = kernels.augmented_rollout(*args, box_offset=box_offset)
         assert_steps_agree_with_the_cell(w, cellp, law, ing.eq.y0, V, box_offset, got)
         assert_rollouts_agree(got, reference_rollout(*args, box_offset=box_offset), 1e-14)
         if box_offset is not None:      # the clamp binds
             assert np.any(got[1][:cfg.N_c] != V)
     # the auxiliary law from the first step on
-    args = (cellp, w.U_o, w.b_o, ing.eq.y0, xa0, (), law, 5)
+    args = (step, xa0, (), 5)
     got = kernels.augmented_rollout(*args)
     assert_steps_agree_with_the_cell(w, cellp, law, ing.eq.y0, (), None, got)
     assert_rollouts_agree(got, reference_rollout(*args), 1e-14)
@@ -331,12 +332,12 @@ def test_fused_rollout_on_1024_rows_matches_the_cell_loop(pinned):
     # the law's u and xi+ are each one product with the step's slot, which
     # rounds differently from the reference's formulas: within 1e-15
     w, ing, cfg = pinned
-    cellp = kernels.stack_gates(*w.arrays())
+    step = kernels.augmented_step_matrices(kernels.stack_gates(*w.arrays()), w.U_o,
+                                           w.b_o, ing.eq.y0, (ing.K_lq, ing.eq.xa0))
     rng = np.random.default_rng(443)
     E = rng.normal(0.0, 0.05, (mpc.TERMINAL_BLOCK, w.n + w.p))
     for T in (1, 3):
-        args = (cellp, w.U_o, w.b_o, ing.eq.y0, ing.eq.xa0 + E, (),
-                (ing.K_lq, ing.eq.xa0), T)
+        args = (step, ing.eq.xa0 + E, (), T)
         assert_rollouts_agree(kernels.augmented_rollout(*args),
                               reference_rollout(*args), 1e-15)
 
@@ -501,9 +502,7 @@ def test_terminal_samples_check_matches_per_row_reference(setup):
     E *= np.sqrt(ing.omega * rng.uniform(0.0, 2.0, len(E))
                  / np.einsum("ij,jk,ik->i", E, ing.Pi, E))[:, None]
     over, lhs, vf_lhs = kernels.terminal_samples_check(
-        E, np.ascontiguousarray(ing.K_lq), ing.eq.xa0, ing.eq.y0,
-        np.ascontiguousarray(ing.Pi), CFG.gamma, *w.arrays(), w.U_o, w.b_o,
-        Pf=ing.P_f, Qlq=ing.Q_lq)
+        E, ing.consts.step, np.ascontiguousarray(ing.Pi), ing.P_f, ing.Q_lq, CFG.gamma)
     ref_over, ref_lhs, ref_vf = np.empty(len(E)), np.empty(len(E)), np.empty(len(E))
     for k, e in enumerate(E):
         xa = ing.eq.xa0 + e
@@ -674,7 +673,7 @@ def test_cell_helpers_consistent():
         one_vjp = cell_vjp(L[k], X[k], U[k], *one[1:], *cellp)
         for a, b in zip(one + one_vjp, rows + rows_vjp):
             np.testing.assert_allclose(a, b[k], rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(kernels.gru_cell(X[0], U[0], *w.arrays()),
+    np.testing.assert_array_equal(gru_model.gru_step(w, X[0], U[0]),
                                   kernels.cell(X[0], U[0], *cellp)[0])
     z, f, r = rows[1:]
     assert np.all((z > 0) & (z < 1)) and np.all((f > 0) & (f < 1))
@@ -723,11 +722,12 @@ def reference_cell_jvp(dx, du, x, u, z, f, r, M, G, Wr, Ur):
     return dz * (x - r) + z * dx + (1.0 - z) * dr
 
 
-def reference_tangent(cellp, Uo, K, XA, cache, Nc, xi_rows=None):
+def reference_tangent(step, XA, cache, Nc):
     """augmented_tangent step by step: every step pushes the tangent rows
-    through reference_cell_jvp (the kernels' former tangent recursion);
-    xi_rows, the kernel's precomputed integrator rows, is not used.  Returns
-    the kernel's layout, features before directions."""
+    through reference_cell_jvp (the kernels' former tangent recursion),
+    from the step's source arrays; its packed Mxi and Ka are not used.
+    Returns the kernel's layout, features before directions."""
+    cellp, Uo, K = step.cell, step.Uo, step.law[0]
     n = Uo.shape[1]
     U, Z, F, R = cache
     T, p = U.shape
@@ -796,13 +796,13 @@ def test_augmented_tangent_matches_the_stepwise_recursion(pinned, model):
         K = rng.normal(0.0, 0.3, (2, 7))
         xa_eq, y0 = rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 2)
         xa0 = xa_eq + rng.normal(0.0, 0.1, 7)
-    cellp = kernels.stack_gates(*w.arrays())
+    step = kernels.augmented_step_matrices(kernels.stack_gates(*w.arrays()), w.U_o,
+                                           w.b_o, y0, (K, xa_eq))
     for Nc in (1, Np // 2, Np):
         V = rng.normal(0.0, 0.1, (Nc, w.p))
-        XA, _, cache = kernels.augmented_rollout(cellp, w.U_o, w.b_o, y0, xa0, V,
-                                                 (K, xa_eq), Np)
-        dXA, dV = kernels.augmented_tangent(cellp, w.U_o, K, XA, cache, Nc)
-        ref_dXA, ref_dV = reference_tangent(cellp, w.U_o, K, XA, cache, Nc)
+        XA, _, cache = kernels.augmented_rollout(step, xa0, V, Np)
+        dXA, dV = kernels.augmented_tangent(step, XA, cache, Nc)
+        ref_dXA, ref_dV = reference_tangent(step, XA, cache, Nc)
         assert dXA.shape == ref_dXA.shape and dV.shape == ref_dV.shape
         np.testing.assert_allclose(dXA, ref_dXA, rtol=0, atol=1e-13)
         np.testing.assert_allclose(dV, ref_dV, rtol=0, atol=1e-13)

@@ -214,14 +214,14 @@ def test_lyapunov_matches_scipy(small_setup):
 def test_terminal_radius_shrinks_with_gamma(small_setup):
     # the decrease margin is governed by Q_tilde = 10 I, so radii collapse
     # as gamma approaches 10 and no radius exists far beyond it
-    w, eq, ing, _ = small_setup
-    radii = [terminal_set_radius(w, eq, ing.K_lq, ing.Pi, ing.P_f, ing.Q_lq,
+    _, _, ing, _ = small_setup
+    radii = [terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
                                  ControllerConfig(gamma=gamma, omega_max=1e5,
                                                   terminal_samples=768))
              for gamma in (0.01, 9.0, 9.9)]
     assert radii[0] > radii[1] > radii[2]
     with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(w, eq, ing.K_lq, ing.Pi, ing.P_f, ing.Q_lq,
+        terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
                             ControllerConfig(gamma=1e6, terminal_samples=192))
 
 
@@ -239,9 +239,8 @@ def test_terminal_radius_sampled_soundness(small_setup):
     radii = np.sqrt(ing.omega) * rng.uniform(0, 1, 10000) ** (1.0 / na)
     E = (dirs @ Linv_T.T) * radii[:, None]
     over, lhs, vf_lhs = kernels.terminal_samples_check(
-        np.ascontiguousarray(E), np.ascontiguousarray(ing.K_lq), eq.xa0,
-        eq.y0, np.ascontiguousarray(ing.Pi), SMALL_CFG.gamma,
-        *w.arrays(), w.U_o, w.b_o, Pf=ing.P_f, Qlq=ing.Q_lq)
+        np.ascontiguousarray(E), ing.consts.step, np.ascontiguousarray(ing.Pi),
+        ing.P_f, ing.Q_lq, SMALL_CFG.gamma)
     assert np.all(over <= 1e-12)
     assert np.all(lhs <= 1e-10)
     assert np.all(vf_lhs <= 1e-10)
@@ -275,6 +274,24 @@ def test_terminal_radius_on_pinned_model(ph, omega):
     assert ing.omega == pytest.approx(omega, rel=1e-12)
 
 
+def test_a_setpoint_build_packs_the_cell_and_the_step_once(monkeypatch):
+    # on fresh weights the packed cell is made once, on first use, and the
+    # augmented step once, for both the radius walk and the solver
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    calls = {"stack_gates": 0, "augmented_step_matrices": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    ing = mpc.build_ingredients(w, nmap.normalize_y([7.0]),
+                                harness.ExperimentConfig().controller)
+    assert calls == {"stack_gates": 1, "augmented_step_matrices": 1}
+    assert ing.consts.step.cell is w.cell
+    assert ing.omega == pytest.approx(6.4, rel=1e-12)
+
+
 def two_set_radius(w, ing, cfg, n_samples=4096, audit_factor=10, block=1024):
     """The radius walk with a sample set and an audit set: the first
     n_samples Halton directions, then audit_factor times as many from the
@@ -288,9 +305,8 @@ def two_set_radius(w, ing, cfg, n_samples=4096, audit_factor=10, block=1024):
     def all_pass(E, scale):
         for lo in range(0, len(E), block):
             over, lhs, vf_lhs = kernels.terminal_samples_check(
-                scale * E[lo:lo + block], np.ascontiguousarray(ing.K_lq),
-                ing.eq.xa0, ing.eq.y0, np.ascontiguousarray(ing.Pi), cfg.gamma,
-                *w.arrays(), w.U_o, w.b_o, Pf=ing.P_f, Qlq=ing.Q_lq)
+                scale * E[lo:lo + block], ing.consts.step,
+                np.ascontiguousarray(ing.Pi), ing.P_f, ing.Q_lq, cfg.gamma)
             if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
                     and np.all(vf_lhs <= 0.0)):
                 return False
@@ -325,22 +341,21 @@ def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
     # the nonlinear remainder breaks the certificate on the terminal-set
     # samples: the V_f check rejects P_f = P at 10.0 and at the radius
     # P + Pi passes, and the radius walk finds no radius for it at all
-    w, ing = pinned_ingredients(6.8)
+    _, ing = pinned_ingredients(6.8)
     P = ing.P_f - ing.Pi
     E_unit = mpc._halton_directions(4096, ing.Pi.shape[0], skip=1) @ np.linalg.inv(
         np.linalg.cholesky(ing.Pi).T).T
 
     def vf_lhs(Pf, omega):
         return kernels.terminal_samples_check(
-            np.sqrt(omega) * E_unit, np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
-            ing.eq.y0, ing.Pi, ControllerConfig().gamma, *w.arrays(), w.U_o, w.b_o,
-            Pf=Pf, Qlq=ing.Q_lq)[2]
+            np.sqrt(omega) * E_unit, ing.consts.step, ing.Pi, Pf, ing.Q_lq,
+            ControllerConfig().gamma)[2]
 
     assert np.max(vf_lhs(P, 10.0)) > 0.0
     assert np.max(vf_lhs(P, ing.omega)) > 0.0
     assert np.max(vf_lhs(ing.P_f, ing.omega)) <= 0.0
     with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(w, ing.eq, ing.K_lq, ing.Pi, P, ing.Q_lq, ControllerConfig())
+        terminal_set_radius(ing.consts.step, ing.Pi, P, ing.Q_lq, ControllerConfig())
 
 
 @pytest.mark.parametrize("dim", [3, 6, 9, 11])
@@ -434,7 +449,7 @@ def test_terminal_radius_with_scipy_built_directions(ph, monkeypatch):
                       1e-12, 1.0 - 1e-12))
     g /= np.linalg.norm(g, axis=1)[:, None]
     monkeypatch.setitem(mpc._HALTON_CACHE, (cfg.terminal_samples, w.n + w.p, 1), g)
-    assert terminal_set_radius(w, ing.eq, ing.K_lq, ing.Pi, ing.P_f, ing.Q_lq,
+    assert terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
                                cfg) == ing.omega
 
 

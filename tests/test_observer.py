@@ -156,7 +156,7 @@ def test_observer_contraction_bound_along_rollouts():
     for trial in range(5):
         w = scaled_certified_weights(rng, n=4, target=-0.1)
         g = deadbeat_gains(w)
-        A = build_A_delta(w, g).A
+        A = build_A_delta(w, g).A_delta
         assert certify_gains(w, g).passed
         for _ in range(10):
             st = AugmentedState(rng.uniform(-1, 1, 4), rng.uniform(-0.5, 0.5, 1))
@@ -238,17 +238,17 @@ def test_A_delta_structure():
     rng = np.random.default_rng(83)
     w = scaled_certified_weights(rng, n=4)
     ed = build_A_delta(w, trivial_gains(w, lam=0.4))
-    assert ed.A[0, 0] == pytest.approx(1.0 - ed.delta)
-    assert ed.A[0, 1] == 0.0                       # alpha = 0
-    assert ed.A[1, 1] == pytest.approx(0.6)        # |1 - lam|
-    assert ed.spectral_radius() == pytest.approx(max(1.0 - ed.delta, 0.6))
+    assert ed.A_delta[0, 0] == pytest.approx(1.0 - ed.delta)
+    assert ed.A_delta[0, 1] == 0.0                       # alpha = 0
+    assert ed.A_delta[1, 1] == pytest.approx(0.6)        # |1 - lam|
+    assert ed.spectral_radius == pytest.approx(max(1.0 - ed.delta, 0.6))
 
     wz = gru_model.zero_weights(3, 1, 1)
     zero = ObserverGains(*(np.zeros((3, 1)),) * 4, np.zeros((1, 1)),
                          np.zeros((1, 1)), delta=0.0)
     edz = build_A_delta(wz, zero)
-    np.testing.assert_allclose(edz.A, [[0.0, 0.0], [0.0, 1.0]])
-    assert not jury_schur_check(edz.A)
+    np.testing.assert_allclose(edz.A_delta, [[0.0, 0.0], [0.0, 1.0]])
+    assert not jury_schur_check(edz.A_delta)
 
 
 def test_jury_hand_cases():
@@ -300,8 +300,8 @@ def test_trivial_gains_spectral_radius():
     w = scaled_certified_weights(rng, n=4, target=-0.2)
     g = trivial_gains(w, lam=0.5)
     ed = build_A_delta(w, g)
-    assert ed.spectral_radius() == pytest.approx(max(1 - ed.delta, 0.5))
-    assert ed.spectral_radius() < 1.0
+    assert ed.spectral_radius == pytest.approx(max(1 - ed.delta, 0.5))
+    assert ed.spectral_radius < 1.0
 
 
 # ||A_delta||_2 reached on the same five models by the multistart
