@@ -66,6 +66,14 @@ class ScenarioSection:
     noise_std_y_norm: float = 0.0
     settle_minutes: float = 20.0
 
+    def __post_init__(self):
+        # run-closed-loop fills a tick's reference from the entries started
+        # by then: ticks before the first would track uninitialized memory
+        if not self.reference_program or min(
+                t for t, _ in self.reference_program) > 0.0:
+            raise ValueError("reference_program must have an entry at t = 0, "
+                             f"not {self.reference_program!r}")
+
 
 def _fits(tp, value):
     """Whether a JSON value fits a config field annotated tp: an int field
@@ -352,8 +360,6 @@ class _ModelPlant:
 
 @dataclass
 class RunMetrics:
-    test_mse: float | None
-    fit: float | None
     nu: float
     rho_A_delta: float
     windows: list                 # [(t_lo_h, t_hi_h, max_abs_err_pH)]
@@ -465,9 +471,9 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
     max_settled = max((m[2] for m in win_metrics), default=float("nan"))
 
     metrics = RunMetrics(
-        test_mse=None, fit=None, nu=gru_model.diss_residual(w),
-        rho_A_delta=rep.spectral_radius, windows=win_metrics,
-        max_settled_error=max_settled, constraint_violations=violations,
+        nu=gru_model.diss_residual(w), rho_A_delta=rep.spectral_radius,
+        windows=win_metrics, max_settled_error=max_settled,
+        constraint_violations=violations,
         saturation_ticks=saturated, fallback_ticks=ctl.fallback_count,
         dropout_ticks=ctl.dropout_count, rebuild_failures=ctl.rebuild_failures,
         nonfinite_resets=ctl.nonfinite_resets)

@@ -40,8 +40,9 @@ the prediction horizon, 0 by default) and charges the quadratic terminal
 cost V_f(e) = e'P_f e at the last state.  P_f = P + Pi, with P the Riccati
 matrix of the LQ gain and Pi the terminal-set matrix, solves
 Acl'P_f Acl - P_f = -(Q_lq + Q_tilde) for Acl = A_a - B_a K; the sampled
-terminal-set check (terminal_samples_check) certifies that V_f falls by at
-least the stage cost e'Q_lq e under the auxiliary law on the terminal set.
+terminal-set check (terminal_samples_check) tests that V_f falls by at
+least the stage cost e'Q_lq e, and Pi by the gamma margin, under the
+auxiliary law on the terminal set's boundary samples.
 
 The objective is a sum of squares r'r (see _residuals).  fhocp_residuals
 returns r with its exact Jacobian Jr: augmented_tangent linearizes every step
@@ -609,21 +610,19 @@ def _blocks(T, na, p, Np):
 
 
 def terminal_samples_check(E, step, Pi, Pf, Qlq, gamma):
-    """Evaluate the terminal-set membership conditions at offsets E.
+    """Evaluate the sampled terminal-set conditions at offsets E.
 
     Row k of E is a deviation from the equilibrium xa_eq of the law of the
     AugmentedStep step; all rows go through one step of it.  Returns per
-    sample the total-input overshoot max(|u|) - 1 of the law's cell input
-    u = xi + v_lq, the Lyapunov-decrease left-hand side
-    |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2, and the terminal-cost
+    sample the Lyapunov-decrease left-hand side
+    |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2 and the terminal-cost
     decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with
-    V_f(e) = e'Pf e.
+    V_f(e) = e'Pf e.  The law's input box needs no samples: the radius
+    search (mpc.terminal_set_radius) bounds it exactly.
     """
     xa_eq = step.law[1]
-    XA, _, (U, _, _, _) = augmented_rollout(step, xa_eq + E, (), 1)
-    e_next = XA[1] - xa_eq
-    return (np.max(np.abs(U[0]), axis=1) - 1.0,
-            _quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
+    e_next = augmented_rollout(step, xa_eq + E, (), 1)[0][1] - xa_eq
+    return (_quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
             _quad(e_next, Pf) + _quad(E, Qlq - Pf))
 
 

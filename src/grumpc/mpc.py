@@ -3,8 +3,9 @@
 Pipeline per reference value: equilibrium (damped Newton on the model's
 fixed-point equations), linearization of the augmented system, LQ gain from
 a fixed-point Riccati iteration, Lyapunov matrix for the terminal-set
-ellipsoid, the quadratic terminal cost e'(P + Pi)e, sampled terminal-set
-radius with its certificates, and the finite-horizon optimal control
+ellipsoid, the quadratic terminal cost e'(P + Pi)e, the terminal-set
+radius (exact for the auxiliary law's input box, sampled for its Lyapunov
+and terminal-cost decrease), and the finite-horizon optimal control
 problem solved by penalized single shooting: Levenberg-Marquardt
 Gauss-Newton on the residuals of the penalized cost, with their exact
 Jacobian from one batched linearization of the rollout (cell_jacobians).
@@ -18,6 +19,7 @@ radius search and the solver read it directly.  Fixed numerics (the
 penalty schedule, the damping rule, the radius walk) are module constants.
 """
 
+import functools
 import logging
 import math
 import time
@@ -306,126 +308,6 @@ def lyapunov_Pi(lin: LinearizedAugmented, K_lq, Q_tilde, tol=1e-14):
 # terminal ingredients
 # ---------------------------------------------------------------------------
 
-_HALTON_CACHE: dict = {}
-
-
-def _primes(count):
-    """The first count primes."""
-    primes = []
-    k = 2
-    while len(primes) < count:
-        if all(k % q for q in primes if q * q <= k):
-            primes.append(k)
-        k += 1
-    return primes
-
-
-def halton_points(count, dim, skip=0):
-    """Points skip .. skip+count-1 of the unscrambled Halton sequence.
-
-    Coordinate j is the radical inverse of the point index in the j-th
-    prime base, its digits summed from the least significant one on, the
-    same arithmetic as scipy.stats.qmc.Halton(scramble=False).  Each
-    coordinate is summed in a contiguous buffer, one np.divmod per digit,
-    over the digit count of the largest index.
-    """
-    pts = np.empty((count, dim))
-    index = np.arange(skip, skip + count)
-    for j, base in enumerate(_primes(dim)):
-        acc = np.zeros(count)
-        q, scale, top = index, 1.0 / base, skip + count - 1
-        while top > 0:
-            q, digit = np.divmod(q, base)
-            acc += digit * scale
-            scale /= base
-            top //= base
-        pts[:, j] = acc
-    return pts
-
-
-# Cephes ndtri: the rational approximations of the inverse normal CDF for
-# |y - 1/2| <= 1/2 - exp(-2) (P0/Q0) and for the tail with
-# 2 <= sqrt(-2 ln y) < 8 (P1/Q1), highest power first
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _horner(coeffs, x):
-    """The polynomial of coeffs (highest power first) at x, in place, with
-    np.polyval's arithmetic."""
-    y = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        y *= x
-        y += c
-    return y
-
-
-def _ndtri(y):
-    """Inverse standard normal CDF for y in [1e-12, 1 - 1e-12].
-
-    Cephes `ndtri`, as `scipy.special.ndtri` evaluates it, in NumPy: the
-    central approximation and the tail below z = 8, each on its own subset
-    of y; the z >= 8 branch (y < exp(-32)) cannot be reached on this domain
-    and is not ported.  The result equals SciPy's to within 3 ulp (np.log
-    and libm's log round differently in the tail).  It is in-repo because
-    `import scipy.special` costs 0.2-0.25 s and 26 MB of resident memory
-    (2-vCPU x86-64 guest).
-    """
-    upper = y > 1.0 - _EXP_M2
-    t = np.where(upper, 1.0 - y, y)
-    out = np.empty_like(t)
-    central = t > _EXP_M2
-    c = t[central] - 0.5
-    c2 = c * c
-    out[central] = _SQRT_2PI * (
-        c + c * (c2 * _horner(_NDTRI_P0, c2) / _horner(_NDTRI_Q0, c2)))
-    tail = ~central
-    z = np.sqrt(-2.0 * np.log(t[tail]))
-    r = 1.0 / z
-    x = z - np.log(z) / z - r * _horner(_NDTRI_P1, r) / _horner(_NDTRI_Q1, r)
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
-
-
-def _halton_directions(count, dim, skip=0):
-    """Deterministic low-discrepancy unit directions (Halton -> Gaussian).
-
-    The Gaussian map is `_ndtri`, a NumPy port of `scipy.special.ndtri`
-    within 3 ulp of it, so that the terminal set imports no SciPy module.
-    Built in place, TERMINAL_BLOCK rows at a time: a copy of a 45056-row
-    set would add 3.6 MB to the peak memory.
-    """
-    key = (count, dim, skip)
-    cached = _HALTON_CACHE.get(key)
-    if cached is not None:
-        return cached
-    g = halton_points(count, dim, skip)
-    for lo in range(0, count, TERMINAL_BLOCK):
-        blk = g[lo:lo + TERMINAL_BLOCK]
-        blk[...] = _ndtri(np.clip(blk, 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(blk, axis=1)
-        norms[norms == 0.0] = 1.0
-        blk /= norms[:, None]
-    _HALTON_CACHE[key] = g
-    return g
-
-
 # the radius walk: the factor between radii tried, the radius below which
 # no terminal set is found, and the samples per terminal_samples_check call
 # and per block of the direction build (bounds their working memory; a
@@ -435,35 +317,57 @@ TERMINAL_MIN_OMEGA = 1e-12
 TERMINAL_BLOCK = 1024
 
 
+@functools.cache
+def _directions(count, dim):
+    """count unit directions in R^dim, read-only: Gaussian rows of the
+    legacy np.random.RandomState(0) stream, which NumPy keeps fixed across
+    versions (NEP 19), normalized in blocks so that no whole-array
+    temporary adds to the peak memory."""
+    g = np.random.RandomState(0).standard_normal((count, dim))
+    for lo in range(0, count, TERMINAL_BLOCK):
+        blk = g[lo:lo + TERMINAL_BLOCK]
+        blk /= np.linalg.norm(blk, axis=1)[:, None]
+    g.flags.writeable = False
+    return g
+
+
 def terminal_set_radius(step: kernels.AugmentedStep, Pi, P_f, Q_lq,
                         cfg: ControllerConfig):
-    """Largest sampled radius for which the auxiliary law of the setpoint's
-    packed step stays admissible.
+    """Largest radius omega on which the auxiliary law of the setpoint's
+    packed step stays admissible for the terminal set e'Pi e <= omega.
 
-    Walks a geometric grid from cfg.omega_max downward by TERMINAL_SHRINK.
-    The samples are one ordered Halton set of cfg.terminal_samples boundary
-    directions (points 1, 2, ... of the sequence), checked in blocks of
-    TERMINAL_BLOCK; a radius is accepted when every sample satisfies the
-    total-input box (xi + v_lq in [-1, 1]), the Lyapunov decrease condition
-    with margin cfg.gamma and the terminal-cost decrease
-    V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with V_f(e) = e'P_f e, and
-    rejected at the first block with a failing sample.
+    The input box is exact: under the law the cell input is u = u_eq + C e
+    with C = [0 I] - K, whose row j peaks at |u_eq,j| +
+    sqrt(omega c_j'Pi^-1 c_j) on the ellipsoid, so the walk starts at
+    min(cfg.omega_max, omega_box), omega_box = min_j max(1 - |u_eq,j|, 0)^2
+    / c_j'Pi^-1 c_j (a zero c_j bounds nothing), and goes down by
+    TERMINAL_SHRINK.  The two decrease conditions are sampled on
+    cfg.terminal_samples boundary directions in blocks of TERMINAL_BLOCK: a
+    radius is accepted when every sample has the Lyapunov decrease with
+    margin cfg.gamma and V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with
+    V_f(e) = e'P_f e, and rejected at the first failing block.
     """
-    L = np.linalg.cholesky(Pi)
+    K, xa_eq = step.law
+    p = len(K)
+    Linv = np.linalg.inv(np.linalg.cholesky(Pi))
+    C = -K
+    C[:, -p:] += np.eye(p)
+    spread = np.sum((Linv @ C.T) ** 2, axis=0)       # c_j'Pi^-1 c_j
+    slack = np.maximum(1.0 - np.abs(xa_eq[-p:]), 0.0) ** 2
+    bounded = spread > 0.0
+    omega_box = np.min(slack[bounded] / spread[bounded], initial=np.inf)
     # rows satisfy e' Pi e = 1
-    E_unit = (_halton_directions(cfg.terminal_samples, len(Pi), skip=1)
-              @ np.linalg.inv(L.T).T)
+    E_unit = _directions(cfg.terminal_samples, len(Pi)) @ Linv
 
     def all_pass(scale):
         for lo in range(0, len(E_unit), TERMINAL_BLOCK):
-            over, lhs, vf_lhs = kernels.terminal_samples_check(
+            lhs, vf_lhs = kernels.terminal_samples_check(
                 scale * E_unit[lo:lo + TERMINAL_BLOCK], step, Pi, P_f, Q_lq, cfg.gamma)
-            if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
-                    and np.all(vf_lhs <= 0.0)):
+            if not (np.all(lhs <= 1e-12) and np.all(vf_lhs <= 0.0)):
                 return False
         return True
 
-    omega = float(cfg.omega_max)
+    omega = min(float(cfg.omega_max), float(omega_box))
     while omega > TERMINAL_MIN_OMEGA:
         if all_pass(np.sqrt(omega)):
             return omega

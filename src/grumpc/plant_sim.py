@@ -295,6 +295,10 @@ def run_experiment(u_signal, schedule: DisturbanceSchedule, p: PhParams,
     recorded channels.  Sample k holds t = k tau_s and the pH after the
     k-th hold period.
     """
+    if not tau_s > 0:
+        raise ValueError(f"tau_s must be positive, not {tau_s!r}")
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
     u_signal = np.asarray(u_signal, dtype=np.float64).ravel()
     K = u_signal.shape[0]
     if x0 is None:

@@ -528,6 +528,18 @@ def test_bad_plant_settings_are_refused_at_load(key, value):
         ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize("value", [[], [[0.5, 7.2]], [[1.8, 7.8], [0.2, 7.0]]],
+                         ids=["empty", "late", "late-unsorted"])
+def test_bad_scenario_settings_are_refused_at_load(value):
+    # run-closed-loop fills a tick's reference only from the first entry on,
+    # so a program that is empty or starts after t = 0 tracked uninitialized
+    # memory (values like 6.9e-310) in its first ticks
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc["scenario"]["reference_program"] = value
+    with pytest.raises(CommandError, match="reference_program"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_values_take_the_json_forms_of_their_types():
     # an int for a float, an array for a tuple, null for an optional value
     cfg = ExperimentConfig.from_dict({"controller": {"gamma": 1},

@@ -238,10 +238,11 @@ def test_terminal_radius_sampled_soundness(small_setup):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = np.sqrt(ing.omega) * rng.uniform(0, 1, 10000) ** (1.0 / na)
     E = (dirs @ Linv_T.T) * radii[:, None]
-    over, lhs, vf_lhs = kernels.terminal_samples_check(
+    lhs, vf_lhs = kernels.terminal_samples_check(
         np.ascontiguousarray(E), ing.consts.step, np.ascontiguousarray(ing.Pi),
         ing.P_f, ing.Q_lq, SMALL_CFG.gamma)
-    assert np.all(over <= 1e-12)
+    u = eq.xa0[w.n:] + E[:, w.n:] - E @ ing.K_lq.T
+    assert np.all(np.abs(u) <= 1.0 + 1e-12)
     assert np.all(lhs <= 1e-10)
     assert np.all(vf_lhs <= 1e-10)
     # next state stays inside the ellipsoid
@@ -265,13 +266,44 @@ def pinned_ingredients(ph):
     return w, ctl.ingredients_for(nmap.normalize_y([ph]))
 
 
-@pytest.mark.parametrize("ph, omega", [(7.0, 6.4), (7.2, 3.2768), (6.8, 8.0)])
+@pytest.mark.parametrize("ph, omega", [(7.0, 4.933605587895245),
+                                       (7.2, 2.619767005050506),
+                                       (6.8, 9.352124511569873)])
 def test_terminal_radius_on_pinned_model(ph, omega):
-    # the radii the sampled check accepted for the benchmark's pinned model;
-    # at pH 6.8 the terminal-cost decrease rejects 10.0, which the input box
-    # and the Pi decrease alone accept
+    # the radii accepted for the benchmark's pinned model: each is the exact
+    # input-box radius, where the walk now starts and the sampled decrease
+    # conditions pass at the first trial.  The sampled box check accepted
+    # 6.4, 3.2768 and 8.0 before, above the box radius at pH 7.0 and 7.2
     _, ing = pinned_ingredients(ph)
     assert ing.omega == pytest.approx(omega, rel=1e-12)
+
+
+def box_peaks(w, ing, omega):
+    """The auxiliary law's cell input at the points of the ellipsoid
+    e'Pi e = omega that maximize and minimize each of its rows,
+    e* = +-omega Pi^-1 c_j / sqrt(omega c_j'Pi^-1 c_j) with C = [0 I] - K;
+    and the exact box radius min_j (1 - |u_eq,j|)^2 / c_j'Pi^-1 c_j."""
+    C = np.hstack((np.zeros((w.p, w.n)), np.eye(w.p))) - ing.K_lq
+    S = np.linalg.solve(ing.Pi, C.T)             # columns Pi^-1 c_j
+    spread = np.einsum("ij,ij->j", C.T, S)
+    E = (omega * S / np.sqrt(omega * spread)).T
+    E = np.vstack((E, -E))
+    # the law's input as the kernels form it: xi + v with v = -K e
+    U = ing.eq.xa0[w.n:] + E[:, w.n:] - E @ ing.K_lq.T
+    omega_box = np.min((1.0 - np.abs(ing.eq.u0)) ** 2 / spread)
+    return U, omega_box
+
+
+@pytest.mark.parametrize("ph", [6.8, 7.0, 7.2, 7.8])
+def test_the_input_box_holds_at_its_worst_point(ph):
+    # the accepted radius keeps the law's input in the box at the analytic
+    # maximizer on the ellipsoid, and the box radius is tight: 0.1 % beyond
+    # it, that point leaves the box
+    w, ing = pinned_ingredients(ph)
+    U, omega_box = box_peaks(w, ing, ing.omega)
+    assert np.max(np.abs(U)) <= 1.0 + 1e-12
+    U_out, _ = box_peaks(w, ing, 1.001 * omega_box)
+    assert np.max(np.abs(U_out)) > 1.0
 
 
 def test_a_setpoint_build_packs_the_cell_and_the_step_once(monkeypatch):
@@ -289,51 +321,9 @@ def test_a_setpoint_build_packs_the_cell_and_the_step_once(monkeypatch):
                                 harness.ExperimentConfig().controller)
     assert calls == {"stack_gates": 1, "augmented_step_matrices": 1}
     assert ing.consts.step.cell is w.cell
-    assert ing.omega == pytest.approx(6.4, rel=1e-12)
-
-
-def two_set_radius(w, ing, cfg, n_samples=4096, audit_factor=10, block=1024):
-    """The radius walk with a sample set and an audit set: the first
-    n_samples Halton directions, then audit_factor times as many from the
-    points after them, each set checked block by block."""
-    Linv_T = np.linalg.inv(np.linalg.cholesky(ing.Pi).T)
-    na = w.n + w.p
-    E_unit = mpc._halton_directions(n_samples, na, skip=1) @ Linv_T.T
-    E_audit = mpc._halton_directions(audit_factor * n_samples, na,
-                                     skip=1 + n_samples) @ Linv_T.T
-
-    def all_pass(E, scale):
-        for lo in range(0, len(E), block):
-            over, lhs, vf_lhs = kernels.terminal_samples_check(
-                scale * E[lo:lo + block], ing.consts.step,
-                np.ascontiguousarray(ing.Pi), ing.P_f, ing.Q_lq, cfg.gamma)
-            if not (np.all(over <= 0.0) and np.all(lhs <= 1e-12)
-                    and np.all(vf_lhs <= 0.0)):
-                return False
-        return True
-
-    omega = cfg.omega_max
-    while omega > mpc.TERMINAL_MIN_OMEGA:
-        if all_pass(E_unit, np.sqrt(omega)) and all_pass(E_audit, np.sqrt(omega)):
-            return omega
-        omega *= mpc.TERMINAL_SHRINK
-    raise mpc.TerminalSetError("no radius")
-
-
-@pytest.mark.parametrize("ph", [6.8, 7.0, 7.4])
-def test_one_sample_set_walk_equals_the_sample_and_audit_walk(ph):
-    # the sample set followed by its audit set is one contiguous run of the
-    # Halton sequence, and a trial stops at its first failing block in
-    # either walk, so walking the run as one set accepts the same radius
-    w, ing = pinned_ingredients(ph)
-    cfg = harness.ExperimentConfig().controller
-    assert cfg.terminal_samples == 4096 * 11
-    na = w.n + w.p
-    np.testing.assert_array_equal(
-        mpc._halton_directions(cfg.terminal_samples, na, skip=1),
-        np.vstack((mpc._halton_directions(4096, na, skip=1),
-                   mpc._halton_directions(40960, na, skip=4097))))
-    assert ing.omega == two_set_radius(w, ing, cfg)
+    # the exact input-box radius at pH 7.0 (the sampled box check accepted
+    # 6.4 before, above it)
+    assert ing.omega == pytest.approx(4.933605587895245, rel=1e-12)
 
 
 def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
@@ -343,13 +333,13 @@ def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
     # P + Pi passes, and the radius walk finds no radius for it at all
     _, ing = pinned_ingredients(6.8)
     P = ing.P_f - ing.Pi
-    E_unit = mpc._halton_directions(4096, ing.Pi.shape[0], skip=1) @ np.linalg.inv(
+    E_unit = mpc._directions(4096, ing.Pi.shape[0]) @ np.linalg.inv(
         np.linalg.cholesky(ing.Pi).T).T
 
     def vf_lhs(Pf, omega):
         return kernels.terminal_samples_check(
             np.sqrt(omega) * E_unit, ing.consts.step, ing.Pi, Pf, ing.Q_lq,
-            ControllerConfig().gamma)[2]
+            ControllerConfig().gamma)[1]
 
     assert np.max(vf_lhs(P, 10.0)) > 0.0
     assert np.max(vf_lhs(P, ing.omega)) > 0.0
@@ -358,20 +348,10 @@ def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
         terminal_set_radius(ing.consts.step, ing.Pi, P, ing.Q_lq, ControllerConfig())
 
 
-@pytest.mark.parametrize("dim", [3, 6, 9, 11])
-def test_halton_points_equal_scipy(dim):
-    from scipy.stats import qmc
-    for count, skip in ((4096, 1), (40960, 4097)):
-        h = qmc.Halton(d=dim, scramble=False)
-        h.fast_forward(skip)
-        np.testing.assert_array_equal(mpc.halton_points(count, dim, skip),
-                                      h.random(count))
-
-
 def test_ingredients_build_without_scipy_stats():
     # importing scipy.stats, scipy.special or scipy.optimize costs 0.2-0.75 s
-    # and 22-49 MB: the terminal-set directions come from the in-repo Halton
-    # generator and inverse normal CDF, so no scipy module loads at all
+    # and 22-49 MB: the terminal-set directions are Gaussian rows of NumPy's
+    # legacy RandomState stream, so no scipy module loads at all
     code = ("import numpy as np\n"
             "from grumpc import mpc\n"
             "from conftest import scaled_certified_weights\n"
@@ -379,49 +359,6 @@ def test_ingredients_build_without_scipy_stats():
             "y = mpc.gru_model.gru_output(w, mpc.steady_state(w, [0.0]))\n"
             "mpc.build_ingredients(w, y, mpc.ControllerConfig(terminal_samples=192))\n")
     assert scipy_modules_after(code) == []
-
-
-def test_ndtri_is_within_3_ulp_of_scipy():
-    # the whole desk direction set before normalization, and the ends of
-    # the domain and of the central branch (exp(-2), 1 - exp(-2)) on both sides
-    from scipy.special import ndtri
-    e2 = np.exp(-2.0)
-    edges = [1e-12, np.nextafter(e2, 0.0), e2, np.nextafter(e2, 1.0),
-             np.nextafter(1.0 - e2, 0.0), 1.0 - e2, np.nextafter(1.0 - e2, 1.0),
-             0.5, 1.0 - 1e-12]
-    for y in (np.clip(mpc.halton_points(45056, 11, skip=1), 1e-12, 1.0 - 1e-12),
-              np.array(edges)):
-        ref = ndtri(y)
-        ulps = np.abs(mpc._ndtri(y) - ref) / np.spacing(np.abs(ref))
-        assert np.max(ulps) <= 3.0
-
-
-def reference_ndtri(y):
-    """mpc._ndtri as first ported: both branches on all of y, np.polyval,
-    np.where to pick."""
-    upper = y > 1.0 - mpc._EXP_M2
-    t = np.where(upper, 1.0 - y, y)
-    c = t - 0.5
-    c2 = c * c
-    central = mpc._SQRT_2PI * (c + c * (c2 * np.polyval(mpc._NDTRI_P0, c2)
-                                        / np.polyval(mpc._NDTRI_Q0, c2)))
-    z = np.sqrt(-2.0 * np.log(t))
-    r = 1.0 / z
-    tail = (z - np.log(z) / z
-            - r * np.polyval(mpc._NDTRI_P1, r) / np.polyval(mpc._NDTRI_Q1, r))
-    return np.where(t > mpc._EXP_M2, central, np.where(upper, tail, -tail))
-
-
-def test_ndtri_equals_the_two_branch_form():
-    # each branch on its own subset, Horner in place: the same values bit
-    # for bit, on the desk direction set and the branch edges
-    e2 = np.exp(-2.0)
-    edges = np.array([1e-12, np.nextafter(e2, 0.0), e2, np.nextafter(e2, 1.0),
-                      np.nextafter(1.0 - e2, 0.0), 1.0 - e2,
-                      np.nextafter(1.0 - e2, 1.0), 0.5, 1.0 - 1e-12])
-    for y in (np.clip(mpc.halton_points(45056, 11, skip=1), 1e-12, 1.0 - 1e-12),
-              edges):
-        np.testing.assert_array_equal(mpc._ndtri(y), reference_ndtri(y))
 
 
 def test_damped_system_solve_equals_numpy_solve():
@@ -436,21 +373,6 @@ def test_damped_system_solve_equals_numpy_solve():
         np.testing.assert_array_equal(mpc._solve(A, b), np.linalg.solve(A, b))
     with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
         mpc._solve(np.zeros((3, 3)), np.ones(3))
-
-
-@pytest.mark.parametrize("ph", [6.8, 7.0, 7.4, 7.8])
-def test_terminal_radius_with_scipy_built_directions(ph, monkeypatch):
-    # the in-repo inverse normal CDF changes no accepted radius on the
-    # pinned model: a direction set built by scipy.special.ndtri gives the same
-    from scipy.special import ndtri
-    w, ing = pinned_ingredients(ph)
-    cfg = harness.ExperimentConfig().controller
-    g = ndtri(np.clip(mpc.halton_points(cfg.terminal_samples, w.n + w.p, skip=1),
-                      1e-12, 1.0 - 1e-12))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    monkeypatch.setitem(mpc._HALTON_CACHE, (cfg.terminal_samples, w.n + w.p, 1), g)
-    assert terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
-                               cfg) == ing.omega
 
 
 def rolled_tail_cost(w, eq, ing, xa, steps):

@@ -212,6 +212,16 @@ def test_run_experiment_deterministic_with_seeds(ph_params):
     assert np.array_equal(a.y, b.y)
 
 
+@pytest.mark.parametrize("key,value", [("tau_s", 0.0), ("tau_s", -10.0),
+                                       ("substeps", 0)])
+def test_run_experiment_refuses_a_bad_step(ph_params, key, value):
+    # substeps 0 ended in a ZeroDivisionError in the RK4 integrator, and
+    # tau_s 0 in "t must be strictly increasing"
+    with pytest.raises(ValueError, match=key):
+        run_experiment(np.full(5, 15.0), DisturbanceSchedule.empty(), ph_params,
+                       **{key: value})
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         DisturbanceSchedule([(0.0, 10.0, "bogus-channel", 1.0)])
