@@ -16,7 +16,8 @@ search and every solver evaluation step through it.
 ControllerConfig holds every controller setting (horizons, weights, the
 terminal-set search, the solver's budget); the ingredient build, the
 radius search and the solver read it directly.  Fixed numerics (the
-penalty schedule, the damping rule, the radius walk) are module constants.
+penalty schedule, the damping and stopping rules, the radius walk) are
+module constants.
 """
 
 import functools
@@ -443,6 +444,9 @@ def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
 LM_LAMBDA0 = 1e-3
 LM_RAISE = 10.0
 LM_STOP = 1e-12
+# a strictly feasible round ends once its step moves the applied v(0) by at most
+# this: suboptimal MPC needs only a feasible plan no costlier than the warm start
+V0_TOL = 1e-4
 # penalty weights of the successive rounds
 MU_SCHEDULE = (1e3, 1e5, 1e7)
 
@@ -470,6 +474,7 @@ class FhocpSolution:
     evals: int = 0           # objective evaluations, with or without Jacobian
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
     rejections: int = 0      # rejected Gauss-Newton steps (damping raised)
+    stop: str = ""           # the exit that ended the last round (fhocp_solve)
 
 
 def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
@@ -481,16 +486,27 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     Gauss-Newton on the exact Jacobian J of r: each step solves
     (J'J + lam diag(J'J)) dv = -J'r and is accepted when it lowers the
     penalized cost; lam falls after an accepted step and rises after a
-    rejected one.  A penalty round ends when the decrease, actual or
-    predicted by the Gauss-Newton model, is at most LM_STOP (1 + cost), or
-    after cfg.max_iters // rounds steps.  The penalty weights rise over
-    MU_SCHEDULE.  A round whose plan leaves the box is followed by a
-    sequential clamp that restores exact box feasibility (inside the box the
-    clamp is the identity, so it does not run there), and a strictly
-    interior iterate ends the schedule.  The best feasible iterate wins, so
-    a feasible warm start is never degraded.  Every candidate keeps the
-    states 0..N_p of the rollout that scored it, which become the
-    trajectory and terminal level of the solution.
+    rejected one.  The penalty weights rise over MU_SCHEDULE.  A penalty
+    round ends at the first of these exits, whose name the solution keeps
+    in `stop` (the last round's wins):
+
+    equilibrium  the penalized cost is at most LM_STOP (1 + cost), so no
+                 step can decrease it by more;
+    move         the iterate is strictly feasible and the step would move
+                 v(0) by at most V0_TOL;
+    model        the decrease that the Gauss-Newton model predicts for the
+                 step is at most LM_STOP (1 + cost);
+    decrease     an accepted step decreased the cost by at most
+                 LM_STOP (1 + cost);
+    budget       cfg.max_iters // rounds steps were tried.
+
+    A round whose plan leaves the box is followed by a sequential clamp
+    that restores exact box feasibility (inside the box the clamp is the
+    identity, so it does not run there), and a strictly interior iterate
+    ends the schedule.  The best feasible iterate wins, so a feasible warm
+    start is never degraded; with none, FhocpInfeasibleError.  Every
+    candidate keeps the states 0..N_p of the rollout that scored it, which
+    become the trajectory and terminal level of the solution.
     """
     p = w.p
     Nc, Np = cfg.N_c, cfg.N_p
@@ -552,14 +568,20 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             # no step predicts a decrease above the cost Jp = |r|^2 (the model
             # |r + Jr dv|^2 is nonnegative): a plan at equilibrium needs no solve
             if Jp <= stop:
+                ended = "equilibrium"
                 break
             # (H + lam diag(H)) dv = -g, on a copy of H with its diagonal damped
             Hd = H.copy()
             diag = Hd.reshape(-1)[::D + 1]
             diag += lam * diag
             dv = _solve(Hd, -g)
+            # |dv(0)| on Python floats: a NumPy reduction costs more than the test
+            if bviol <= 0.0 and tviol <= 0.0 and max(map(abs, dv[:p].tolist())) <= V0_TOL:
+                ended = "move"
+                break
             # the decrease the model predicts (ndarray.dot: @ without its dispatch)
             if -float(dv.dot(g + 0.5 * H.dot(dv))) <= stop:
+                ended = "model"
                 break
             trial = evaluate(kernels.fhocp_forward_backward, v + dv, mu_box, mu_term)
             if trial[0] >= Jp:
@@ -572,7 +594,10 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             v = v + dv
             Jp, Jc, g, bviol, tviol, H, XA = trial
             if decrease <= stop:
+                ended = "decrease"
                 break
+        else:
+            ended = "budget"
         strict = consider(v, Jc, bviol, tviol, XA)
         if bviol > 0.0:
             v_clip, XA_clip, _ = kernels.fhocp_clip_restore(v, *head, Nc, Np,
@@ -594,7 +619,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     return FhocpSolution(v=best["v"].reshape(Nc, p), trajectory=best["XA"],
                          cost=best["cost"], iterations=iters,
                          max_violation=best["viol"], evals=evals,
-                         terminal_level=level(best["XA"]), rejections=rejections)
+                         terminal_level=level(best["XA"]), rejections=rejections,
+                         stop=ended)
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
@@ -611,11 +637,14 @@ def reference_filter(signal, window: int):
     if window < 1:
         raise ValueError("window must be at least 1")
     signal = np.asarray(signal, dtype=np.float64)
-    out = np.empty_like(signal)
     csum = np.cumsum(signal, axis=0)
-    for k in range(len(signal)):
-        lo = max(0, k - window + 1)
-        out[k] = (csum[k] - (csum[lo - 1] if lo > 0 else 0.0)) / (k - lo + 1)
+    # the sum over ticks k-window+1..k is csum[k] less csum[k - window]; the
+    # first window ticks average the samples seen so far
+    out = csum.copy()
+    out[window:] -= csum[:-window]
+    out[window:] /= window
+    head = out[:window]
+    head /= np.arange(1, len(head) + 1).reshape(-1, *(1,) * (signal.ndim - 1))
     return out
 
 
@@ -635,6 +664,9 @@ class StepInfo:
     terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
     rejections: int = 0      # rejected Gauss-Newton steps of the solve
     solve_ms: float = 0.0    # wall time of fhocp_solve; 0 when none ran
+    # the exit that ended the solve (FhocpSolution.stop), "fallback" when it
+    # found no feasible plan, "" when none ran
+    stop: str = ""
 
 
 class RecedingHorizonController:
@@ -727,8 +759,8 @@ class RecedingHorizonController:
             log.warning("non-finite measurement %s; using the model output", y_meas)
             y_meas = gru_model.gru_output(self.w, self.est.x)
 
-        cost, iters, feas, fallback, evals, level, rejections = (
-            np.nan, 0, False, False, 0, np.nan, 0)
+        cost, iters, feas, fallback, evals, level, rejections, stop = (
+            np.nan, 0, False, False, 0, np.nan, 0, "")
         v, solve_ms = np.zeros(self.w.p), 0.0
         if not poisoned:
             t0 = time.perf_counter()
@@ -740,6 +772,7 @@ class RecedingHorizonController:
                 self._warm = shifted_warm_start(sol, ing, self.w, self.cfg)
                 cost, iters, feas = sol.cost, sol.iterations, True
                 evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
+                stop = sol.stop
             except FhocpInfeasibleError as exc:
                 # auxiliary law on the estimate, clipped into the input box
                 fallback = True
@@ -749,12 +782,13 @@ class RecedingHorizonController:
                 v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
                 self._warm = None
                 evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
+                stop = "fallback"
             solve_ms = (time.perf_counter() - t0) * 1e3
         u = np.minimum(np.maximum(v + self.xi, -1.0), 1.0)
         info = StepInfo(v=v, xi=self.xi, cost=cost, iterations=iters,
                         feasible=feas, fallback=fallback, evals=evals,
                         terminal_level=level, rejections=rejections,
-                        solve_ms=solve_ms)
+                        solve_ms=solve_ms, stop=stop)
 
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error

@@ -150,25 +150,75 @@ def assert_matches_reference(w, solve_inputs):
     return sol
 
 
-def test_regulate_ticks_in_an_input_additive_window(monkeypatch):
+def plain_cost(w, ing, cfg, est, xi, v):
+    """(cost, box excess, terminal excess) of a plan, without penalties."""
+    _, J, bviol, tviol = kernels.fhocp_forward(
+        np.ravel(v), est.stacked(), xi, ing.eq.y0, *w.arrays(), w.U_o, w.b_o,
+        ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi, float(ing.omega),
+        cfg.N_c, cfg.N_p, int(cfg.N_f), 0.0, 0.0, consts=ing.consts)
+    return J, bviol, tviol
+
+
+def regulate_ticks(monkeypatch):
     # pH 7.0 hold; +0.4 mL/s on the base flow during ticks 6-8, as in the
     # benchmark's regulate windows; the controller sees it from tick 7 on
     tau = harness.ExperimentConfig().tau_s
     w, solves = recorded_solves(monkeypatch, np.full(12, 7.0),
                                 [(6 * tau, 9 * tau, "input-additive", 0.4)])
-    sols = [assert_matches_reference(w, s) for s in solves[7:12]]
-    # Gauss-Newton converges in a few undamped steps here
-    assert all(1 <= s.iterations <= 5 and s.rejections == 0 for s in sols)
+    return w, solves[7:12]
 
 
-def test_track_ticks_after_a_setpoint_step(monkeypatch):
+def track_ticks(monkeypatch):
     # +0.2 pH at tick 1 through the desk reference filter: every tick of the
     # ramp builds new ingredients and starts from a shifted plan
     window = harness.ExperimentConfig().controller.ref_filter_window
     raw = np.r_[7.0, np.full(5, 7.2)]
     w, solves = recorded_solves(monkeypatch, mpc.reference_filter(raw, window))
-    for s in solves[1:6]:
+    return w, solves[1:6]
+
+
+# the reference contract holds for the converged solver: V0_TOL = 0 turns
+# the move exit off (the loops are recorded with it off as well)
+
+def test_regulate_ticks_in_an_input_additive_window(monkeypatch):
+    monkeypatch.setattr(mpc, "V0_TOL", 0.0)
+    w, ticks = regulate_ticks(monkeypatch)
+    sols = [assert_matches_reference(w, s) for s in ticks]
+    # Gauss-Newton converges in a few undamped steps here
+    assert all(1 <= s.iterations <= 5 and s.rejections == 0 for s in sols)
+
+
+def test_track_ticks_after_a_setpoint_step(monkeypatch):
+    monkeypatch.setattr(mpc, "V0_TOL", 0.0)
+    w, ticks = track_ticks(monkeypatch)
+    for s in ticks:
         assert_matches_reference(w, s)
+
+
+@pytest.mark.parametrize("ticks", [regulate_ticks, track_ticks],
+                         ids=["regulate", "track"])
+def test_the_move_exit_applies_a_feasible_plan_near_the_converged_one(
+        monkeypatch, ticks):
+    # at the default V0_TOL a strictly feasible round may stop before its
+    # cost converges: v(0) stays within 2 V0_TOL of the converged solve's,
+    # the plan is strictly feasible, and it costs no more than the warm
+    # start (feasible on every one of these ticks)
+    w, ticks = ticks(monkeypatch)
+    stops = []
+    for ing, cfg, est, xi, warm in ticks:
+        sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+        with monkeypatch.context() as m:
+            m.setattr(mpc, "V0_TOL", 0.0)
+            converged = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+        assert np.max(np.abs(sol.v[0] - converged.v[0])) <= 2 * mpc.V0_TOL
+        cost, bviol, tviol = plain_cost(w, ing, cfg, est, xi, sol.v)
+        assert bviol <= 0.0 and tviol <= 0.0 and cost == sol.cost
+        warm_cost, warm_bviol, warm_tviol = plain_cost(w, ing, cfg, est, xi, warm)
+        assert warm_bviol <= 0.0 and warm_tviol <= 0.0
+        assert sol.cost <= warm_cost
+        assert sol.evals <= converged.evals
+        stops.append(sol.stop)
+    assert "move" in stops
 
 
 def test_box_active_tick_after_an_unfiltered_step_to_ph_7_4(monkeypatch):
@@ -178,6 +228,8 @@ def test_box_active_tick_after_an_unfiltered_step_to_ph_7_4(monkeypatch):
     w, solves = recorded_solves(monkeypatch, [7.0, 7.4])
     ing, cfg, est, xi, warm = solves[1]
     sol = assert_matches_reference(w, solves[1])
+    # no iterate is strictly interior, so the move exit cannot end a round
+    assert sol.stop != "move"
     assert box_activity(w, ing, cfg, est, xi, sol.v) == pytest.approx(1.0, abs=1e-9)
     assert sol.rejections > 0
     assert sol.max_violation == 0.0                   # the clamp is exact
@@ -187,6 +239,7 @@ def test_box_active_tick_after_an_unfiltered_step_to_ph_7_4(monkeypatch):
     # nothing and must not overwrite it)
     loose = dataclasses.replace(cfg, constraint_tol=1e-4)
     sol = mpc.fhocp_solve(w, ing, loose, est, xi, warm_start=warm)
+    assert sol.stop != "move"
     excess = box_activity(w, ing, loose, est, xi, sol.v) - 1.0
     assert 0.0 < excess <= loose.constraint_tol
     assert sol.max_violation == excess

@@ -149,8 +149,12 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
     rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))
     assert rows[0] == ["k", "y_ref", "y_meas", "u_applied", "v", "xi",
                        "cost", "solve_iters", "feasible", "evals", "terminal_level",
-                       "rejections", "solve_ms"]
+                       "rejections", "solve_ms", "stop"]
     assert len(rows) - 1 == int(0.25 * 3600 / 10)
+    # the column comes last, so readers of the older columns keep working;
+    # each tick names the exit that ended its solve
+    exits = {"equilibrium", "model", "move", "decrease", "budget", "fallback"}
+    assert all(r[13] in exits for r in rows[1:])
     # every tick solves, so every tick reports a positive finite solve time
     assert all(np.isfinite(float(r[12])) and float(r[12]) > 0.0 for r in rows[1:])
     # every solve evaluates the objective; every plan ends inside the

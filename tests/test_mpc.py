@@ -548,3 +548,24 @@ def test_reference_filter_step_ramp():
     np.testing.assert_allclose(out, want)
     with pytest.raises(ValueError):
         reference_filter(sig, 0)
+
+
+def loop_reference_filter(signal, window):
+    """The filter tick by tick: the mean of the last window samples."""
+    signal = np.asarray(signal, dtype=np.float64)
+    out = np.empty_like(signal)
+    csum = np.cumsum(signal, axis=0)
+    for k in range(len(signal)):
+        lo = max(0, k - window + 1)
+        out[k] = (csum[k] - (csum[lo - 1] if lo > 0 else 0.0)) / (k - lo + 1)
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 2, 12, 299, 300, 301])
+def test_reference_filter_equals_the_loop_form(window):
+    sig = 7.0 + np.random.default_rng(7).normal(0.0, 0.5, (300, 2))
+    out = reference_filter(sig, window)
+    assert out.shape == sig.shape
+    assert np.array_equal(out, loop_reference_filter(sig, window))
+    assert np.array_equal(reference_filter(sig[:, 0], window),
+                          loop_reference_filter(sig[:, 0], window))
