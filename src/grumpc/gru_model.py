@@ -135,6 +135,18 @@ def random_weights(n, m, p, rng, scale=None):
         U_o=u(p, n), b_o=u(p))
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def as_vector(v):
+    """np.atleast_1d(np.asarray(v, dtype=np.float64)).  A float64 ndarray of
+    one or more dimensions comes back as it is, as from those two calls, but
+    without calling them: a controller tick makes a dozen such conversions."""
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim:
+        return v
+    return np.atleast_1d(np.asarray(v, dtype=np.float64))
+
+
 def _check_vec(name, v, dim):
     v = np.ascontiguousarray(v, dtype=np.float64)
     if v.shape != (dim,):

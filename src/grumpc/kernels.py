@@ -101,6 +101,7 @@ def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
 # the logistic's 0.5 as an array: with a Python float operand, a ufunc call
 # on a 10-vector takes about twice as long
 _HALF = np.array(0.5)
+_ONE = np.ones(1)
 
 
 def _cell_step(g, x, M, Ur, a, zf, z, f, r, x_next):
@@ -139,6 +140,17 @@ def cell(x, u, M, G, Wr, Ur):
     z, f, r, x_next = a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:]
     _cell_step(g, g[1 + m:], M, Ur, a[:3 * n], a[:2 * n], z, f, r, x_next)
     return x_next.T, z.T, f.T, r.T
+
+
+def cell_next(x, u, M, Ur):
+    """x+ of one cell update of the vectors x and u: cell's first result bit
+    for bit, without the gates and the row layout (an observer update runs
+    one such step a tick)."""
+    n = len(x)
+    a = np.empty(4 * n)
+    _cell_step(np.concatenate((_ONE, u, x)), x, M, Ur, a[:3 * n], a[:2 * n],
+               a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:])
+    return a[3 * n:]
 
 
 def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):

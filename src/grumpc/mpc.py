@@ -31,7 +31,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import gru_model, kernels
-from .gru_model import GruWeights
+from .gru_model import GruWeights, as_vector
 from .observer import AugmentedState, ObserverGains, observer_step
 
 log = logging.getLogger(__name__)
@@ -451,6 +451,17 @@ V0_TOL = 1e-4
 MU_SCHEDULE = (1e3, 1e5, 1e7)
 
 
+# the input box [-1, 1] (normalized units)
+_LOWER, _UPPER = np.array(-1.0), np.array(1.0)
+
+
+def _finite(*vectors):
+    """Whether every entry of the 1-D float arrays is finite, tested on Python
+    floats: in a tick, after the kernels have run, np.isfinite and its
+    reduction take more than twice as long on these few entries."""
+    return all(map(math.isfinite, [v for a in vectors for v in a.tolist()]))
+
+
 def _solve(A, b):
     """x with A x = b for float64 A and b: LAPACK's gesv through the same
     gufunc np.linalg.solve calls, without its Python wrapper (15-35 us per
@@ -458,12 +469,12 @@ def _solve(A, b):
     solve itself) and its "dd->d" signature (a third of a call).  A
     singular A raises LinAlgError, as in np.linalg.solve."""
     x = _umath_linalg.solve1(A, b)
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise np.linalg.LinAlgError("singular matrix")
     return x
 
 
-@dataclass
+@dataclass(slots=True)
 class FhocpSolution:
     v: np.ndarray            # (N_c, p)
     trajectory: np.ndarray   # (N_p + 1, n + p)
@@ -471,10 +482,22 @@ class FhocpSolution:
     iterations: int          # accepted Gauss-Newton steps
     # the plan's box excess or terminal excess over max(1, omega), the larger
     max_violation: float
+    ing: TerminalIngredients = field(repr=False, compare=False)  # of the solved problem
     evals: int = 0           # objective evaluations, with or without Jacobian
-    terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
     rejections: int = 0      # rejected Gauss-Newton steps (damping raised)
     stop: str = ""           # the exit that ended the last round (fhocp_solve)
+
+    @property
+    def terminal_level(self):
+        """e_Np'Pi e_Np / omega of the plan, computed when read (a
+        controller tick does not read it)."""
+        return _terminal_level(self.trajectory, self.ing)
+
+
+def _terminal_level(XA, ing: TerminalIngredients) -> float:
+    """e_Np'Pi e_Np / omega of a plan's states 0..N_p."""
+    eN = XA[-1] - ing.eq.xa0
+    return float(eN.dot(ing.Pi).dot(eN)) / ing.omega
 
 
 def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
@@ -512,17 +535,17 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     Nc, Np = cfg.N_c, cfg.N_p
     D = Nc * p
     # the adapters' arguments after the plan: start, model and law, then problem
-    head = (xa_hat.stacked(), np.atleast_1d(np.asarray(xi_true, dtype=np.float64)),
+    head = (xa_hat.stacked(), as_vector(xi_true),
             ing.eq.y0, *w.arrays(), w.U_o, w.b_o, ing.K_lq, ing.eq.xa0)
     args = (*head, ing.Q, ing.R, ing.P_f, ing.Pi, float(ing.omega), Nc, Np, int(cfg.N_f))
 
     ctol = cfg.constraint_tol
     omega_tol = ctol * max(1.0, ing.omega)
 
-    # best feasible plan, its states and violation; the least violation
-    # seen and the states of its plan
-    best = {"cost": np.inf, "v": None, "XA": None, "viol": np.inf,
-            "least": np.inf, "least_XA": None}
+    # best feasible plan: its cost, moves, states and violation; the least
+    # violation seen and the states of its plan
+    best_cost, best_v, best_XA, best_viol = np.inf, None, None, np.inf
+    least, least_XA = np.inf, None
     evals = 0
 
     def evaluate(kernel, vflat, mu_box, mu_term):
@@ -535,17 +558,13 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
         True when strictly interior.  A plan's violation is its box excess
         or its terminal excess over max(1, omega), whichever is larger.
         Plans are fresh arrays that nothing writes into: none is copied."""
+        nonlocal best_cost, best_v, best_XA, best_viol, least, least_XA
         viol = max(bviol, tviol / max(1.0, ing.omega))
-        if bviol <= ctol and tviol <= omega_tol and Jc < best["cost"]:
-            best.update(cost=Jc, v=vflat, XA=XA, viol=viol)
-        if viol < best["least"]:
-            best.update(least=viol, least_XA=XA)
+        if bviol <= ctol and tviol <= omega_tol and Jc < best_cost:
+            best_cost, best_v, best_XA, best_viol = Jc, vflat, XA, viol
+        if viol < least:
+            least, least_XA = viol, XA
         return bviol <= 0.0 and tviol <= 0.0
-
-    def level(XA):
-        """e_Np'Pi e_Np / omega of a plan's states."""
-        eN = XA[Np] - ing.eq.xa0
-        return float(eN.dot(ing.Pi).dot(eN)) / ing.omega
 
     if warm_start is not None:
         v = np.array(warm_start, dtype=np.float64).ravel()
@@ -562,6 +581,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                                                   v, mu_box, mu_term)
         if k == 0:
             consider(v, Jc, bviol, tviol, XA)     # the warm start or zero plan
+        # a round's first plan was considered already (the previous round's last)
+        moved = False
         lam = LM_LAMBDA0
         for _ in range(budget):
             stop = LM_STOP * (1.0 + Jp)
@@ -589,6 +610,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                 lam *= LM_RAISE
                 continue
             iters += 1
+            moved = True
             lam /= LM_RAISE
             decrease = Jp - trial[0]
             v = v + dv
@@ -598,7 +620,8 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                 break
         else:
             ended = "budget"
-        strict = consider(v, Jc, bviol, tviol, XA)
+        strict = (consider(v, Jc, bviol, tviol, XA) if moved
+                  else bviol <= 0.0 and tviol <= 0.0)
         if bviol > 0.0:
             v_clip, XA_clip, _ = kernels.fhocp_clip_restore(v, *head, Nc, Np,
                                                             consts=ing.consts)
@@ -610,17 +633,14 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
         if strict:
             break
 
-    if best["v"] is None:
+    if best_v is None:
         raise FhocpInfeasibleError(
-            best["least"], evals,
-            np.nan if best["least_XA"] is None else level(best["least_XA"]),
-            rejections)
+            least, evals,
+            np.nan if least_XA is None else _terminal_level(least_XA, ing), rejections)
 
-    return FhocpSolution(v=best["v"].reshape(Nc, p), trajectory=best["XA"],
-                         cost=best["cost"], iterations=iters,
-                         max_violation=best["viol"], evals=evals,
-                         terminal_level=level(best["XA"]), rejections=rejections,
-                         stop=ended)
+    return FhocpSolution(v=best_v.reshape(Nc, p), trajectory=best_XA, cost=best_cost,
+                         iterations=iters, max_violation=best_viol, ing=ing,
+                         evals=evals, rejections=rejections, stop=ended)
 
 
 def shifted_warm_start(sol: FhocpSolution, ing: TerminalIngredients, w: GruWeights,
@@ -652,7 +672,7 @@ def reference_filter(signal, window: int):
 # receding-horizon controller
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class StepInfo:
     v: np.ndarray
     xi: np.ndarray
@@ -661,12 +681,21 @@ class StepInfo:
     feasible: bool
     fallback: bool
     evals: int = 0           # objective evaluations of the solve
-    terminal_level: float = np.nan   # e_Np'Pi e_Np / omega of the plan
     rejections: int = 0      # rejected Gauss-Newton steps of the solve
     solve_ms: float = 0.0    # wall time of fhocp_solve; 0 when none ran
     # the exit that ended the solve (FhocpSolution.stop), "fallback" when it
     # found no feasible plan, "" when none ran
     stop: str = ""
+    # the solve's solution (None on a fallback or without a solve) and, on a
+    # fallback, the terminal level of the least violating plan
+    solution: FhocpSolution | None = field(default=None, repr=False, compare=False)
+    fallback_level: float = np.nan
+
+    @property
+    def terminal_level(self):
+        """e_Np'Pi e_Np / omega of the applied plan, of the least violating
+        one on a fallback, nan without a solve."""
+        return self.fallback_level if self.solution is None else self.solution.terminal_level
 
 
 class RecedingHorizonController:
@@ -704,7 +733,7 @@ class RecedingHorizonController:
                      for y in y0.tolist())
 
     def ingredients_for(self, y0) -> TerminalIngredients:
-        y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
+        y0 = as_vector(y0)
         key = self._key(y0)
         if key in self._failed:
             return self._last_ing
@@ -739,30 +768,34 @@ class RecedingHorizonController:
         """One closed-loop tick; returns (u_norm in [-1,1], StepInfo)."""
         if self.est is None:
             self.reset(y0)
-        y_meas = np.atleast_1d(np.asarray(y_meas, dtype=np.float64))
-        y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
+        y_meas = as_vector(y_meas)
+        y0 = as_vector(y0)
         ing = self.ingredients_for(y0)
         if self._failed and self._key(y0) in self._failed:
             y0 = ing.eq.y0          # hold the setpoint of the kept ingredients
-        # a poisoned estimate or integrator gets no solve: start again at the
-        # equilibrium of the held ingredients and apply its input (a finite
-        # state always yields a finite plan or fallback move)
-        poisoned = not np.isfinite(np.concatenate((self.est.x, self.est.xi, self.xi))).all()
-        if poisoned:
-            self.nonfinite_resets += 1
-            log.warning("non-finite estimate or integrator; re-seeding at the equilibrium")
-            self._seed_at(ing)
-        # a non-finite measurement is a dropout: the observer and the
-        # integrator take the model's predicted output in its place
-        if not np.isfinite(y_meas).all():
-            self.dropout_count += 1
-            log.warning("non-finite measurement %s; using the model output", y_meas)
-            y_meas = gru_model.gru_output(self.w, self.est.x)
+        # one test for the two rare cases below
+        poisoned = False
+        if not _finite(self.est.x, self.est.xi, self.xi, y_meas):
+            # a poisoned estimate or integrator gets no solve: start again at
+            # the equilibrium of the held ingredients and apply its input (a
+            # finite state always yields a finite plan or fallback move)
+            poisoned = not _finite(self.est.x, self.est.xi, self.xi)
+            if poisoned:
+                self.nonfinite_resets += 1
+                log.warning("non-finite estimate or integrator; re-seeding at the equilibrium")
+                self._seed_at(ing)
+            # a non-finite measurement is a dropout: the observer and the
+            # integrator take the model's predicted output in its place
+            if not _finite(y_meas):
+                self.dropout_count += 1
+                log.warning("non-finite measurement %s; using the model output", y_meas)
+                y_meas = gru_model.gru_output(self.w, self.est.x)
 
-        cost, iters, feas, fallback, evals, level, rejections, stop = (
-            np.nan, 0, False, False, 0, np.nan, 0, "")
-        v, solve_ms = np.zeros(self.w.p), 0.0
-        if not poisoned:
+        if poisoned:
+            v = np.zeros(self.w.p)
+            info = StepInfo(v=v, xi=self.xi, cost=np.nan, iterations=0,
+                            feasible=False, fallback=False)
+        else:
             t0 = time.perf_counter()
             try:
                 sol = fhocp_solve(self.w, ing, self.cfg, self.est, self.xi,
@@ -770,25 +803,23 @@ class RecedingHorizonController:
                 # neither the plan nor self.xi (in info) is written in place: no copies
                 v = sol.v[0]
                 self._warm = shifted_warm_start(sol, ing, self.w, self.cfg)
-                cost, iters, feas = sol.cost, sol.iterations, True
-                evals, level, rejections = sol.evals, sol.terminal_level, sol.rejections
-                stop = sol.stop
+                info = StepInfo(v=v, xi=self.xi, cost=sol.cost, iterations=sol.iterations,
+                                feasible=True, fallback=False, evals=sol.evals,
+                                rejections=sol.rejections, stop=sol.stop, solution=sol)
             except FhocpInfeasibleError as exc:
                 # auxiliary law on the estimate, clipped into the input box
-                fallback = True
                 self.fallback_count += 1
                 log.warning("FHOCP infeasible (%s); applying auxiliary law", exc)
                 v = -(ing.K_lq @ (self.est.stacked() - ing.eq.xa0))
                 v = np.clip(v, -1.0 - self.xi, 1.0 - self.xi)
                 self._warm = None
-                evals, level, rejections = exc.evals, exc.terminal_level, exc.rejections
-                stop = "fallback"
-            solve_ms = (time.perf_counter() - t0) * 1e3
-        u = np.minimum(np.maximum(v + self.xi, -1.0), 1.0)
-        info = StepInfo(v=v, xi=self.xi, cost=cost, iterations=iters,
-                        feasible=feas, fallback=fallback, evals=evals,
-                        terminal_level=level, rejections=rejections,
-                        solve_ms=solve_ms, stop=stop)
+                info = StepInfo(v=v, xi=self.xi, cost=np.nan, iterations=0,
+                                feasible=False, fallback=True, evals=exc.evals,
+                                rejections=exc.rejections, stop="fallback",
+                                fallback_level=exc.terminal_level)
+            info.solve_ms = (time.perf_counter() - t0) * 1e3
+        # the bounds as arrays: a Python float operand slows the ufunc down
+        u = np.minimum(np.maximum(v + self.xi, _LOWER), _UPPER)
 
         # propagate observer with this tick's move and measurement, then
         # integrate the tracking error

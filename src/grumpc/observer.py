@@ -18,21 +18,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gru_model, kernels
-from .gru_model import GruWeights, inf_norm
+from .gru_model import GruWeights, as_vector, inf_norm
 
 
 class ObserverSynthesisError(RuntimeError):
     """Raised when the model does not admit the requested observer."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AugmentedState:
     x: np.ndarray    # model state (n,)
     xi: np.ndarray   # integrator state (p,)
 
     def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
-        self.xi = np.atleast_1d(np.asarray(self.xi, dtype=np.float64))
+        self.x = as_vector(self.x)
+        self.xi = as_vector(self.xi)
 
     def stacked(self):
         return np.concatenate([self.x, self.xi])
@@ -90,7 +90,7 @@ def observer_step(w: GruWeights, g: ObserverGains, est: AugmentedState,
     n2 = 2 * w.n
     M = w.cell[0].copy()            # the packed cell with those biases shifted
     M[:n2, 0] += 0.5 * shift[:n2]
-    x_next = kernels.cell(x, v + xi, M, *w.cell[1:])[0]
+    x_next = kernels.cell_next(x, v + xi, M, w.cell[3])
     return AugmentedState(x_next, xi + y0 - y_hat + shift[n2:])
 
 

@@ -168,6 +168,21 @@ def test_step_bitwise_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_as_vector_equals_the_two_conversions():
+    # float64 arrays of one or more dimensions come back as they are, as
+    # from np.atleast_1d(np.asarray(v, dtype=np.float64)); the rest converts
+    a = np.arange(6.0)
+    for v in (a, a.reshape(2, 3), a[::2]):
+        assert gru_model.as_vector(v) is v
+    for v in (0.5, [1, 2], np.arange(3), np.arange(3, dtype=np.float32),
+              np.array(2.0), a.view(type("Sub", (np.ndarray,), {}))):
+        got = gru_model.as_vector(v)
+        want = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == want.shape
+
+
 def test_jacobians_trivial_cases():
     w = zero_weights(3, 1, 1)
     dx, du, dy = jacobians(w, np.array([0.2, -0.4, 0.9]), np.array([0.1]))

@@ -688,6 +688,18 @@ def test_cell_helpers_consistent():
                                      rel=1e-7, abs=1e-9)
 
 
+def test_cell_next_equals_the_cell_bit_for_bit():
+    # the observer's one-vector step: the state cell returns, to the bit
+    rng = np.random.default_rng(28)
+    for m in (1, 2):
+        w = gru_model.random_weights(5, m, m, rng)
+        cellp = kernels.stack_gates(*w.arrays())
+        for _ in range(20):
+            x, u = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, m)
+            np.testing.assert_array_equal(kernels.cell_next(x, u, cellp[0], cellp[3]),
+                                          kernels.cell(x, u, *cellp)[0])
+
+
 def logistic(a):
     return 0.5 + 0.5 * np.tanh(0.5 * a)
 
