@@ -112,15 +112,6 @@ class GateBounds:
             raise ValueError("sigma_f_bar must lie in (0, 1)")
 
 
-def zero_weights(n, m, p):
-    return GruWeights(
-        n=n, m=m, p=p,
-        W_z=np.zeros((n, m)), U_z=np.zeros((n, n)), b_z=np.zeros(n),
-        W_f=np.zeros((n, m)), U_f=np.zeros((n, n)), b_f=np.zeros(n),
-        W_r=np.zeros((n, m)), U_r=np.zeros((n, n)), b_r=np.zeros(n),
-        U_o=np.zeros((p, n)), b_o=np.zeros(p))
-
-
 def random_weights(n, m, p, rng, scale=None):
     """Uniform init in [-scale, scale]; scale defaults to 1/sqrt(n)."""
     if scale is None:
@@ -228,12 +219,10 @@ def simulate(w: GruWeights, x0, u_seq):
     """
     x0 = _check_vec("x0", x0, w.n)
     u_seq = np.ascontiguousarray(u_seq, dtype=np.float64)
-    if u_seq.ndim == 1:
-        u_seq = u_seq.reshape(-1, 1)
+    if u_seq.ndim != 2 or u_seq.shape[1] != w.m:
+        raise DimensionMismatchError("u_seq", ("T", w.m), u_seq.shape)
     if u_seq.shape[0] == 0:
         raise ValueError("u_seq must be nonempty")
-    if u_seq.shape[1] != w.m:
-        raise DimensionMismatchError("u_seq", ("T", w.m), u_seq.shape)
     X = kernels.gru_rollout(x0, u_seq, *w.arrays())
     Y = X[1:] @ w.U_o.T + w.b_o
     return X, Y

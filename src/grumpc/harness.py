@@ -2,8 +2,9 @@
 
 Subcommands: generate-data, train, validate, synth-observer,
 run-closed-loop, plot-export.  Every command takes --config (JSON, desk
-defaults when omitted), --seed (overrides the config seed) and --out.
-All randomness flows from the single root seed, split per component.
+defaults when omitted) and --out, and all but plot-export --seed (overrides
+the config seed).  All randomness flows from the single root seed, split
+per component.
 
 ExperimentConfig is made of the settings of each layer, each defined once:
 the train section is sysid.TrainConfig and the controller section
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import gru_model, mpc, observer, plant_sim, sysid
-from .gru_model import GruWeights
 
 log = logging.getLogger(__name__)
 
@@ -109,6 +109,10 @@ class ExperimentConfig:
             raise ValueError(f"tau_s must be positive, not {self.tau_s!r}")
         if not self.substeps >= 1:
             raise ValueError(f"substeps must be at least 1, not {self.substeps!r}")
+        # an empty or inverted input range leaves no half-range to normalize by
+        if not self.u_min < self.u_max:
+            raise ValueError(f"u_min ({self.u_min!r}) must be below "
+                             f"u_max ({self.u_max!r})")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -187,8 +191,7 @@ def _mprs_experiment(cfg: ExperimentConfig, p, rng_sig, rng_noise, n_samples):
     """Clean plant run under an MPRS signal, noise added in normalized units."""
     u_sig = sysid.generate_mprs(cfg.data.levels, cfg.data.hold_range,
                                 n_samples, rng=rng_sig)
-    clean = plant_sim.run_experiment(u_sig, plant_sim.DisturbanceSchedule.empty(),
-                                     p, tau_s=cfg.tau_s, substeps=cfg.substeps)
+    clean = plant_sim.run_experiment(u_sig, p, tau_s=cfg.tau_s, substeps=cfg.substeps)
     nmap = sysid.NormalizationMap.from_data(clean, u_range=(cfg.u_min, cfg.u_max))
     norm = sysid.normalize(clean, nmap)
     un = norm.u + rng_noise.normal(0.0, cfg.data.noise_std_u_norm, norm.u.shape)
@@ -488,7 +491,8 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
 # figure-data export
 # ---------------------------------------------------------------------------
 
-def cmd_plot_export(trajectory_csv, out_dir, u_min=11.2, u_max=17.2) -> dict:
+def cmd_plot_export(cfg: ExperimentConfig, trajectory_csv, out_dir) -> dict:
+    """Figure tables of a trajectory; the input figure shows cfg's input bounds."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ks, yref, ymeas, uapp = [], [], [], []
@@ -518,7 +522,7 @@ def cmd_plot_export(trajectory_csv, out_dir, u_min=11.2, u_max=17.2) -> dict:
     write("fig_tracking_error.csv", ["k", "error"],
           [[k, repr(a - b)] for k, a, b in zip(ks, yref, ymeas)])
     write("fig_input.csv", ["k", "u_applied", "u_min", "u_max"],
-          [[k, repr(u), repr(float(u_min)), repr(float(u_max))]
+          [[k, repr(u), repr(float(cfg.u_min)), repr(float(cfg.u_max))]
            for k, u in zip(ks, uapp)])
     return files
 
@@ -542,25 +546,27 @@ def main(argv=None) -> int:
         description="GRU identification and offset-free MPC for the pH benchmark")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*COMMANDS, "plot-export"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON experiment config (desk defaults if omitted)")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", type=str, default="out")
-    sp = sub.add_parser("plot-export")
-    sp.add_argument("trajectory", type=str)
-    sp.add_argument("--out", type=str, default="out")
+        if name in COMMANDS:
+            sp.add_argument("--seed", type=int, default=None)
+        else:
+            sp.add_argument("trajectory", type=str,
+                            help="closed_loop.csv of run-closed-loop; the input "
+                                 "figure takes u_min and u_max from --config")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        cfg = (ExperimentConfig.load(args.config) if args.config
+               else ExperimentConfig())
         if args.command == "plot-export":
-            result = cmd_plot_export(args.trajectory, args.out)
+            result = cmd_plot_export(cfg, args.trajectory, args.out)
         else:
-            cfg = (ExperimentConfig.load(args.config) if args.config
-                   else ExperimentConfig())
             if args.seed is not None:
                 cfg.seed = args.seed
             result = COMMANDS[args.command](cfg, args.out)

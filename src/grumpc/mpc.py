@@ -13,11 +13,12 @@ Each setpoint packs its augmented model under the auxiliary law once
 (kernels.AugmentedStep, inside the ingredients' FhocpConstants); the radius
 search and every solver evaluation step through it.
 
-ControllerConfig holds every controller setting (horizons, weights, the
-terminal-set search, the solver's budget); the ingredient build, the
-radius search and the solver read it directly.  Fixed numerics (the
-penalty schedule, the damping and stopping rules, the radius walk) are
-module constants.
+ControllerConfig holds the controller's design settings (horizons,
+weights, the terminal-set margin and samples, the reference filter); the
+ingredient build, the radius search and the solver read it directly.
+Fixed numerics (the penalty schedule, the constraint tolerance, the
+damping, budget and stopping rules, the radius walk, the cache's setpoint
+rounding) are module constants.
 """
 
 import functools
@@ -76,25 +77,19 @@ class ControllerConfig:
     # is charged; 0 charges it at state N_p
     N_f: int = 0
     ref_filter_window: int = 12
-    max_iters: int = 200          # Gauss-Newton steps tried over all rounds
-    constraint_tol: float = 1e-9
-    omega_max: float = 10.0       # first terminal radius tried
     terminal_samples: int = 45056  # boundary samples per radius trial
-    cache_quantum: float = 1e-4   # setpoint rounding of the ingredient cache
 
     def __post_init__(self):
         if not (1 <= self.N_c <= self.N_p):
             raise ValueError("require 1 <= N_c <= N_p")
-        # each of these would void the terminal-set certificate, share one
-        # cache key among all setpoints, fail every ingredient build, the
-        # reference filter or the first solve, or refuse every plan as
-        # infeasible
-        for name in ("q_weight", "q_tilde_weight", "omega_max",
-                     "terminal_samples", "cache_quantum", "ref_filter_window"):
+        # each of these would void the terminal-set certificate, or fail
+        # every ingredient build, the reference filter or the first solve
+        for name in ("q_weight", "q_tilde_weight", "terminal_samples",
+                     "ref_filter_window"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, "
                                  f"not {getattr(self, name)!r}")
-        for name in ("gamma", "constraint_tol", "r_weight", "N_f"):
+        for name in ("gamma", "r_weight", "N_f"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, "
                                  f"not {getattr(self, name)!r}")
@@ -114,10 +109,6 @@ class Equilibrium:
     @cached_property
     def xa0(self):
         return np.concatenate([self.x0, self.u0])
-
-    @property
-    def ya0(self):
-        return np.concatenate([self.y0, self.u0])
 
 
 @dataclass
@@ -309,10 +300,11 @@ def lyapunov_Pi(lin: LinearizedAugmented, K_lq, Q_tilde, tol=1e-14):
 # terminal ingredients
 # ---------------------------------------------------------------------------
 
-# the radius walk: the factor between radii tried, the radius below which
-# no terminal set is found, and the samples per terminal_samples_check call
-# and per block of the direction build (bounds their working memory; a
-# trial stops at its first failing block)
+# the radius walk: the first radius tried, the factor between radii tried,
+# the radius below which no terminal set is found, and the samples per
+# terminal_samples_check call and per block of the direction build (bounds
+# their working memory; a trial stops at its first failing block)
+OMEGA_MAX = 10.0
 TERMINAL_SHRINK = 0.8
 TERMINAL_MIN_OMEGA = 1e-12
 TERMINAL_BLOCK = 1024
@@ -340,7 +332,7 @@ def terminal_set_radius(step: kernels.AugmentedStep, Pi, P_f, Q_lq,
     The input box is exact: under the law the cell input is u = u_eq + C e
     with C = [0 I] - K, whose row j peaks at |u_eq,j| +
     sqrt(omega c_j'Pi^-1 c_j) on the ellipsoid, so the walk starts at
-    min(cfg.omega_max, omega_box), omega_box = min_j max(1 - |u_eq,j|, 0)^2
+    min(OMEGA_MAX, omega_box), omega_box = min_j max(1 - |u_eq,j|, 0)^2
     / c_j'Pi^-1 c_j (a zero c_j bounds nothing), and goes down by
     TERMINAL_SHRINK.  The two decrease conditions are sampled on
     cfg.terminal_samples boundary directions in blocks of TERMINAL_BLOCK: a
@@ -368,7 +360,7 @@ def terminal_set_radius(step: kernels.AugmentedStep, Pi, P_f, Q_lq,
                 return False
         return True
 
-    omega = min(float(cfg.omega_max), float(omega_box))
+    omega = min(OMEGA_MAX, float(omega_box))
     while omega > TERMINAL_MIN_OMEGA:
         if all_pass(np.sqrt(omega)):
             return omega
@@ -447,8 +439,12 @@ LM_STOP = 1e-12
 # a strictly feasible round ends once its step moves the applied v(0) by at most
 # this: suboptimal MPC needs only a feasible plan no costlier than the warm start
 V0_TOL = 1e-4
-# penalty weights of the successive rounds
+# penalty weights of the successive rounds, the Gauss-Newton steps tried
+# over all of them, and the violation a feasible plan may have (box excess;
+# terminal excess relative to max(1, omega))
 MU_SCHEDULE = (1e3, 1e5, 1e7)
+MAX_ITERS = 200
+CONSTRAINT_TOL = 1e-9
 
 
 # the input box [-1, 1] (normalized units)
@@ -521,7 +517,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                  step is at most LM_STOP (1 + cost);
     decrease     an accepted step decreased the cost by at most
                  LM_STOP (1 + cost);
-    budget       cfg.max_iters // rounds steps were tried.
+    budget       MAX_ITERS // rounds steps were tried.
 
     A round whose plan leaves the box is followed by a sequential clamp
     that restores exact box feasibility (inside the box the clamp is the
@@ -539,7 +535,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
             ing.eq.y0, *w.arrays(), w.U_o, w.b_o, ing.K_lq, ing.eq.xa0)
     args = (*head, ing.Q, ing.R, ing.P_f, ing.Pi, float(ing.omega), Nc, Np, int(cfg.N_f))
 
-    ctol = cfg.constraint_tol
+    ctol = CONSTRAINT_TOL
     omega_tol = ctol * max(1.0, ing.omega)
 
     # best feasible plan: its cost, moves, states and violation; the least
@@ -574,7 +570,7 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
         v = np.zeros(Nc * p)
 
     iters = rejections = 0
-    budget = max(5, cfg.max_iters // len(MU_SCHEDULE))
+    budget = MAX_ITERS // len(MU_SCHEDULE)
     for k, mu in enumerate(MU_SCHEDULE):
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
         Jp, Jc, g, bviol, tviol, H, XA = evaluate(kernels.fhocp_forward_backward,
@@ -698,6 +694,10 @@ class StepInfo:
         return self.fallback_level if self.solution is None else self.solution.terminal_level
 
 
+# setpoint rounding of the ingredient cache (normalized units)
+CACHE_QUANTUM = 1e-4
+
+
 class RecedingHorizonController:
     """One controller instance: observer state, integrator, warm start.
 
@@ -729,7 +729,7 @@ class RecedingHorizonController:
 
     def _key(self, y0):
         # round, as np.rint, rounds half to even; non-finite values share None
-        return tuple(round(y / self.cfg.cache_quantum) if math.isfinite(y) else None
+        return tuple(round(y / CACHE_QUANTUM) if math.isfinite(y) else None
                      for y in y0.tolist())
 
     def ingredients_for(self, y0) -> TerminalIngredients:

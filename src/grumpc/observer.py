@@ -12,6 +12,7 @@ closed form: every entry of A_delta depends on its own gains, so each is
 made least on its own (the output-gate gains by an l1 fit per row).
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -181,8 +182,11 @@ def l1_row_fit(M, U_o):
     For p = 1 the optimum of sum_j |M[i, j] - l U_o[j]| is a weighted
     median of the ratios M[i, j] / U_o[j], weighted by |U_o[j]|; columns
     with U_o[j] = 0 add a constant and are skipped, and L = 0 when no
-    U_o[j] is nonzero.  For p > 1 each row is a small LP in (l, t):
-    min sum(t) subject to -t <= M[i] - l @ U_o <= t.
+    U_o[j] is nonzero.  For p > 1 an l1 fit has an optimum that
+    interpolates p linearly independent columns of U_o (a vertex of its
+    LP), so every nonsingular p-subset of columns is solved exactly and the
+    cheapest fit of each row is kept.  U_o without p independent columns
+    raises ObserverSynthesisError.
     """
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
     U_o = np.atleast_2d(np.asarray(U_o, dtype=np.float64))
@@ -198,17 +202,20 @@ def l1_row_fit(M, U_o):
         k = np.argmax(2.0 * cum >= cum[:, -1:], axis=1)
         return np.take_along_axis(ratios, order, axis=1)[np.arange(len(k)), k][:, None]
 
-    from scipy.optimize import linprog
-    A_ub = np.block([[-U_o.T, -np.eye(n)], [U_o.T, -np.eye(n)]])
-    cost = np.concatenate([np.zeros(p), np.ones(n)])
-    bounds = [(None, None)] * p + [(0.0, None)] * n
+    if np.linalg.matrix_rank(U_o) < p:
+        raise ObserverSynthesisError(
+            f"the output map U_o has no {p} linearly independent columns")
     L = np.empty((M.shape[0], p))
-    for i, row in enumerate(M):
-        res = linprog(cost, A_ub=A_ub, b_ub=np.concatenate([-row, row]),
-                      bounds=bounds, method="highs")
-        if res.status != 0:
-            raise ObserverSynthesisError(f"l1 fit of row {i} failed: {res.message}")
-        L[i] = res.x[:p]
+    best = np.full(M.shape[0], np.inf)
+    for cols in itertools.combinations(range(n), p):
+        try:
+            # L_c U_o[:, cols] = M[:, cols]: each row's residual vanishes there
+            L_c = np.linalg.solve(U_o[:, cols].T, M[:, cols].T).T
+        except np.linalg.LinAlgError:
+            continue
+        cost = np.sum(np.abs(M - L_c @ U_o), axis=1)
+        better = cost < best
+        L[better], best[better] = L_c[better], cost[better]
     return L
 
 

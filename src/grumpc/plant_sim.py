@@ -17,12 +17,6 @@ and the pH solves the implicit charge balance
 At a steady state the invariants are flow-weighted means of the feeds
 (Henson & Seborg, IEEE TCST 2(3), 1994) and c is affine in (x1, x2), so the
 base flow that holds a given pH solves a linear equation (`_nominal_q3`).
-
-Published tables of this benchmark circulate with inconsistent exponent
-notation for the concentration parameters; `calibrate_params` settles the
-interpretation at startup by checking the authoritative nominal condition
-(pH = 7.0 at the nominal flow rates) and is the single source of the
-default parameter record.
 """
 
 import functools
@@ -99,35 +93,14 @@ class PlantState:
         if self.x3 <= 0.0:
             raise LevelCollapseError(f"liquid level x3 = {self.x3} is not positive")
 
-    def as_array(self):
-        return np.array([self.x1, self.x2, self.x3])
-
 
 _COMMON = dict(z=11.5, Cv4=4.59, n=0.607, pK1=6.35, pK2=10.25, h1=14.0,
                A1=207.0, q1=16.6, q2=0.55, q3=15.6, q4=32.8, pH=7.0)
-
-# Concentrations exactly as printed in circulating tables (dimensionless "eN"
-# magnitudes) -- physically absurd molarities, kept for the calibration check.
-PRINTED_CONCENTRATIONS = dict(Wa1=3e3, Wb1=0.0, Wa2=-3e3, Wb2=3e3,
-                              Wa3=3.05e3, Wb3=5e1, Wa4=-4.32e2, Wb4=5.28e2)
-
-# Same table with every exponent read as negative.
-FLIPPED_CONCENTRATIONS = dict(Wa1=3e-3, Wb1=0.0, Wa2=-3e-3, Wb2=3e-3,
-                              Wa3=3.05e-3, Wb3=5e-1, Wa4=-4.32e-2, Wb4=5.28e-2)
 
 # Standard benchmark molarities; these reproduce the printed Wa4/Wb4
 # mantissas (-4.32e-4, 5.28e-4), q4 = 32.8 mL/s and the level h1 = 14 cm.
 STANDARD_CONCENTRATIONS = dict(Wa1=3e-3, Wb1=0.0, Wa2=-3e-2, Wb2=3e-2,
                                Wa3=-3.05e-3, Wb3=5e-5, Wa4=-4.32e-4, Wb4=5.28e-4)
-
-
-def params_with(concentrations) -> PhParams:
-    return PhParams(**_COMMON, **concentrations)
-
-
-def output_residual(x1, x2, y, p: PhParams) -> float:
-    """Charge balance c(x, y); strictly increasing in y for x2 >= 0."""
-    return float(kernels.ph_c_residual(x1, x2, y, p.pK1, p.pK2))
 
 
 def _mixing_equilibrium(p: PhParams, q3):
@@ -137,22 +110,6 @@ def _mixing_equilibrium(p: PhParams, q3):
     x2 = (p.q1 * p.Wb1 + p.q2 * p.Wb2 + q3 * p.Wb3) / qt
     x3 = (qt / p.Cv4) ** (1.0 / p.n) - p.z
     return x1, x2, x3
-
-
-@dataclass
-class CalibrationReport:
-    interpretation: str
-    nominal_q3: float
-    nominal_state: PlantState
-    nominal_ph: float
-    ph_at_table_q3: float
-
-
-def _equilibrium_ph(p: PhParams, q3):
-    x1, x2, x3 = _mixing_equilibrium(p, q3)
-    if x3 <= 0:
-        return np.nan
-    return float(kernels.ph_output_solve(x1, x2, p.pK1, p.pK2))
 
 
 def _nominal_q3(p: PhParams) -> float:
@@ -172,59 +129,38 @@ def _nominal_q3(p: PhParams) -> float:
     return q3
 
 
-def calibrate_params(tol=0.1) -> tuple[PhParams, CalibrationReport]:
-    """Select the parameter interpretation consistent with pH 7 at nominal.
-
-    Tries the printed concentration magnitudes, the sign-flipped exponents
-    and the standard benchmark molarities; the first whose implied nominal
-    equilibrium sits within `tol` of pH 7.0 wins.  The nominal base flow is
-    then set so the equilibrium pH is exactly 7.0 (the printed q3 is a
-    rounded value); `_nominal_q3` gives it in closed form.
+def calibrate_params(tol=0.1) -> PhParams:
+    """The standard benchmark parameters, checked against the nominal
+    condition: the table flows must hold the equilibrium within `tol` of
+    pH 7.0.  The nominal base flow that makes it exactly 7.0 (the table q3
+    is a rounded value) is `_nominal_q3`.
     """
-    candidates = [("printed", PRINTED_CONCENTRATIONS),
-                  ("exponent-flipped", FLIPPED_CONCENTRATIONS),
-                  ("standard-benchmark", STANDARD_CONCENTRATIONS)]
-    for name, conc in candidates:
-        p = params_with(conc)
-        ph_table = _equilibrium_ph(p, p.q3)
-        if np.isfinite(ph_table) and abs(ph_table - p.pH) < tol:
-            state, q3_star = nominal_point(p)
-            ph_star = output_solve(state, p)
-            log.info("pH parameter calibration: interpretation %r passes "
-                     "(pH %.6f at table q3, nominal q3 refined to %.6f)",
-                     name, ph_table, q3_star)
-            return p, CalibrationReport(name, q3_star, state, ph_star, ph_table)
-        log.info("pH parameter calibration: interpretation %r rejected "
-                 "(equilibrium pH %s)", name, ph_table)
-    raise ValueError("no parameter interpretation reproduces the nominal pH")
+    p = PhParams(**_COMMON, **STANDARD_CONCENTRATIONS)
+    x1, x2, _ = _mixing_equilibrium(p, p.q3)
+    ph_table = kernels.ph_output_solve(x1, x2, p.pK1, p.pK2)
+    if not abs(ph_table - p.pH) < tol:
+        raise ValueError(f"the parameter table gives pH {ph_table} at its "
+                         f"flows, not {p.pH}")
+    log.info("pH parameters: pH %.6f at the table flows", ph_table)
+    return p
 
 
 @functools.cache
 def default_params() -> PhParams:
-    return calibrate_params()[0]
+    return calibrate_params()
 
 
-def nominal_point(p: PhParams | None = None) -> tuple[PlantState, float]:
+def nominal_point(p: PhParams) -> tuple[PlantState, float]:
     """Nominal operating point: (state, base flow q3).
 
     The state solves xdot = 0 and the charge balance vanishes there at p.pH.
     """
-    if p is None:
-        p = default_params()
     q3_star = _nominal_q3(p)
     return PlantState(*_mixing_equilibrium(p, q3_star)), q3_star
 
 
-def ph_dynamics(s: PlantState, u, d, p: PhParams) -> np.ndarray:
-    """State derivative at base flow u and buffer flow d."""
-    if s.x3 <= 0.0:
-        raise LevelCollapseError(f"liquid level x3 = {s.x3} is not positive")
-    dx = kernels.ph_rhs(s.x1, s.x2, s.x3, float(u), float(d), *p.rhs_args())
-    return np.array(dx)
-
-
 def output_solve(s: PlantState, p: PhParams) -> float:
-    """pH from the charge balance (bisection then Newton polish)."""
+    """pH from the charge balance (bisection on [0, 14])."""
     y = kernels.ph_output_solve(s.x1, s.x2, p.pK1, p.pK2)
     if not np.isfinite(y):
         raise OutputSolveError(
@@ -279,21 +215,10 @@ class DisturbanceSchedule:
                 return e.value
         return default
 
-    @classmethod
-    def empty(cls):
-        return cls([])
-
-
-def run_experiment(u_signal, schedule: DisturbanceSchedule, p: PhParams,
-                   tau_s=10.0, substeps=10, x0: PlantState | None = None,
-                   noise_std_u=0.0, noise_std_y=0.0, seed=None) -> TimeSeries:
-    """Open-loop ZOH simulation returning the measured record.
-
-    The plant is driven by the commanded u plus any input-additive
-    disturbance; q2-override replaces the buffer flow.  Measurement noise
-    (physical units) and output-additive disturbances affect only the
-    recorded channels.  Sample k holds t = k tau_s and the pH after the
-    k-th hold period.
+def run_experiment(u_signal, p: PhParams, tau_s=10.0, substeps=10) -> TimeSeries:
+    """Open-loop ZOH simulation from the nominal point at buffer flow p.q2;
+    returns the noise-free record.  Sample k holds t = k tau_s and the pH
+    after the k-th hold period.
     """
     if not tau_s > 0:
         raise ValueError(f"tau_s must be positive, not {tau_s!r}")
@@ -301,27 +226,15 @@ def run_experiment(u_signal, schedule: DisturbanceSchedule, p: PhParams,
         raise ValueError("substeps must be at least 1")
     u_signal = np.asarray(u_signal, dtype=np.float64).ravel()
     K = u_signal.shape[0]
-    if x0 is None:
-        x0, _ = nominal_point(p)
-    t = np.arange(K) * tau_s
-    u_applied = np.array([u_signal[k] + schedule.at(t[k], "input-additive")
-                          for k in range(K)])
-    d_seq = np.array([schedule.at(t[k], "q2-override", p.q2) for k in range(K)])
-    states, ys = kernels.ph_run(x0.x1, x0.x2, x0.x3, u_applied, d_seq,
+    x0, _ = nominal_point(p)
+    states, ys = kernels.ph_run(x0.x1, x0.x2, x0.x3, u_signal, np.full(K, p.q2),
                                 float(tau_s), int(substeps),
                                 *p.rhs_args(), p.pK1, p.pK2)
     if states[-1, 2] <= 0.0:
         raise LevelCollapseError("liquid level collapsed during the experiment")
     if np.any(~np.isfinite(ys)):
         raise OutputSolveError("charge balance lost its root during the experiment")
-    y_meas = ys + np.array([schedule.at(t[k], "output-additive") for k in range(K)])
-    rng = np.random.default_rng(seed)
-    u_meas = u_signal.copy()
-    if noise_std_u > 0.0:
-        u_meas = u_meas + rng.normal(0.0, noise_std_u, K)
-    if noise_std_y > 0.0:
-        y_meas = y_meas + rng.normal(0.0, noise_std_y, K)
-    return TimeSeries(t, u_meas.reshape(-1, 1), y_meas.reshape(-1, 1))
+    return TimeSeries(np.arange(K) * tau_s, u_signal.reshape(-1, 1), ys.reshape(-1, 1))
 
 
 def save_params(p: PhParams, path):

@@ -16,7 +16,7 @@ validation runs the sequences as rows of the same scan
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class TimeSeries:
         self.t = np.asarray(self.t, dtype=np.float64)
         self.u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
         self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
-        if self.u.shape[0] == 1 and self.t.shape[0] != 1:
-            self.u = self.u.T
-        if self.y.shape[0] == 1 and self.t.shape[0] != 1:
-            self.y = self.y.T
         if not (len(self.t) == len(self.u) == len(self.y)):
             raise ValueError("t, u, y must have equal lengths")
         if len(self.t) >= 2:
@@ -55,10 +51,6 @@ class TimeSeries:
 
     def __len__(self):
         return len(self.t)
-
-    @property
-    def tau_s(self):
-        return float(self.t[1] - self.t[0]) if len(self.t) >= 2 else 0.0
 
 
 @dataclass
@@ -77,20 +69,14 @@ class NormalizationMap:
             raise ValueError("half-range must be positive")
 
     @classmethod
-    def from_data(cls, ts: TimeSeries, u_range=None, y_range=None):
-        """Map from channel extrema; explicit (lo, hi) ranges override."""
+    def from_data(cls, ts: TimeSeries, u_range):
+        """Map of the input range u_range = (lo, hi) and the output extrema."""
         def center_half(lo, hi):
             if np.any(hi - lo <= 0):
                 raise ValueError("zero half-range (constant channel)")
             return (hi + lo) / 2.0, (hi - lo) / 2.0
-        if u_range is None:
-            u_lo, u_hi = ts.u.min(axis=0), ts.u.max(axis=0)
-        else:
-            u_lo, u_hi = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in u_range)
-        if y_range is None:
-            y_lo, y_hi = ts.y.min(axis=0), ts.y.max(axis=0)
-        else:
-            y_lo, y_hi = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in y_range)
+        u_lo, u_hi = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in u_range)
+        y_lo, y_hi = ts.y.min(axis=0), ts.y.max(axis=0)
         uc, uh = center_half(u_lo, u_hi)
         yc, yh = center_half(y_lo, y_hi)
         return cls(uc, uh, yc, yh)
@@ -123,10 +109,6 @@ class NormalizationMap:
 
 def normalize(ts: TimeSeries, nmap: NormalizationMap) -> TimeSeries:
     return TimeSeries(ts.t.copy(), nmap.normalize_u(ts.u), nmap.normalize_y(ts.y))
-
-
-def denormalize(ts: TimeSeries, nmap: NormalizationMap) -> TimeSeries:
-    return TimeSeries(ts.t.copy(), nmap.denormalize_u(ts.u), nmap.denormalize_y(ts.y))
 
 
 @dataclass
@@ -175,9 +157,6 @@ class TrainConfig:
     rho_plus: float = 1e-2
     rho_minus: float = 1e-6
     lr: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     T_s: int = 200            # subsequence length (make_sequences)
     tau: int = 2              # subsequence stride (make_sequences)
     val_fraction: float = 0.1
@@ -200,13 +179,9 @@ class TrainConfig:
                                  f"not {getattr(self, name)!r}")
         if self.lr < 0:
             raise ValueError(f"lr must be nonnegative, not {self.lr!r}")
-        for name in ("beta1", "beta2"):
-            if not (0.0 < getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), "
-                                 f"not {getattr(self, name)!r}")
 
 
-def generate_mprs(levels, hold_range, length, seed=None, rng=None):
+def generate_mprs(levels, hold_range, length, rng):
     """Multilevel pseudo-random signal: random level, random hold time.
 
     Hold times are drawn uniformly (in samples) from hold_range; at least 30
@@ -221,8 +196,6 @@ def generate_mprs(levels, hold_range, length, seed=None, rng=None):
     if lo < 30:
         warnings.warn("hold times below 30 samples may under-cover the "
                       "settling time", stacklevel=2)
-    if rng is None:
-        rng = np.random.default_rng(seed)
     out = np.empty(length)
     k = 0
     while k < length:
@@ -239,19 +212,6 @@ def generate_mprs(levels, hold_range, length, seed=None, rng=None):
 
 def _draw_x0(rng, count, n):
     return rng.uniform(-1.0, 1.0, size=(count, n))
-
-
-def tbptt_loss(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig) -> float:
-    """Simulation-error loss over the batch plus the stability penalty."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    if cfg.washout >= batch.T_s:
-        raise ValueError("washout must be smaller than the sequence length")
-    x0s = np.ascontiguousarray(x0s, dtype=np.float64)
-    mse = kernels.tbptt_loss_batch(batch.U, batch.Y, x0s, cfg.washout,
-                                   *w.arrays(), w.U_o, w.b_o)
-    nu = gru_model.diss_residual(w)
-    return float(mse + gru_model.stability_penalty(nu, cfg.rho_plus, cfg.rho_minus))
 
 
 def _rows_subgrad(A, terms, coeff):
@@ -308,7 +268,8 @@ def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
 
 
 def loss_gradient(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig):
-    """Exact reverse-mode gradient of tbptt_loss; returns (loss, grads).
+    """Simulation-error loss over the batch plus the stability penalty, and
+    its exact reverse-mode gradient; returns (loss, grads).
 
     nu comes from penalty_subgradient, which evaluates the certificate once.
     """
@@ -343,6 +304,12 @@ def _open_loop_mse(w: GruWeights, U, Y, washout):
     B, _, p = Y.shape
     return float(kernels.tbptt_loss_batch(U, Y, np.zeros((B, w.n)), washout,
                                           *w.arrays(), w.U_o, w.b_o) / (B * p))
+
+
+# Adam's moment decay rates and its denominator offset (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
@@ -392,15 +359,15 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
             epoch_loss += loss
             n_batches += 1
             t_adam += 1
-            b1c = 1.0 - cfg.beta1 ** t_adam
-            b2c = 1.0 - cfg.beta2 ** t_adam
+            b1c = 1.0 - ADAM_BETA1 ** t_adam
+            b2c = 1.0 - ADAM_BETA2 ** t_adam
             for name in WEIGHT_FIELDS:
                 g = grads[name]
-                mom[name] = cfg.beta1 * mom[name] + (1.0 - cfg.beta1) * g
-                vel[name] = cfg.beta2 * vel[name] + (1.0 - cfg.beta2) * g * g
+                mom[name] = ADAM_BETA1 * mom[name] + (1.0 - ADAM_BETA1) * g
+                vel[name] = ADAM_BETA2 * vel[name] + (1.0 - ADAM_BETA2) * g * g
                 mhat = mom[name] / b1c
                 vhat = vel[name] / b2c
-                params[name] = params[name] - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+                params[name] = params[name] - cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         cur = snapshot()
         nu = gru_model.diss_residual(cur)

@@ -4,9 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grumpc import gru_model, plant_sim
+
+
+def zero_weights(n, m, p):
+    """A model whose every weight and bias is zero."""
+    return gru_model.GruWeights(
+        n=n, m=m, p=p,
+        W_z=np.zeros((n, m)), U_z=np.zeros((n, n)), b_z=np.zeros(n),
+        W_f=np.zeros((n, m)), U_f=np.zeros((n, n)), b_f=np.zeros(n),
+        W_r=np.zeros((n, m)), U_r=np.zeros((n, n)), b_r=np.zeros(n),
+        U_o=np.zeros((p, n)), b_o=np.zeros(p))
 
 
 def scaled_certified_weights(rng, n=4, p=1, target=-0.05, keep_output=True):

@@ -7,7 +7,6 @@ restore, best-feasible rule and strict-interior exit.  The solve inputs are
 recorded from closed loops of the benchmark's pinned model on the pH plant.
 """
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ def reference_solve(w, ing, cfg, xa_hat, xi_true, warm_start=None):
     args_model = (*w.arrays(), w.U_o, w.b_o)
     args_prob = (ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
                  float(ing.omega), Nc, Np, int(cfg.N_f))
-    ctol = cfg.constraint_tol
+    ctol = mpc.CONSTRAINT_TOL
     best = {"cost": np.inf, "v": None}
 
     def forward(v, mu_box, mu_term):
@@ -52,7 +51,7 @@ def reference_solve(w, ing, cfg, xa_hat, xi_true, warm_start=None):
     v = (np.zeros(Nc * w.p) if warm_start is None
          else np.asarray(warm_start, dtype=np.float64).ravel().copy())
     consider(v)
-    budget = max(5, cfg.max_iters // len(mpc.MU_SCHEDULE))
+    budget = mpc.MAX_ITERS // len(mpc.MU_SCHEDULE)
     for mu in mpc.MU_SCHEDULE:
         mu_box, mu_term = mu, mu / max(1.0, ing.omega) ** 2
         Jp, g = value_grad(v, mu_box, mu_term)
@@ -237,13 +236,13 @@ def test_box_active_tick_after_an_unfiltered_step_to_ph_7_4(monkeypatch):
     # iterate, not its clamp, the best plan; the trajectory and the
     # violation reported are still its own (the clamp that follows violates
     # nothing and must not overwrite it)
-    loose = dataclasses.replace(cfg, constraint_tol=1e-4)
-    sol = mpc.fhocp_solve(w, ing, loose, est, xi, warm_start=warm)
+    monkeypatch.setattr(mpc, "CONSTRAINT_TOL", 1e-4)
+    sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
     assert sol.stop != "move"
-    excess = box_activity(w, ing, loose, est, xi, sol.v) - 1.0
-    assert 0.0 < excess <= loose.constraint_tol
+    excess = box_activity(w, ing, cfg, est, xi, sol.v) - 1.0
+    assert 0.0 < excess <= 1e-4
     assert sol.max_violation == excess
-    np.testing.assert_array_equal(sol.trajectory, rollout(w, ing, loose, est, sol.v)[0])
+    np.testing.assert_array_equal(sol.trajectory, rollout(w, ing, cfg, est, sol.v)[0])
 
 
 def test_interior_solve_rolls_each_plan_once(monkeypatch):

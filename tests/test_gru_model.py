@@ -4,9 +4,9 @@ import pytest
 from grumpc import gru_model, kernels
 from grumpc.gru_model import (DimensionMismatchError, GruWeights, gate_bounds,
                               diss_residual, gru_output, gru_step, jacobians,
-                              simulate, stability_penalty, zero_weights)
+                              simulate, stability_penalty)
 
-from conftest import scaled_certified_weights
+from conftest import scaled_certified_weights, zero_weights
 
 
 def sigmoid(a):
@@ -117,6 +117,9 @@ def test_simulate_shapes_and_trivial_case():
     assert np.all(X == 0.0)
     with pytest.raises(ValueError):
         simulate(w, np.zeros(2), np.zeros((0, 1)))
+    # the inputs are rows of a (T, m) array, not a flat sequence
+    with pytest.raises(DimensionMismatchError):
+        simulate(w, np.zeros(2), np.zeros(3))
 
 
 def test_simulate_certified_trajectories_converge():

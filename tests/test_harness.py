@@ -161,12 +161,12 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
     # terminal set e'Pi e <= omega, up to the solver's constraint tolerance;
     # every evaluation after the first one tries a Gauss-Newton step, which
     # is accepted (solve_iters) or rejected, or one clamped plan
-    tol = cfg.controller.constraint_tol
+    tol = mpc.CONSTRAINT_TOL
     assert all(int(r[9]) >= 1 and 0.0 <= float(r[10]) <= 1.0 + tol
                for r in rows[1:])
     assert all(0 <= int(r[7]) + int(r[11]) <= int(r[9]) - 1 for r in rows[1:])
 
-    files = harness.cmd_plot_export(tmp_path / "closed_loop.csv", tmp_path / "figs")
+    files = harness.cmd_plot_export(cfg, tmp_path / "closed_loop.csv", tmp_path / "figs")
     assert set(files) == {"fig_output.csv", "fig_tracking_error.csv",
                           "fig_input.csv"}
     out_rows = list(csv.reader(open(tmp_path / "figs" / "fig_output.csv")))
@@ -405,7 +405,22 @@ def test_plot_export_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(CommandError, match="malformed"):
-        harness.cmd_plot_export(bad, tmp_path)
+        harness.cmd_plot_export(ExperimentConfig(), bad, tmp_path)
+
+
+def test_plot_export_takes_the_input_bounds_of_its_config(tmp_path):
+    # the input figure repeated the desk bounds 11.2/17.2 whatever the profile
+    traj = tmp_path / "closed_loop.csv"
+    traj.write_text("k,y_ref,y_meas,u_applied\n0,7.0,6.9,14.0\n1,7.0,7.0,15.5\n")
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc.update(u_min=12.0, u_max=16.0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert harness.main(["plot-export", str(traj), "--config", str(cfg_path),
+                         "--out", str(tmp_path / "figs")]) == 0
+    rows = list(csv.reader(open(tmp_path / "figs" / "fig_input.csv")))
+    assert rows == [["k", "u_applied", "u_min", "u_max"],
+                    ["0", "14.0", "12.0", "16.0"], ["1", "15.5", "12.0", "16.0"]]
 
 
 def test_cli_exit_codes(tmp_path):
@@ -455,7 +470,13 @@ def test_layer_defaults_are_the_desk_profile():
 
 @pytest.mark.parametrize("section,key,value", [
     ("train", "seed", 3), ("train", "init_scale", 0.1),
-    ("observer", "synthesize", False), ("controller", "audit_factor", 10)])
+    ("observer", "synthesize", False), ("controller", "audit_factor", 10),
+    # one-value numerics, now module constants: their old values and the
+    # values their range checks refused
+    ("train", "beta1", 0.9), ("train", "beta1", 1.0), ("train", "beta2", 0.0),
+    ("train", "eps", 1e-8), ("controller", "max_iters", 200),
+    ("controller", "constraint_tol", -1.0), ("controller", "omega_max", 0.0),
+    ("controller", "omega_max", -1.0), ("controller", "cache_quantum", 0.0)])
 def test_removed_config_keys_are_refused(tmp_path, section, key, value):
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc[section][key] = value
@@ -490,7 +511,7 @@ def test_malformed_config_exits_with_an_error(tmp_path, capsys, doc, where):
     ("n_states", 0), ("epochs", -1), ("batch_size", 0), ("T_s", 0), ("tau", 0),
     ("washout", -1), ("washout", 200), ("val_fraction", -0.1),
     ("val_fraction", 1.0), ("rho_plus", 0.0), ("rho_minus", -1e-6),
-    ("lr", -1.0), ("beta1", 1.0), ("beta2", 0.0)])
+    ("lr", -1.0)])
 def test_bad_training_settings_are_refused_at_load(key, value):
     # refused when the config is read, not by the train command later (a
     # zero batch size used to fail there with "range() arg 3 must not be
@@ -502,16 +523,13 @@ def test_bad_training_settings_are_refused_at_load(key, value):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("terminal_samples", 0), ("cache_quantum", 0.0), ("gamma", -1.0),
-    ("q_tilde_weight", 0.0), ("omega_max", 0.0), ("omega_max", -1.0),
-    ("ref_filter_window", 0), ("q_weight", 0.0), ("constraint_tol", -1.0),
-    ("N_f", -1), ("r_weight", -1.0)])
+    ("terminal_samples", 0), ("gamma", -1.0), ("q_tilde_weight", 0.0),
+    ("ref_filter_window", 0), ("q_weight", 0.0), ("N_f", -1), ("r_weight", -1.0)])
 def test_bad_controller_settings_are_refused_at_load(key, value):
     # each would pass an unchecked terminal set (no samples, a negative
-    # decrease margin), give every setpoint one cache key, fail every
-    # ingredient build (r_weight -1: the Riccati iteration diverges), the
-    # reference filter or the first solve (N_f -1: a broadcast error) in the
-    # loop, or make every tick fall back to the auxiliary law
+    # decrease margin), or fail every ingredient build (r_weight -1: the
+    # Riccati iteration diverges), the reference filter or the first solve
+    # (N_f -1: a broadcast error) in the loop
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc["controller"][key] = value
     with pytest.raises(CommandError, match=key):
@@ -519,11 +537,14 @@ def test_bad_controller_settings_are_refused_at_load(key, value):
 
 
 @pytest.mark.parametrize("key,value", [("tau_s", 0.0), ("tau_s", -10.0),
-                                       ("substeps", 0)])
+                                       ("substeps", 0), ("u_max", 11.2),
+                                       ("u_min", 17.5)])
 def test_bad_plant_settings_are_refused_at_load(key, value):
     # substeps 0 made generate-data crash with a ZeroDivisionError in the
     # RK4 integrator, and tau_s 0 was refused only later, as "t must be
-    # strictly increasing"
+    # strictly increasing"; an empty input range failed generate-data as a
+    # "zero half-range (constant channel)" and counted every closed-loop
+    # tick as a violation
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc[key] = value
     with pytest.raises(CommandError, match=key):

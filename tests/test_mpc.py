@@ -11,7 +11,7 @@ from grumpc.mpc import (ControllerConfig, UnreachableReferenceError,
                         terminal_set_radius, fhocp_solve)
 from grumpc.observer import AugmentedState
 
-from conftest import scaled_certified_weights, scipy_modules_after
+from conftest import scaled_certified_weights, scipy_modules_after, zero_weights
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,6 @@ def test_equilibrium_unreachable_reference(small_model):
 def test_equilibrium_augmented_forms(small_setup):
     w, eq, _, _ = small_setup
     np.testing.assert_allclose(eq.xa0, np.concatenate([eq.x0, eq.u0]))
-    np.testing.assert_allclose(eq.ya0, np.concatenate([eq.y0, eq.u0]))
     assert np.max(np.abs(eq.u0)) <= 1.0
 
 
@@ -72,7 +71,7 @@ def test_equilibrium_augmented_forms(small_setup):
 # ---------------------------------------------------------------------------
 
 def test_linearize_zero_weight_blocks():
-    w = gru_model.zero_weights(3, 1, 1)
+    w = zero_weights(3, 1, 1)
     eq = mpc.Equilibrium(x0=np.zeros(3), u0=np.zeros(1), y0=np.zeros(1))
     lin = linearize_augmented(w, eq)
     np.testing.assert_allclose(lin.A_a[:3, :3], 0.5 * np.eye(3), atol=1e-15)
@@ -211,13 +210,13 @@ def test_lyapunov_matches_scipy(small_setup):
 # terminal ingredients
 # ---------------------------------------------------------------------------
 
-def test_terminal_radius_shrinks_with_gamma(small_setup):
+def test_terminal_radius_shrinks_with_gamma(small_setup, monkeypatch):
     # the decrease margin is governed by Q_tilde = 10 I, so radii collapse
     # as gamma approaches 10 and no radius exists far beyond it
     _, _, ing, _ = small_setup
+    monkeypatch.setattr(mpc, "OMEGA_MAX", 1e5)
     radii = [terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
-                                 ControllerConfig(gamma=gamma, omega_max=1e5,
-                                                  terminal_samples=768))
+                                 ControllerConfig(gamma=gamma, terminal_samples=768))
              for gamma in (0.01, 9.0, 9.9)]
     assert radii[0] > radii[1] > radii[2]
     with pytest.raises(mpc.TerminalSetError):
@@ -473,7 +472,7 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
     eN = s.stacked() - eq.xa0
     assert sol.terminal_level == pytest.approx(eN @ ing.Pi @ eN / ing.omega,
                                                rel=1e-9)
-    assert sol.terminal_level <= 1.0 + cfg.constraint_tol
+    assert sol.terminal_level <= 1.0 + mpc.CONSTRAINT_TOL
 
     # warm start: cost never degrades
     warm = mpc.shifted_warm_start(sol, ing, w, cfg)
@@ -484,7 +483,7 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
         np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
         np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
         ing.omega, cfg.N_c, cfg.N_p, cfg.N_f, 0.0, 0.0)
-    if bv <= cfg.constraint_tol and tv <= cfg.constraint_tol * max(1, ing.omega):
+    if bv <= mpc.CONSTRAINT_TOL and tv <= mpc.CONSTRAINT_TOL * max(1, ing.omega):
         assert sol2.cost <= Jwarm + 1e-12
 
 

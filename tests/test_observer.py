@@ -11,7 +11,7 @@ from grumpc.observer import (AugmentedState, ObserverGains,
                              delta_margin, jury_schur_check, observer_step,
                              synthesize_gains, trivial_gains)
 
-from conftest import scaled_certified_weights
+from conftest import scaled_certified_weights, scipy_modules_after, zero_weights
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
 
@@ -187,7 +187,7 @@ def test_alpha_zero_cases():
     w = scaled_certified_weights(rng, n=3)
     g = trivial_gains(w)
     assert alpha_coefficient(w, g) == 0.0        # L_zxi = W_z
-    wz = gru_model.zero_weights(3, 1, 1)
+    wz = zero_weights(3, 1, 1)
     zero = ObserverGains(*(np.zeros((3, 1)),) * 4, np.zeros((1, 1)),
                          np.zeros((1, 1)), delta=0.0)
     assert alpha_coefficient(wz, zero) == 0.0
@@ -204,7 +204,7 @@ def test_alpha_formula_oracle():
 
 
 def test_delta_zero_weights_zero_gains():
-    wz = gru_model.zero_weights(3, 1, 1)
+    wz = zero_weights(3, 1, 1)
     zero = ObserverGains(*(np.zeros((3, 1)),) * 4, np.zeros((1, 1)),
                          np.zeros((1, 1)), delta=0.0)
     assert delta_margin(wz, zero) == pytest.approx(1.0)
@@ -243,7 +243,7 @@ def test_A_delta_structure():
     assert ed.A_delta[1, 1] == pytest.approx(0.6)        # |1 - lam|
     assert ed.spectral_radius == pytest.approx(max(1.0 - ed.delta, 0.6))
 
-    wz = gru_model.zero_weights(3, 1, 1)
+    wz = zero_weights(3, 1, 1)
     zero = ObserverGains(*(np.zeros((3, 1)),) * 4, np.zeros((1, 1)),
                          np.zeros((1, 1)), delta=0.0)
     edz = build_A_delta(wz, zero)
@@ -327,6 +327,23 @@ def row_l1(M, L, U_o):
     return np.sum(np.abs(M - L @ U_o), axis=1)
 
 
+def highs_row_costs(M, U_o):
+    """Each row's least l1 cost, from SciPy's HiGHS on the LP in (l, t):
+    min sum(t) subject to -t <= M[i] - l @ U_o <= t."""
+    from scipy.optimize import linprog
+    p, n = U_o.shape
+    A_ub = np.block([[-U_o.T, -np.eye(n)], [U_o.T, -np.eye(n)]])
+    cost = np.concatenate([np.zeros(p), np.ones(n)])
+    bounds = [(None, None)] * p + [(0.0, None)] * n
+    out = []
+    for row in M:
+        res = linprog(cost, A_ub=A_ub, b_ub=np.concatenate([-row, row]),
+                      bounds=bounds, method="highs")
+        assert res.status == 0, res.message
+        out.append(res.fun)
+    return np.array(out)
+
+
 def test_l1_row_fit_p1_is_the_least_breakpoint():
     # a one-variable l1 minimum sits at a breakpoint M[i, j] / U_o[j]
     rng = np.random.default_rng(131)
@@ -371,12 +388,49 @@ def test_l1_row_fit_lp_path_for_two_outputs():
         M = np.vstack([w.U_z, w.U_f])
         L = np.vstack([g.L_zy, g.L_fy])
         best = row_l1(M, L, w.U_o)
+        np.testing.assert_allclose(best, highs_row_costs(M, w.U_o),
+                                   rtol=1e-9, atol=1e-12)
         lsq = np.linalg.lstsq(w.U_o.T, M.T, rcond=None)[0].T
         assert np.all(best <= row_l1(M, lsq, w.U_o) + 1e-12)
         for scale in (1e-6, 1e-4, 1e-2, 1e-1):
             for _ in range(25):
                 trial = L + scale * rng.standard_normal(L.shape)
                 assert np.all(best <= row_l1(M, trial, w.U_o) + 1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_l1_row_fit_vertex_enumeration_matches_highs(p):
+    # an l1 optimum interpolates p independent columns of U_o; zero and
+    # repeated columns make singular p-subsets, which are skipped
+    rng = np.random.default_rng(140 + p)
+    for _ in range(20):
+        n = int(rng.integers(p + 1, 9))
+        U_o = rng.normal(size=(p, n))
+        if rng.random() < 0.3:
+            U_o[:, 0] = 0.0
+        if rng.random() < 0.3:
+            U_o[:, -1] = U_o[:, -2]
+        M = rng.normal(size=(4, n))
+        L = observer.l1_row_fit(M, U_o)
+        assert L.shape == (4, p)
+        np.testing.assert_allclose(row_l1(M, L, U_o), highs_row_costs(M, U_o),
+                                   rtol=1e-9, atol=1e-12)
+    # rank 1: no two independent columns, so no vertex
+    U_o = np.outer([1.0, 2.0], rng.normal(size=5))
+    with pytest.raises(observer.ObserverSynthesisError, match="independent"):
+        observer.l1_row_fit(rng.normal(size=(3, 5)), U_o)
+
+
+def test_two_output_synthesis_loads_no_scipy():
+    # the l1 fit for p > 1 solved one HiGHS LP per row, and importing
+    # scipy.optimize costs 0.35-0.5 s and 49 MB
+    code = ("import numpy as np\n"
+            "from grumpc import observer\n"
+            "from conftest import scaled_certified_weights\n"
+            "w = scaled_certified_weights(np.random.default_rng(137), n=5, p=2, "
+            "target=-0.1)\n"
+            "observer.synthesize_gains(w)\n")
+    assert scipy_modules_after(code) == []
 
 
 def test_synthesis_on_the_pinned_model():

@@ -1,11 +1,26 @@
 import numpy as np
 import pytest
 
-from grumpc import plant_sim, sysid
+from grumpc import kernels, plant_sim, sysid
 from grumpc.plant_sim import (DisturbanceSchedule, LevelCollapseError,
                               OutputSolveError, PhParams, PlantState,
-                              integrate_step, nominal_point, output_residual,
-                              output_solve, ph_dynamics, run_experiment)
+                              integrate_step, nominal_point, output_solve,
+                              run_experiment)
+
+
+def output_residual(x1, x2, y, p):
+    """Charge balance c(x, y); strictly increasing in y for x2 >= 0."""
+    return float(kernels.ph_c_residual(x1, x2, y, p.pK1, p.pK2))
+
+
+def ph_dynamics(s, u, d, p):
+    """State derivative at base flow u and buffer flow d."""
+    return np.array(kernels.ph_rhs(s.x1, s.x2, s.x3, float(u), float(d),
+                                   *p.rhs_args()))
+
+
+def state_array(s):
+    return np.array([s.x1, s.x2, s.x3])
 
 
 def reference_rhs(s, u, d, p):
@@ -46,11 +61,17 @@ def random_admissible_state(rng):
 
 
 def test_calibration_selects_standard_interpretation(ph_params):
-    _, rep = plant_sim.calibrate_params()
-    assert rep.interpretation == "standard-benchmark"
-    assert rep.nominal_ph == pytest.approx(7.0, abs=1e-6)
-    # the printed table q3 is a rounded value of the calibrated one
-    assert rep.nominal_q3 == pytest.approx(15.6, abs=0.1)
+    p = plant_sim.calibrate_params()
+    assert p == ph_params
+    assert {k: getattr(p, k) for k in plant_sim.STANDARD_CONCENTRATIONS} \
+        == plant_sim.STANDARD_CONCENTRATIONS
+    s, q3 = nominal_point(p)
+    assert output_solve(s, p) == pytest.approx(7.0, abs=1e-6)
+    # the table q3 is a rounded value of the nominal one
+    assert q3 == pytest.approx(15.6, abs=0.1)
+    # the table flows hold pH 7.0 only to within the startup check's 0.1
+    with pytest.raises(ValueError, match="parameter table gives pH"):
+        plant_sim.calibrate_params(tol=1e-6)
 
 
 def test_nominal_point_is_equilibrium(ph_params):
@@ -119,11 +140,20 @@ def test_residual_tolerance_at_root(ph_params):
         s = random_admissible_state(rng)
         y = output_solve(s, ph_params)
         assert abs(output_residual(s.x1, s.x2, y, ph_params)) < 1e-12
+    # over the reactor's state range the bisection ends within one ulp of
+    # the root, far below 1e-13, the residual at which a Newton polish
+    # would have stopped
+    for _ in range(2000):
+        x1, x2 = rng.uniform(-3e-2, 3e-2), rng.uniform(0.0, 3e-2)
+        y = kernels.ph_output_solve(x1, x2, ph_params.pK1, ph_params.pK2)
+        if np.isfinite(y):
+            assert abs(output_residual(x1, x2, y, ph_params)) < 1e-15
 
 
 def test_monotone_charge_balance_under_nominal_states(ph_params):
     s, _ = nominal_point(ph_params)
-    u = sysid.generate_mprs(np.linspace(11.2, 17.2, 5), (30, 40), 200, seed=35)
+    u = sysid.generate_mprs(np.linspace(11.2, 17.2, 5), (30, 40), 200,
+                            np.random.default_rng(35))
     state = s
     grid = np.linspace(0.5, 13.5, 53)
     for k in range(0, 200, 20):
@@ -135,16 +165,16 @@ def test_monotone_charge_balance_under_nominal_states(ph_params):
 def test_integrate_equilibrium_fixed_point(ph_params):
     s, q3 = nominal_point(ph_params)
     s2 = integrate_step(s, q3, ph_params.q2, ph_params, 10.0, substeps=10)
-    assert np.max(np.abs(s2.as_array() - s.as_array())) < 1e-12
+    assert np.max(np.abs(state_array(s2) - state_array(s))) < 1e-12
 
 
 def test_rk4_order_four(ph_params):
     s, _ = nominal_point(ph_params)
     u, d = 17.0, ph_params.q2
-    ref = integrate_step(s, u, d, ph_params, 10.0, substeps=512).as_array()
+    ref = state_array(integrate_step(s, u, d, ph_params, 10.0, substeps=512))
     e = []
     for sub in (1, 2, 4):
-        got = integrate_step(s, u, d, ph_params, 10.0, substeps=sub).as_array()
+        got = state_array(integrate_step(s, u, d, ph_params, 10.0, substeps=sub))
         e.append(np.linalg.norm(got - ref))
     assert 12.0 <= e[0] / e[1] <= 20.0
     assert 12.0 <= e[1] / e[2] <= 20.0
@@ -154,7 +184,7 @@ def test_refinement_convergence(ph_params):
     s, _ = nominal_point(ph_params)
     a = integrate_step(s, 16.5, ph_params.q2, ph_params, 10.0, substeps=10)
     b = integrate_step(s, 16.5, ph_params.q2, ph_params, 10.0, substeps=100)
-    assert np.max(np.abs(a.as_array() - b.as_array())) < 1e-8
+    assert np.max(np.abs(state_array(a) - state_array(b))) < 1e-8
 
 
 def test_mass_level_consistency(ph_params):
@@ -182,34 +212,9 @@ def test_mass_level_consistency(ph_params):
 def test_run_experiment_constant_nominal_holds(ph_params):
     _, q3 = nominal_point(ph_params)
     u = np.full(30, q3)
-    ts = run_experiment(u, DisturbanceSchedule.empty(), ph_params)
+    ts = run_experiment(u, ph_params)
     assert np.max(np.abs(ts.y - 7.0)) < 1e-6
-    assert ts.tau_s == 10.0
-
-
-def test_run_experiment_output_disturbance_shifts_measurement(ph_params):
-    _, q3 = nominal_point(ph_params)
-    u = np.full(40, q3)
-    sched = DisturbanceSchedule([(100.0, 250.0, "output-additive", -0.5)])
-    base = run_experiment(u, DisturbanceSchedule.empty(), ph_params)
-    dist = run_experiment(u, sched, ph_params)
-    t = base.t
-    active = (t >= 100.0 - 1e-9) & (t < 250.0 - 1e-9)
-    # measured channel shifts by exactly the disturbance, state untouched
-    shift = dist.y[:, 0] - base.y[:, 0]
-    np.testing.assert_allclose(shift[active], -0.5, atol=1e-12)
-    np.testing.assert_allclose(shift[~active], 0.0, atol=1e-12)
-
-
-def test_run_experiment_deterministic_with_seeds(ph_params):
-    _, q3 = nominal_point(ph_params)
-    u = np.full(30, q3)
-    a = run_experiment(u, DisturbanceSchedule.empty(), ph_params,
-                       noise_std_u=1e-3, noise_std_y=1e-2, seed=77)
-    b = run_experiment(u, DisturbanceSchedule.empty(), ph_params,
-                       noise_std_u=1e-3, noise_std_y=1e-2, seed=77)
-    assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.y, b.y)
+    assert np.all(np.diff(ts.t) == 10.0)
 
 
 @pytest.mark.parametrize("key,value", [("tau_s", 0.0), ("tau_s", -10.0),
@@ -218,8 +223,7 @@ def test_run_experiment_refuses_a_bad_step(ph_params, key, value):
     # substeps 0 ended in a ZeroDivisionError in the RK4 integrator, and
     # tau_s 0 in "t must be strictly increasing"
     with pytest.raises(ValueError, match=key):
-        run_experiment(np.full(5, 15.0), DisturbanceSchedule.empty(), ph_params,
-                       **{key: value})
+        run_experiment(np.full(5, 15.0), ph_params, **{key: value})
 
 
 def test_schedule_validation():
@@ -249,14 +253,17 @@ def test_nominal_flow_closed_form_equals_scipy_brentq():
     # perturbed ones; a root outside the actuator range is refused by both
     from scipy.optimize import brentq
 
+    def equilibrium_ph(p, q3):
+        x1, x2, _ = plant_sim._mixing_equilibrium(p, q3)
+        return float(kernels.ph_output_solve(x1, x2, p.pK1, p.pK2))
+
     def scipy_q3(p):
-        return brentq(lambda q: plant_sim._equilibrium_ph(p, q) - p.pH,
+        return brentq(lambda q: equilibrium_ph(p, q) - p.pH,
                       11.2, 17.2, xtol=1e-13, rtol=8.9e-16)
 
-    p = plant_sim.params_with(plant_sim.STANDARD_CONCENTRATIONS)
+    p = plant_sim.calibrate_params()
     q3 = scipy_q3(p)
     assert plant_sim._nominal_q3(p) == q3
-    assert plant_sim.calibrate_params()[1].nominal_q3 == q3
     assert nominal_point(p)[1] == q3
     rng = np.random.default_rng(17)
     fields = {k: getattr(p, k) for k in plant_sim.PARAM_KEYS}

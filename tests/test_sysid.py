@@ -5,7 +5,9 @@ from grumpc import gru_model, sysid
 from grumpc.sysid import (NormalizationMap, SequenceBatch, TimeSeries,
                           TrainConfig, fit_index, generate_mprs,
                           loss_gradient, make_sequences, mse, normalize,
-                          denormalize, tbptt_loss, train)
+                          train)
+
+from conftest import zero_weights
 
 
 def make_series(T=60, m=1, p=1, seed=0, tau_s=10.0):
@@ -20,20 +22,20 @@ def make_series(T=60, m=1, p=1, seed=0, tau_s=10.0):
 # ---------------------------------------------------------------------------
 
 def test_mprs_single_level_is_constant():
-    sig = generate_mprs([14.2], (30, 60), 200, seed=1)
+    sig = generate_mprs([14.2], (30, 60), 200, np.random.default_rng(1))
     assert np.all(sig == 14.2)
 
 
 def test_mprs_deterministic_for_seed():
-    a = generate_mprs([1.0, 2.0, 3.0], (30, 40), 500, seed=42)
-    b = generate_mprs([1.0, 2.0, 3.0], (30, 40), 500, seed=42)
+    a = generate_mprs([1.0, 2.0, 3.0], (30, 40), 500, np.random.default_rng(42))
+    b = generate_mprs([1.0, 2.0, 3.0], (30, 40), 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
-    c = generate_mprs([1.0, 2.0, 3.0], (30, 40), 500, seed=43)
+    c = generate_mprs([1.0, 2.0, 3.0], (30, 40), 500, np.random.default_rng(43))
     assert not np.array_equal(a, c)
 
 
 def test_mprs_duration_at_paper_scale():
-    sig = generate_mprs([11.2, 17.2], (30, 60), 5060, seed=3)
+    sig = generate_mprs([11.2, 17.2], (30, 60), 5060, np.random.default_rng(3))
     assert sig.shape == (5060,)
     hours = 5060 * 10.0 / 3600.0
     assert hours == pytest.approx(14.0, abs=0.1)
@@ -41,9 +43,9 @@ def test_mprs_duration_at_paper_scale():
 
 def test_mprs_rejects_empty_levels_and_warns_short_holds():
     with pytest.raises(ValueError):
-        generate_mprs([], (30, 60), 100, seed=0)
+        generate_mprs([], (30, 60), 100, np.random.default_rng(0))
     with pytest.warns(UserWarning):
-        generate_mprs([1.0, 2.0], (5, 10), 100, seed=0)
+        generate_mprs([1.0, 2.0], (5, 10), 100, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +58,13 @@ def test_normalize_paper_input_range():
     assert nmap.normalize_u([[11.2]])[0, 0] == pytest.approx(-1.0)
 
 
+def denormalize(ts: TimeSeries, nmap: NormalizationMap) -> TimeSeries:
+    return TimeSeries(ts.t.copy(), nmap.denormalize_u(ts.u), nmap.denormalize_y(ts.y))
+
+
 def test_normalize_round_trip():
     ts = make_series(seed=4)
-    nmap = NormalizationMap.from_data(ts)
+    nmap = NormalizationMap.from_data(ts, u_range=(11.2, 17.2))
     back = denormalize(normalize(ts, nmap), nmap)
     assert np.max(np.abs(back.u - ts.u)) < 1e-12
     assert np.max(np.abs(back.y - ts.y)) < 1e-12
@@ -68,7 +74,7 @@ def test_constant_channel_rejected():
     ts = make_series(seed=5)
     ts.y[:] = 7.0
     with pytest.raises(ValueError):
-        NormalizationMap.from_data(ts)
+        NormalizationMap.from_data(ts, u_range=(11.2, 17.2))
 
 
 def test_normalization_map_round_trip_file(tmp_path):
@@ -127,6 +133,11 @@ def naive_loss(w, batch, x0s, cfg):
     return total + gru_model.stability_penalty(nu, cfg.rho_plus, cfg.rho_minus)
 
 
+def tbptt_loss(w, batch, x0s, cfg):
+    """The training loss alone, as loss_gradient returns it."""
+    return loss_gradient(w, batch, x0s, cfg)[0]
+
+
 def small_batch(rng, B=3, T=15, n=3, m=1):
     U = rng.uniform(-1, 1, (B, T, m))
     Y = rng.uniform(-1, 1, (B, T, m))
@@ -149,7 +160,7 @@ def test_loss_zero_when_outputs_match_and_nu_zero():
 
 
 def test_loss_constant_unit_error_is_one_plus_penalty():
-    w = gru_model.zero_weights(2, 1, 1)          # output identically 0
+    w = zero_weights(2, 1, 1)          # output identically 0
     T = 9
     batch = SequenceBatch(np.zeros((1, T, 1)), np.ones((1, T, 1)),
                           np.zeros(1), T, 1)
@@ -182,7 +193,7 @@ def test_washout_masks_early_targets():
 
 
 def test_empty_batch_rejected():
-    w = gru_model.zero_weights(2, 1, 1)
+    w = zero_weights(2, 1, 1)
     batch = SequenceBatch(np.zeros((0, 5, 1)), np.zeros((0, 5, 1)),
                           np.zeros(0), 5, 1)
     with pytest.raises(ValueError):
