@@ -451,7 +451,8 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         rows.append((k, refs_ph[k], y_meas, u_phys, float(info.v[0]),
                      float(info.xi[0]), info.cost, info.iterations,
                      int(info.feasible), info.evals, info.terminal_level,
-                     info.rejections, info.solve_ms, info.stop))
+                     info.rejections, info.solve_ms, info.stop, info.build_ms,
+                     info.omega_trials))
     log.info("closed loop: %d ticks in %.0f s, %d fallbacks, %d violations",
              K, time.time() - t0, ctl.fallback_count, violations)
 
@@ -459,7 +460,7 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         wr = csv.writer(fh)
         wr.writerow(["k", "y_ref", "y_meas", "u_applied", "v", "xi",
                      "cost", "solve_iters", "feasible", "evals", "terminal_level",
-                     "rejections", "solve_ms", "stop"])
+                     "rejections", "solve_ms", "stop", "build_ms", "omega_trials"])
         wr.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
                      for row in rows)
 

@@ -38,11 +38,13 @@ reverse pass        the adjoint of a _scan (tbptt_loss_grad_batch).  The
 The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
 the prediction horizon, 0 by default) and charges the quadratic terminal
 cost V_f(e) = e'P_f e at the last state.  P_f = P + Pi, with P the Riccati
-matrix of the LQ gain and Pi the terminal-set matrix, solves
-Acl'P_f Acl - P_f = -(Q_lq + Q_tilde) for Acl = A_a - B_a K; the sampled
+matrix of the LQ gain and Pi the Lyapunov matrix of the margin Q_tilde,
+solves Acl'P_f Acl - P_f = -(Q_lq + Q_tilde) for Acl = A_a - B_a K.  The
+terminal set is the sublevel set e'P_f e <= omega of V_f: the controller
+passes P_f as the terminal-set matrix (the adapters' Pi), and the sampled
 terminal-set check (terminal_samples_check) tests that V_f falls by at
-least the stage cost e'Q_lq e, and Pi by the gamma margin, under the
-auxiliary law on the terminal set's boundary samples.
+least the stage cost e'Q_lq e under the auxiliary law on the set's
+boundary samples, which also keeps each sample in the set.
 
 The objective is a sum of squares r'r (see _residuals).  fhocp_residuals
 returns r with its exact Jacobian Jr: augmented_tangent linearizes every step
@@ -598,21 +600,18 @@ def _blocks(T, na, p, Np):
             slice(k2 + na, k2 + na + Np * p))
 
 
-def terminal_samples_check(E, step, Pi, Pf, Qlq, gamma):
-    """Evaluate the sampled terminal-set conditions at offsets E.
+def terminal_samples_check(E, step, Pf, Qlq):
+    """The terminal-cost decrease V_f(phi_a) - V_f(e) + e'Qlq e, with
+    V_f(e) = e'Pf e, at each row e of E.
 
     Row k of E is a deviation from the equilibrium xa_eq of the law of the
-    AugmentedStep step; all rows go through one step of it.  Returns per
-    sample the Lyapunov-decrease left-hand side
-    |phi_a - xa0|_Pi^2 - |e|_Pi^2 + gamma |e|^2 and the terminal-cost
-    decrease left-hand side V_f(phi_a) - V_f(e) + e'Qlq e with
-    V_f(e) = e'Pf e.  The law's input box needs no samples: the radius
-    search (mpc.terminal_set_radius) bounds it exactly.
+    AugmentedStep step; all rows go through one step of it.  The law's
+    input box needs no samples: the radius search
+    (mpc.terminal_set_radius) bounds it exactly.
     """
     xa_eq = step.law[1]
     e_next = augmented_rollout(step, xa_eq + E, (), 1)[0][1] - xa_eq
-    return (_quad(e_next, Pi) - _quad(E, Pi) + gamma * np.sum(E * E, axis=1),
-            _quad(e_next, Pf) + _quad(E, Qlq - Pf))
+    return _quad(e_next, Pf) + _quad(E, Qlq - Pf)
 
 
 # The adapters below keep the positional weight arrays of the former kernel

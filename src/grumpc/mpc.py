@@ -2,13 +2,14 @@
 
 Pipeline per reference value: equilibrium (damped Newton on the model's
 fixed-point equations), linearization of the augmented system, LQ gain from
-a fixed-point Riccati iteration, Lyapunov matrix for the terminal-set
-ellipsoid, the quadratic terminal cost e'(P + Pi)e, the terminal-set
-radius (exact for the auxiliary law's input box, sampled for its Lyapunov
-and terminal-cost decrease), and the finite-horizon optimal control
-problem solved by penalized single shooting: Levenberg-Marquardt
-Gauss-Newton on the residuals of the penalized cost, with their exact
-Jacobian from one batched linearization of the rollout (cell_jacobians).
+a fixed-point Riccati iteration, the terminal cost V_f(e) = e'P_f e with
+P_f = P + Pi (Pi the Lyapunov matrix of the margin Q_tilde), the terminal
+set e'P_f e <= omega, a sublevel set of V_f whose radius is exact for the
+auxiliary law's input box and sampled for V_f's decrease, and the
+finite-horizon optimal control problem solved by penalized single
+shooting: Levenberg-Marquardt Gauss-Newton on the residuals of the
+penalized cost, with their exact Jacobian from one batched linearization
+of the rollout (cell_jacobians).
 Each setpoint packs its augmented model under the auxiliary law once
 (kernels.AugmentedStep, inside the ingredients' FhocpConstants); the radius
 search and every solver evaluation step through it.
@@ -51,7 +52,7 @@ class RiccatiError(RuntimeError):
 
 
 class TerminalSetError(RuntimeError):
-    """No positive terminal radius found; enlarge Q_tilde or reduce gamma."""
+    """No positive terminal radius found; enlarge q_tilde_weight."""
 
 
 class FhocpInfeasibleError(RuntimeError):
@@ -71,8 +72,7 @@ class ControllerConfig:
     N_p: int = 40                 # prediction horizon
     q_weight: float = 1.0         # Q = q_weight I on the augmented state
     r_weight: float = 1.0         # R = r_weight I on the move
-    q_tilde_weight: float = 10.0  # Q_tilde = q_tilde_weight I (terminal set)
-    gamma: float = 0.01           # Lyapunov decrease margin on the terminal set
+    q_tilde_weight: float = 10.0  # Q_tilde = q_tilde_weight I: the margin Pi in P_f
     # auxiliary-law steps rolled past N_p before the terminal cost e'P_f e
     # is charged; 0 charges it at state N_p
     N_f: int = 0
@@ -89,7 +89,7 @@ class ControllerConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, "
                                  f"not {getattr(self, name)!r}")
-        for name in ("gamma", "r_weight", "N_f"):
+        for name in ("r_weight", "N_f"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, "
                                  f"not {getattr(self, name)!r}")
@@ -324,49 +324,48 @@ def _directions(count, dim):
     return g
 
 
-def terminal_set_radius(step: kernels.AugmentedStep, Pi, P_f, Q_lq,
-                        cfg: ControllerConfig):
-    """Largest radius omega on which the auxiliary law of the setpoint's
-    packed step stays admissible for the terminal set e'Pi e <= omega.
+def terminal_set_radius(step: kernels.AugmentedStep, P_f, Q_lq, cfg: ControllerConfig):
+    """Largest radius omega of the terminal set e'P_f e <= omega, a sublevel
+    set of V_f(e) = e'P_f e, on which the auxiliary law of the setpoint's
+    packed step stays admissible and V_f falls by at least the stage cost;
+    returns omega and the number of radii tried.
 
     The input box is exact: under the law the cell input is u = u_eq + C e
     with C = [0 I] - K, whose row j peaks at |u_eq,j| +
-    sqrt(omega c_j'Pi^-1 c_j) on the ellipsoid, so the walk starts at
+    sqrt(omega c_j'P_f^-1 c_j) on the ellipsoid, so the walk starts at
     min(OMEGA_MAX, omega_box), omega_box = min_j max(1 - |u_eq,j|, 0)^2
-    / c_j'Pi^-1 c_j (a zero c_j bounds nothing), and goes down by
-    TERMINAL_SHRINK.  The two decrease conditions are sampled on
-    cfg.terminal_samples boundary directions in blocks of TERMINAL_BLOCK: a
-    radius is accepted when every sample has the Lyapunov decrease with
-    margin cfg.gamma and V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 with
-    V_f(e) = e'P_f e, and rejected at the first failing block.
+    / c_j'P_f^-1 c_j (a zero c_j bounds nothing), and goes down by
+    TERMINAL_SHRINK.  The decrease V_f(phi_a(e)) - V_f(e) + e'Q_lq e <= 0 is
+    sampled on cfg.terminal_samples boundary directions in blocks of
+    TERMINAL_BLOCK, and a radius is rejected at the first failing block.  On
+    a sublevel set of V_f the decrease also keeps each sample in the set.
     """
     K, xa_eq = step.law
     p = len(K)
-    Linv = np.linalg.inv(np.linalg.cholesky(Pi))
+    Linv = np.linalg.inv(np.linalg.cholesky(P_f))
     C = -K
     C[:, -p:] += np.eye(p)
-    spread = np.sum((Linv @ C.T) ** 2, axis=0)       # c_j'Pi^-1 c_j
+    spread = np.sum((Linv @ C.T) ** 2, axis=0)       # c_j'P_f^-1 c_j
     slack = np.maximum(1.0 - np.abs(xa_eq[-p:]), 0.0) ** 2
     bounded = spread > 0.0
     omega_box = np.min(slack[bounded] / spread[bounded], initial=np.inf)
-    # rows satisfy e' Pi e = 1
-    E_unit = _directions(cfg.terminal_samples, len(Pi)) @ Linv
+    # rows satisfy e'P_f e = 1
+    E_unit = _directions(cfg.terminal_samples, len(P_f)) @ Linv
 
     def all_pass(scale):
-        for lo in range(0, len(E_unit), TERMINAL_BLOCK):
-            lhs, vf_lhs = kernels.terminal_samples_check(
-                scale * E_unit[lo:lo + TERMINAL_BLOCK], step, Pi, P_f, Q_lq, cfg.gamma)
-            if not (np.all(lhs <= 1e-12) and np.all(vf_lhs <= 0.0)):
-                return False
-        return True
+        return all(np.all(kernels.terminal_samples_check(
+            scale * E_unit[lo:lo + TERMINAL_BLOCK], step, P_f, Q_lq) <= 0.0)
+            for lo in range(0, len(E_unit), TERMINAL_BLOCK))
 
     omega = min(OMEGA_MAX, float(omega_box))
+    trials = 0
     while omega > TERMINAL_MIN_OMEGA:
+        trials += 1
         if all_pass(np.sqrt(omega)):
-            return omega
+            return omega, trials
         omega *= TERMINAL_SHRINK
-    raise TerminalSetError(
-        "no positive terminal radius found; retune Q_tilde or gamma")
+    raise TerminalSetError(f"no terminal radius passed {trials} trials; "
+                           "raise q_tilde_weight")
 
 
 @dataclass
@@ -378,10 +377,9 @@ class TerminalIngredients:
     Q: np.ndarray
     R: np.ndarray
     Q_lq: np.ndarray
-    Pi: np.ndarray
-    P_f: np.ndarray          # terminal cost V_f(e) = e'P_f e, P_f = P + Pi
-    Q_tilde: np.ndarray
+    P_f: np.ndarray          # V_f(e) = e'P_f e, P_f = P + Pi; the set is V_f <= omega
     omega: float
+    omega_trials: int        # radii terminal_set_radius tried
     # the kernels' set-up for this problem (kernels.fhocp_constants): the
     # packed augmented step under the auxiliary law and the factors of Q, R
     # and P_f; derived from the fields above and the model, so a copy with
@@ -408,21 +406,19 @@ def build_ingredients(w: GruWeights, y0, cfg: ControllerConfig,
     na = w.n + w.p
     Q = cfg.q_weight * np.eye(na)
     R = cfg.r_weight * np.eye(w.p)
-    Q_tilde = cfg.q_tilde_weight * np.eye(na)
     K, P = lq_gain(lin, Q, R)
     K = np.ascontiguousarray(K)
     Q_lq = Q + K.T @ R @ K
-    Pi = np.ascontiguousarray(lyapunov_Pi(lin, K, Q_tilde))
-    # P solves Acl'P Acl - P = -Q_lq and Pi the same with -Q_tilde, so the
-    # sum decreases by the stage cost plus the margin e'Q_tilde e on the
-    # linearization; terminal_set_radius checks it on the nonlinear model
-    P_f = np.ascontiguousarray(P + Pi)
+    # P solves Acl'P Acl - P = -Q_lq and Pi the same with -Q_tilde, so V_f
+    # falls by the stage cost plus the margin e'Q_tilde e on the
+    # linearization; terminal_set_radius checks the stage-cost decrease on
+    # the nonlinear model
+    P_f = np.ascontiguousarray(P + lyapunov_Pi(lin, K, cfg.q_tilde_weight * np.eye(na)))
     consts = kernels.fhocp_constants(
         kernels.augmented_step_matrices(w.cell, w.U_o, w.b_o, eq.y0, (K, eq.xa0)),
         Q, R, P_f)
-    omega = terminal_set_radius(consts.step, Pi, P_f, Q_lq, cfg)
-    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, Pi, P_f, Q_tilde, omega,
-                               consts)
+    omega, trials = terminal_set_radius(consts.step, P_f, Q_lq, cfg)
+    return TerminalIngredients(eq, lin, K, Q, R, Q_lq, P_f, omega, trials, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +481,15 @@ class FhocpSolution:
 
     @property
     def terminal_level(self):
-        """e_Np'Pi e_Np / omega of the plan, computed when read (a
+        """e_Np'P_f e_Np / omega of the plan, computed when read (a
         controller tick does not read it)."""
         return _terminal_level(self.trajectory, self.ing)
 
 
 def _terminal_level(XA, ing: TerminalIngredients) -> float:
-    """e_Np'Pi e_Np / omega of a plan's states 0..N_p."""
+    """e_Np'P_f e_Np / omega of a plan's states 0..N_p."""
     eN = XA[-1] - ing.eq.xa0
-    return float(eN.dot(ing.Pi).dot(eN)) / ing.omega
+    return float(eN.dot(ing.P_f).dot(eN)) / ing.omega
 
 
 def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
@@ -530,10 +526,12 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
     p = w.p
     Nc, Np = cfg.N_c, cfg.N_p
     D = Nc * p
-    # the adapters' arguments after the plan: start, model and law, then problem
+    # the adapters' arguments after the plan: start, model and law, then
+    # problem; the terminal set is a sublevel set of V_f, so P_f is also the
+    # terminal-set matrix (the kernels' Pi)
     head = (xa_hat.stacked(), as_vector(xi_true),
             ing.eq.y0, *w.arrays(), w.U_o, w.b_o, ing.K_lq, ing.eq.xa0)
-    args = (*head, ing.Q, ing.R, ing.P_f, ing.Pi, float(ing.omega), Nc, Np, int(cfg.N_f))
+    args = (*head, ing.Q, ing.R, ing.P_f, ing.P_f, float(ing.omega), Nc, Np, int(cfg.N_f))
 
     ctol = CONSTRAINT_TOL
     omega_tol = ctol * max(1.0, ing.omega)
@@ -686,10 +684,14 @@ class StepInfo:
     # fallback, the terminal level of the least violating plan
     solution: FhocpSolution | None = field(default=None, repr=False, compare=False)
     fallback_level: float = np.nan
+    # wall time of the tick's ingredient build and the radii its walk tried
+    # (0 for a failed build); both 0 on a cache hit
+    build_ms: float = 0.0
+    omega_trials: int = 0
 
     @property
     def terminal_level(self):
-        """e_Np'Pi e_Np / omega of the applied plan, of the least violating
+        """e_Np'P_f e_Np / omega of the applied plan, of the least violating
         one on a fallback, nan without a solve."""
         return self.fallback_level if self.solution is None else self.solution.terminal_level
 
@@ -726,6 +728,7 @@ class RecedingHorizonController:
         self.dropout_count = 0
         self.rebuild_failures = 0
         self.nonfinite_resets = 0
+        self._build = (0.0, 0)   # this tick's (StepInfo.build_ms, omega_trials)
 
     def _key(self, y0):
         # round, as np.rint, rounds half to even; non-finite values share None
@@ -740,17 +743,20 @@ class RecedingHorizonController:
         ing = self._cache.get(key)
         if ing is None:
             guess = self._last_ing.eq if self._last_ing is not None else None
+            t0 = time.perf_counter()
             try:
                 ing = build_ingredients(self.w, y0, self.cfg, eq_guess=guess)
             except (UnreachableReferenceError, EquilibriumError, RiccatiError,
                     TerminalSetError) as exc:
                 if self._last_ing is None:
                     raise
+                self._build = ((time.perf_counter() - t0) * 1e3, 0)
                 self._failed.add(key)
                 self.rebuild_failures += 1
                 log.warning("ingredients for setpoint %s failed (%s); keeping "
                             "those of %s", y0, exc, self._last_ing.eq.y0)
                 return self._last_ing
+            self._build = ((time.perf_counter() - t0) * 1e3, ing.omega_trials)
             self._cache[key] = ing
         self._last_ing = ing
         return ing
@@ -766,6 +772,7 @@ class RecedingHorizonController:
 
     def step(self, y_meas, y0):
         """One closed-loop tick; returns (u_norm in [-1,1], StepInfo)."""
+        self._build = (0.0, 0)
         if self.est is None:
             self.reset(y0)
         y_meas = as_vector(y_meas)
@@ -818,6 +825,7 @@ class RecedingHorizonController:
                                 rejections=exc.rejections, stop="fallback",
                                 fallback_level=exc.terminal_level)
             info.solve_ms = (time.perf_counter() - t0) * 1e3
+        info.build_ms, info.omega_trials = self._build
         # the bounds as arrays: a Python float operand slows the ufunc down
         u = np.minimum(np.maximum(v + self.xi, _LOWER), _UPPER)
 

@@ -15,6 +15,7 @@ validation runs the sequences as rows of the same scan
 
 import csv
 import json
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -296,6 +297,8 @@ class EpochRecord:
     loss: float
     nu: float
     val_mse: float
+    wall_s: float            # wall time of the epoch, validation included
+    batches: int             # Adam steps of the epoch
 
 
 def _open_loop_mse(w: GruWeights, U, Y, washout):
@@ -345,6 +348,7 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
         return GruWeights(n=cfg.n_states, m=m, p=p, **params)
 
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(train_idx)
         epoch_loss = 0.0
         n_batches = 0
@@ -375,7 +379,8 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
             val_mse = _open_loop_mse(cur, val.U, val.Y, cfg.washout)
         else:
             val_mse = epoch_loss / max(n_batches, 1)
-        log.append(EpochRecord(epoch, epoch_loss / max(n_batches, 1), nu, val_mse))
+        log.append(EpochRecord(epoch, epoch_loss / max(n_batches, 1), nu, val_mse,
+                               time.perf_counter() - t0, n_batches))
 
         cand = (not (nu < 0.0), val_mse, epoch)
         if best is None or cand < best[0]:
@@ -436,6 +441,7 @@ def load_timeseries_csv(path) -> TimeSeries:
 def save_training_log(log, path):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["epoch", "loss", "nu", "val_mse"])
+        wr.writerow(["epoch", "loss", "nu", "val_mse", "wall_s", "batches"])
         for rec in log:
-            wr.writerow([rec.epoch, repr(rec.loss), repr(rec.nu), repr(rec.val_mse)])
+            wr.writerow([rec.epoch, repr(rec.loss), repr(rec.nu), repr(rec.val_mse),
+                         repr(rec.wall_s), rec.batches])

@@ -28,7 +28,7 @@ def reference_solve(w, ing, cfg, xa_hat, xi_true, warm_start=None):
     xa0 = xa_hat.stacked()
     y0 = ing.eq.y0
     args_model = (*w.arrays(), w.U_o, w.b_o)
-    args_prob = (ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
+    args_prob = (ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.P_f,
                  float(ing.omega), Nc, Np, int(cfg.N_f))
     ctol = mpc.CONSTRAINT_TOL
     best = {"cost": np.inf, "v": None}
@@ -145,7 +145,7 @@ def assert_matches_reference(w, solve_inputs):
     XA, _ = rollout(w, ing, cfg, est, sol.v)
     np.testing.assert_array_equal(sol.trajectory, XA)
     eN = XA[cfg.N_p] - ing.eq.xa0
-    assert sol.terminal_level == eN @ ing.Pi @ eN / ing.omega
+    assert sol.terminal_level == eN @ ing.P_f @ eN / ing.omega
     return sol
 
 
@@ -153,7 +153,7 @@ def plain_cost(w, ing, cfg, est, xi, v):
     """(cost, box excess, terminal excess) of a plan, without penalties."""
     _, J, bviol, tviol = kernels.fhocp_forward(
         np.ravel(v), est.stacked(), xi, ing.eq.y0, *w.arrays(), w.U_o, w.b_o,
-        ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi, float(ing.omega),
+        ing.K_lq, ing.eq.xa0, ing.Q, ing.R, ing.P_f, ing.P_f, float(ing.omega),
         cfg.N_c, cfg.N_p, int(cfg.N_f), 0.0, 0.0, consts=ing.consts)
     return J, bviol, tviol
 

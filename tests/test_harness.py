@@ -80,9 +80,11 @@ def test_train_uncertified_exits_nonzero(tmp_path):
     assert (tmp_path / "weights.json").exists()
     # every column of the training log is a plain number
     rows = list(csv.reader(open(tmp_path / "train_log.csv")))
-    assert rows[0] == ["epoch", "loss", "nu", "val_mse"] and len(rows) == 3
+    assert rows[0] == ["epoch", "loss", "nu", "val_mse", "wall_s", "batches"]
+    assert len(rows) == 3
     for row in rows[1:]:
         [float(v) for v in row]
+        assert float(row[4]) > 0.0 and int(row[5]) >= 1
 
 
 def test_train_zero_epochs_persists_init(tmp_path):
@@ -149,22 +151,25 @@ def test_closed_loop_model_plant_and_exports(tmp_path):
     rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))
     assert rows[0] == ["k", "y_ref", "y_meas", "u_applied", "v", "xi",
                        "cost", "solve_iters", "feasible", "evals", "terminal_level",
-                       "rejections", "solve_ms", "stop"]
+                       "rejections", "solve_ms", "stop", "build_ms", "omega_trials"]
     assert len(rows) - 1 == int(0.25 * 3600 / 10)
-    # the column comes last, so readers of the older columns keep working;
+    # new columns come last, so readers of the older columns keep working;
     # each tick names the exit that ended its solve
     exits = {"equilibrium", "model", "move", "decrease", "budget", "fallback"}
     assert all(r[13] in exits for r in rows[1:])
     # every tick solves, so every tick reports a positive finite solve time
     assert all(np.isfinite(float(r[12])) and float(r[12]) > 0.0 for r in rows[1:])
     # every solve evaluates the objective; every plan ends inside the
-    # terminal set e'Pi e <= omega, up to the solver's constraint tolerance;
+    # terminal set e'P_f e <= omega, up to the solver's constraint tolerance;
     # every evaluation after the first one tries a Gauss-Newton step, which
     # is accepted (solve_iters) or rejected, or one clamped plan
     tol = mpc.CONSTRAINT_TOL
     assert all(int(r[9]) >= 1 and 0.0 <= float(r[10]) <= 1.0 + tol
                for r in rows[1:])
     assert all(0 <= int(r[7]) + int(r[11]) <= int(r[9]) - 1 for r in rows[1:])
+    # the one setpoint's ingredients are built at the reset, before tick 0,
+    # so every tick hits the cache
+    assert all(r[14:] == ["0.0", "0"] for r in rows[1:])
 
     files = harness.cmd_plot_export(cfg, tmp_path / "closed_loop.csv", tmp_path / "figs")
     assert set(files) == {"fig_output.csv", "fig_tracking_error.csv",
@@ -370,6 +375,10 @@ def test_closed_loop_keeps_the_last_ingredients_when_a_rebuild_fails(
     assert np.all(np.isfinite(u)) and np.all((u >= 11.2) & (u <= 17.2))
     # the loop holds the setpoint of the ingredients it kept
     assert abs(float(rows[-1][2]) - ph_mid) < 1e-3 * float(nmap.y_half[0])
+    # the failed build is the one tick with a build time, and it tried no radius
+    builds = [(float(r[14]), int(r[15])) for r in rows if float(r[14]) > 0.0]
+    assert len(builds) == 1 and builds[0][1] == 0
+    assert all(int(r[15]) == 0 for r in rows)
 
 
 def test_closed_loop_holds_its_setpoint_when_a_step_is_unreachable(tmp_path):
@@ -471,6 +480,8 @@ def test_layer_defaults_are_the_desk_profile():
 @pytest.mark.parametrize("section,key,value", [
     ("train", "seed", 3), ("train", "init_scale", 0.1),
     ("observer", "synthesize", False), ("controller", "audit_factor", 10),
+    # the Lyapunov margin of the retired second decrease condition
+    ("controller", "gamma", 0.01),
     # one-value numerics, now module constants: their old values and the
     # values their range checks refused
     ("train", "beta1", 0.9), ("train", "beta1", 1.0), ("train", "beta2", 0.0),
@@ -523,13 +534,13 @@ def test_bad_training_settings_are_refused_at_load(key, value):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("terminal_samples", 0), ("gamma", -1.0), ("q_tilde_weight", 0.0),
+    ("terminal_samples", 0), ("q_tilde_weight", 0.0),
     ("ref_filter_window", 0), ("q_weight", 0.0), ("N_f", -1), ("r_weight", -1.0)])
 def test_bad_controller_settings_are_refused_at_load(key, value):
-    # each would pass an unchecked terminal set (no samples, a negative
-    # decrease margin), or fail every ingredient build (r_weight -1: the
-    # Riccati iteration diverges), the reference filter or the first solve
-    # (N_f -1: a broadcast error) in the loop
+    # each would pass an unchecked terminal set (no samples, no margin Pi
+    # inside P_f), or fail every ingredient build (r_weight -1: the Riccati
+    # iteration diverges), the reference filter or the first solve (N_f -1:
+    # a broadcast error) in the loop
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc["controller"][key] = value
     with pytest.raises(CommandError, match=key):
@@ -567,10 +578,10 @@ def test_bad_scenario_settings_are_refused_at_load(value):
 
 def test_config_values_take_the_json_forms_of_their_types():
     # an int for a float, an array for a tuple, null for an optional value
-    cfg = ExperimentConfig.from_dict({"controller": {"gamma": 1},
+    cfg = ExperimentConfig.from_dict({"controller": {"q_tilde_weight": 1},
                                       "data": {"hold_range": [20, 40]},
                                       "plant_params": None})
-    assert (cfg.controller.gamma, cfg.data.hold_range, cfg.plant_params) == (
+    assert (cfg.controller.q_tilde_weight, cfg.data.hold_range, cfg.plant_params) == (
         1, [20, 40], None)
 
 

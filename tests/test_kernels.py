@@ -33,16 +33,16 @@ def setup():
 
 
 def offset(ing, rng, level):
-    """Deviation from the equilibrium with |e|_Pi^2 = level * omega."""
+    """Deviation from the equilibrium with e'P_f e = level * omega."""
     e = rng.normal(size=ing.eq.xa0.size)
-    return e * np.sqrt(level * ing.omega / (e @ ing.Pi @ e))
+    return e * np.sqrt(level * ing.omega / (e @ ing.P_f @ e))
 
 
 def problem_args(w, ing):
     return ((*w.arrays(), w.U_o, w.b_o),
             (np.ascontiguousarray(ing.K_lq), ing.eq.xa0,
              np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
-             np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
+             np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.P_f),
              float(ing.omega)))
 
 
@@ -96,7 +96,7 @@ def reference_fhocp(w, ing, vflat, xa0, xi0, mu_box, mu_term, Nf=N_F, omega=None
     eT = s.stacked() - ing.eq.xa0
     J += eT @ ing.P_f @ eT
     eN = states[Np] - ing.eq.xa0
-    term_viol = max(eN @ ing.Pi @ eN - omega, 0.0)
+    term_viol = max(eN @ ing.P_f @ eN - omega, 0.0)
     pen += mu_term * term_viol ** 2
     return np.array(states), np.array(moves), J + pen, J, box_viol, term_viol
 
@@ -116,7 +116,9 @@ def test_fhocp_forward_matches_stepwise_reference(setup):
                                   omega=omega)
             got = forward(w, ing, vflat, xa0, xi0, mu, 2 * mu, Nf=Nf, omega=omega)
             assert len(got) == 4
-            np.testing.assert_allclose(got, ref[2:], rtol=0, atol=1e-12)
+            # the penalized cost reaches 5e3 with the terminal set on P_f, so
+            # the sums' rounding also gets a relative allowance
+            np.testing.assert_allclose(got, ref[2:], rtol=1e-14, atol=1e-12)
             if mu:
                 assert ref[4] > 0 and ref[5] > 0      # both penalties active
 
@@ -142,8 +144,8 @@ def reference_gradient(w, ing, states, moves, xi0, mu_box, mu_term, omega, Nc, N
     n, p = w.n, w.p
     xi_off = xi0 - states[0, n:]
     E = states - ing.eq.xa0
-    s = E[Np] @ ing.Pi @ E[Np] - omega
-    g_term = 4.0 * mu_term * s * (ing.Pi @ E[Np]) if s > 0 else np.zeros(n + p)
+    s = E[Np] @ ing.P_f @ E[Np] - omega
+    g_term = 4.0 * mu_term * s * (ing.P_f @ E[Np]) if s > 0 else np.zeros(n + p)
     lam = 2.0 * ing.P_f @ E[-1]                 # the terminal cost
     if len(moves) == Np:
         lam = lam + g_term
@@ -499,23 +501,20 @@ def test_terminal_samples_check_matches_per_row_reference(setup):
     n, na = w.n, w.n + w.p
     # samples scaled around the accepted radius, all rows in one call
     E = rng.normal(size=(4096 + 1000, na))
-    E *= np.sqrt(ing.omega * rng.uniform(0.0, 2.0, len(E))
-                 / np.einsum("ij,jk,ik->i", E, ing.Pi, E))[:, None]
-    lhs, vf_lhs = kernels.terminal_samples_check(
-        E, ing.consts.step, np.ascontiguousarray(ing.Pi), ing.P_f, ing.Q_lq, CFG.gamma)
-    ref_lhs, ref_vf = np.empty(len(E)), np.empty(len(E))
+    level = np.einsum("ij,jk,ik->i", E, ing.P_f, E)
+    E *= np.sqrt(ing.omega * rng.uniform(0.0, 2.0, len(E)) / level)[:, None]
+    vf_lhs = kernels.terminal_samples_check(E, ing.consts.step, ing.P_f, ing.Q_lq)
+    ref_vf = np.empty(len(E))
     for k, e in enumerate(E):
         xa = ing.eq.xa0 + e
         v = -(ing.K_lq @ e)
         nxt, _ = observer.augmented_step(w, AugmentedState(xa[:n], xa[n:]), v,
                                          ing.eq.y0)
         en = nxt.stacked() - ing.eq.xa0
-        ref_lhs[k] = en @ ing.Pi @ en - e @ ing.Pi @ e + CFG.gamma * (e @ e)
         ref_vf[k] = en @ ing.P_f @ en - e @ ing.P_f @ e + e @ ing.Q_lq @ e
-    np.testing.assert_allclose(lhs, ref_lhs, rtol=0, atol=1e-12)
     np.testing.assert_allclose(vf_lhs, ref_vf, rtol=0, atol=1e-12)
-    # samples beyond the accepted radius make the V_f column positive too
-    assert np.all(vf_lhs[np.einsum("ij,jk,ik->i", E, ing.Pi, E) <= ing.omega] <= 0.0)
+    # the samples inside the accepted radius pass
+    assert np.all(vf_lhs[np.einsum("ij,jk,ik->i", E, ing.P_f, E) <= ing.omega] <= 0.0)
 
 
 def test_tbptt_gradient_matches_central_differences():

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -185,15 +186,24 @@ def test_lyapunov_scalar_cases():
     assert Pi0[0, 0] == pytest.approx(2.5, abs=1e-14)
 
 
+def margin(w, ing, q_tilde_weight=SMALL_CFG.q_tilde_weight):
+    """Q_tilde and its Lyapunov matrix Pi, the margin inside P_f = P + Pi."""
+    Q_tilde = q_tilde_weight * np.eye(w.n + w.p)
+    return Q_tilde, lyapunov_Pi(ing.lin, ing.K_lq, Q_tilde)
+
+
 def test_lyapunov_residual_and_definiteness(small_setup):
     w, eq, ing, _ = small_setup
+    Q_tilde, Pi = margin(w, ing)
     Acl = ing.lin.A_a - ing.lin.B_a @ ing.K_lq
-    res = Acl.T @ ing.Pi @ Acl - ing.Pi + ing.Q_tilde
+    res = Acl.T @ Pi @ Acl - Pi + Q_tilde
     assert np.max(np.abs(res)) < 1e-12
-    np.linalg.cholesky(ing.Pi)    # symmetric positive definite
+    np.linalg.cholesky(Pi)    # symmetric positive definite
     # the terminal cost P_f = P + Pi decreases by Q_lq + Q_tilde on the
     # linearization
-    res_f = Acl.T @ ing.P_f @ Acl - ing.P_f + ing.Q_lq + ing.Q_tilde
+    _, P = lq_gain(ing.lin, ing.Q, ing.R)
+    np.testing.assert_array_equal(ing.P_f, P + Pi)
+    res_f = Acl.T @ ing.P_f @ Acl - ing.P_f + ing.Q_lq + Q_tilde
     assert np.max(np.abs(res_f)) < 1e-10 * np.max(np.abs(ing.P_f))
     np.linalg.cholesky(ing.P_f)
 
@@ -201,48 +211,53 @@ def test_lyapunov_residual_and_definiteness(small_setup):
 def test_lyapunov_matches_scipy(small_setup):
     from scipy.linalg import solve_discrete_lyapunov
     w, eq, ing, _ = small_setup
+    Q_tilde, Pi = margin(w, ing)
     Acl = ing.lin.A_a - ing.lin.B_a @ ing.K_lq
-    ref = solve_discrete_lyapunov(Acl.T, ing.Q_tilde)
-    assert np.max(np.abs(ing.Pi - ref)) / np.max(np.abs(ref)) < 1e-10
+    ref = solve_discrete_lyapunov(Acl.T, Q_tilde)
+    assert np.max(np.abs(Pi - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # terminal ingredients
 # ---------------------------------------------------------------------------
 
-def test_terminal_radius_shrinks_with_gamma(small_setup, monkeypatch):
-    # the decrease margin is governed by Q_tilde = 10 I, so radii collapse
-    # as gamma approaches 10 and no radius exists far beyond it
-    _, _, ing, _ = small_setup
+def test_terminal_radius_shrinks_as_q_tilde_weight_falls(small_setup, monkeypatch):
+    # the margin Pi inside P_f = P + Pi is what the nonlinear remainder eats
+    # into: as q_tilde_weight falls the accepted set shrinks (its inscribed
+    # ball, a size in a fixed metric), and with next to no margin no radius
+    # passes
+    w, _, ing, _ = small_setup
     monkeypatch.setattr(mpc, "OMEGA_MAX", 1e5)
-    radii = [terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
-                                 ControllerConfig(gamma=gamma, terminal_samples=768))
-             for gamma in (0.01, 9.0, 9.9)]
-    assert radii[0] > radii[1] > radii[2]
-    with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(ing.consts.step, ing.Pi, ing.P_f, ing.Q_lq,
-                            ControllerConfig(gamma=1e6, terminal_samples=192))
+    _, P = lq_gain(ing.lin, ing.Q, ing.R)
+    balls = []
+    for q in (1.0, 0.1, 0.01):
+        P_f = P + margin(w, ing, q)[1]
+        omega, _ = terminal_set_radius(ing.consts.step, P_f, ing.Q_lq,
+                                       ControllerConfig(terminal_samples=768))
+        balls.append(np.sqrt(omega / np.linalg.eigvalsh(P_f)[-1]))
+    assert balls[0] > balls[1] > balls[2]
+    with pytest.raises(mpc.TerminalSetError, match="q_tilde_weight"):
+        terminal_set_radius(ing.consts.step, P + margin(w, ing, 1e-6)[1], ing.Q_lq,
+                            ControllerConfig(terminal_samples=192))
 
 
 def test_terminal_radius_sampled_soundness(small_setup):
-    # random interior points: auxiliary law keeps the state inside,
-    # decreases the Lyapunov value by at least the gamma margin and the
-    # terminal cost by at least the stage cost
+    # random interior points: the auxiliary law keeps the input in the box
+    # and the state inside, and decreases the terminal cost by at least the
+    # stage cost
     w, eq, ing, _ = small_setup
     rng = np.random.default_rng(211)
     na = w.n + 1
-    L = np.linalg.cholesky(ing.Pi)
+    L = np.linalg.cholesky(ing.P_f)
     Linv_T = np.linalg.inv(L.T)
     dirs = rng.normal(size=(10000, na))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = np.sqrt(ing.omega) * rng.uniform(0, 1, 10000) ** (1.0 / na)
     E = (dirs @ Linv_T.T) * radii[:, None]
-    lhs, vf_lhs = kernels.terminal_samples_check(
-        np.ascontiguousarray(E), ing.consts.step, np.ascontiguousarray(ing.Pi),
-        ing.P_f, ing.Q_lq, SMALL_CFG.gamma)
+    vf_lhs = kernels.terminal_samples_check(np.ascontiguousarray(E), ing.consts.step,
+                                            ing.P_f, ing.Q_lq)
     u = eq.xa0[w.n:] + E[:, w.n:] - E @ ing.K_lq.T
     assert np.all(np.abs(u) <= 1.0 + 1e-12)
-    assert np.all(lhs <= 1e-10)
     assert np.all(vf_lhs <= 1e-10)
     # next state stays inside the ellipsoid
     for e in E[:200]:
@@ -251,7 +266,7 @@ def test_terminal_radius_sampled_soundness(small_setup):
         s = AugmentedState(xa[:w.n], xa[w.n:])
         nxt, _ = observer.augmented_step(w, s, vlq, eq.y0)
         en = nxt.stacked() - eq.xa0
-        assert en @ ing.Pi @ en <= ing.omega + 1e-9
+        assert en @ ing.P_f @ en <= ing.omega + 1e-9
 
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
@@ -265,25 +280,27 @@ def pinned_ingredients(ph):
     return w, ctl.ingredients_for(nmap.normalize_y([ph]))
 
 
-@pytest.mark.parametrize("ph, omega", [(7.0, 4.933605587895245),
-                                       (7.2, 2.619767005050506),
-                                       (6.8, 9.352124511569873)])
+@pytest.mark.parametrize("ph, omega", [(7.0, 5.565858797960306),
+                                       (7.2, 3.0224478850020806),
+                                       (6.8, 10.0)])
 def test_terminal_radius_on_pinned_model(ph, omega):
-    # the radii accepted for the benchmark's pinned model: each is the exact
-    # input-box radius, where the walk now starts and the sampled decrease
-    # conditions pass at the first trial.  The sampled box check accepted
-    # 6.4, 3.2768 and 8.0 before, above the box radius at pH 7.0 and 7.2
+    # the radii accepted for the benchmark's pinned model, where the walk
+    # starts and the sampled V_f decrease passes at the first trial: the
+    # exact input-box radius at pH 7.0 and 7.2, OMEGA_MAX at pH 6.8 (its box
+    # radius is 10.40).  With the set on Pi's ellipsoid and a second, Pi
+    # decrease condition they were 4.934, 2.620 and 9.352
     _, ing = pinned_ingredients(ph)
     assert ing.omega == pytest.approx(omega, rel=1e-12)
+    assert ing.omega_trials == 1
 
 
 def box_peaks(w, ing, omega):
     """The auxiliary law's cell input at the points of the ellipsoid
-    e'Pi e = omega that maximize and minimize each of its rows,
-    e* = +-omega Pi^-1 c_j / sqrt(omega c_j'Pi^-1 c_j) with C = [0 I] - K;
-    and the exact box radius min_j (1 - |u_eq,j|)^2 / c_j'Pi^-1 c_j."""
+    e'P_f e = omega that maximize and minimize each of its rows,
+    e* = +-omega P_f^-1 c_j / sqrt(omega c_j'P_f^-1 c_j) with C = [0 I] - K;
+    and the exact box radius min_j (1 - |u_eq,j|)^2 / c_j'P_f^-1 c_j."""
     C = np.hstack((np.zeros((w.p, w.n)), np.eye(w.p))) - ing.K_lq
-    S = np.linalg.solve(ing.Pi, C.T)             # columns Pi^-1 c_j
+    S = np.linalg.solve(ing.P_f, C.T)            # columns P_f^-1 c_j
     spread = np.einsum("ij,ij->j", C.T, S)
     E = (omega * S / np.sqrt(omega * spread)).T
     E = np.vstack((E, -E))
@@ -305,6 +322,83 @@ def test_the_input_box_holds_at_its_worst_point(ph):
     assert np.max(np.abs(U_out)) > 1.0
 
 
+@pytest.mark.parametrize("ph", [6.5, 6.8, 7.0, 7.8])
+def test_every_accepted_boundary_sample_maps_into_the_terminal_set(ph):
+    # the walk's boundary samples at the accepted radius, rebuilt here from
+    # P_f: under the auxiliary law each keeps its input in the box and loses
+    # at least its stage cost of V_f, so it lands in e'P_f e <= omega.  At
+    # pH 6.5 the decrease, not the box, sets the radius (OMEGA_MAX fails)
+    w, ing = pinned_ingredients(ph)
+    L = np.linalg.cholesky(ing.P_f)
+    D = mpc._directions(harness.ExperimentConfig().controller.terminal_samples, len(L))
+    xa_eq = ing.eq.xa0
+    for lo in range(0, len(D), 4096):
+        E = np.sqrt(ing.omega) * np.linalg.solve(L.T, D[lo:lo + 4096].T).T
+        E_next = kernels.augmented_rollout(ing.consts.step, xa_eq + E, (), 1)[0][1] - xa_eq
+        level = np.einsum("ij,jk,ik->i", E, ing.P_f, E)
+        level_next = np.einsum("ij,jk,ik->i", E_next, ing.P_f, E_next)
+        stage = np.einsum("ij,jk,ik->i", E, ing.Q_lq, E)
+        np.testing.assert_allclose(level, ing.omega, rtol=1e-12)
+        assert np.all(np.abs(xa_eq[w.n:] + E[:, w.n:] - E @ ing.K_lq.T) <= 1.0 + 1e-12)
+        assert np.all(level_next - level + stage <= 0.0)
+        assert np.all(level_next <= ing.omega)
+
+
+def test_the_walk_samples_the_boundary_of_the_set_it_returns(monkeypatch):
+    # every sample of every trial lies on e'P_f e = omega for that trial's
+    # radius: OMEGA_MAX, rejected at pH 6.5, then the accepted omega
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    levels = []
+
+    def recorded(E, step, Pf, Qlq, _fn=kernels.terminal_samples_check):
+        levels.append(np.einsum("ij,jk,ik->i", E, Pf, E))
+        return _fn(E, step, Pf, Qlq)
+    monkeypatch.setattr(kernels, "terminal_samples_check", recorded)
+    cfg = harness.ExperimentConfig().controller
+    ing = mpc.build_ingredients(w, nmap.normalize_y([6.5]), cfg)
+    assert (ing.omega, ing.omega_trials) == (mpc.OMEGA_MAX * mpc.TERMINAL_SHRINK, 2)
+    levels = np.concatenate(levels)
+    # the rejected trial stops at its first failing block
+    accepted = levels[-cfg.terminal_samples:]
+    np.testing.assert_allclose(accepted, ing.omega, rtol=1e-12)
+    np.testing.assert_allclose(levels[:-cfg.terminal_samples], mpc.OMEGA_MAX, rtol=1e-12)
+
+
+def test_the_terminal_audit_runs_at_a_tiny_size():
+    # tests/terminal_audit.py on 64 directions: its table has the radius, the
+    # walk's radii and counts within the points audited (their values are
+    # not asserted: the samples certify nothing off themselves)
+    import terminal_audit
+    [row] = terminal_audit.run([7.0], 64)
+    _, ing = pinned_ingredients(7.0)
+    assert row["omega"] == ing.omega and row["radii_tried"][-1] == ing.omega
+    assert len(row["radii_tried"]) == row["omega_trials"] == ing.omega_trials
+    assert row["omega"] <= row["omega_box"] * (1.0 + 1e-12)
+    for where in ("boundary", "interior"):
+        assert all(0 <= row[where][k] <= 64 for k in ("box", "vf", "leave"))
+        assert np.isfinite(row[where]["max_vf"])
+
+
+def test_a_tick_reports_its_ingredient_build():
+    # a tick whose setpoint misses the cache reports the build's wall time
+    # and the radii its walk tried; a tick that hits reports 0 for both, and
+    # so does the first tick after a reset, which built outside any tick
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    ctl = mpc.RecedingHorizonController(w, observer.load_gains(FIXTURE / "gains.json"),
+                                        harness.ExperimentConfig().controller)
+    y70, y72 = nmap.normalize_y([7.0]), nmap.normalize_y([7.2])
+    ctl.reset(y70)
+    _, hit = ctl.step(y70, y70)
+    _, built = ctl.step(y70, y72)
+    _, hit_again = ctl.step(y70, y72)
+    assert (hit.build_ms, hit.omega_trials) == (0.0, 0)
+    assert (hit_again.build_ms, hit_again.omega_trials) == (0.0, 0)
+    assert built.build_ms > 0.0
+    assert built.omega_trials == ctl.ingredients_for(y72).omega_trials == 1
+
+
 def test_a_setpoint_build_packs_the_cell_and_the_step_once(monkeypatch):
     # on fresh weights the packed cell is made once, on first use, and the
     # augmented step once, for both the radius walk and the solver
@@ -320,31 +414,27 @@ def test_a_setpoint_build_packs_the_cell_and_the_step_once(monkeypatch):
                                 harness.ExperimentConfig().controller)
     assert calls == {"stack_gates": 1, "augmented_step_matrices": 1}
     assert ing.consts.step.cell is w.cell
-    # the exact input-box radius at pH 7.0 (the sampled box check accepted
-    # 6.4 before, above it)
-    assert ing.omega == pytest.approx(4.933605587895245, rel=1e-12)
+    # the exact input-box radius at pH 7.0
+    assert ing.omega == pytest.approx(5.565858797960306, rel=1e-12)
 
 
 def test_terminal_cost_check_rejects_the_riccati_matrix_alone():
     # P alone decreases by exactly the stage cost on the linearization, so
     # the nonlinear remainder breaks the certificate on the terminal-set
-    # samples: the V_f check rejects P_f = P at 10.0 and at the radius
-    # P + Pi passes, and the radius walk finds no radius for it at all
+    # samples: the V_f check rejects P_f = P on the samples where P + Pi
+    # passes, and the radius walk finds no radius for it at all
     _, ing = pinned_ingredients(6.8)
-    P = ing.P_f - ing.Pi
-    E_unit = mpc._directions(4096, ing.Pi.shape[0]) @ np.linalg.inv(
-        np.linalg.cholesky(ing.Pi).T).T
+    _, P = lq_gain(ing.lin, ing.Q, ing.R)
+    E = np.sqrt(ing.omega) * mpc._directions(4096, len(P)) @ np.linalg.inv(
+        np.linalg.cholesky(ing.P_f).T).T
 
-    def vf_lhs(Pf, omega):
-        return kernels.terminal_samples_check(
-            np.sqrt(omega) * E_unit, ing.consts.step, ing.Pi, Pf, ing.Q_lq,
-            ControllerConfig().gamma)[1]
+    def vf_lhs(Pf):
+        return kernels.terminal_samples_check(E, ing.consts.step, Pf, ing.Q_lq)
 
-    assert np.max(vf_lhs(P, 10.0)) > 0.0
-    assert np.max(vf_lhs(P, ing.omega)) > 0.0
-    assert np.max(vf_lhs(ing.P_f, ing.omega)) <= 0.0
-    with pytest.raises(mpc.TerminalSetError):
-        terminal_set_radius(ing.consts.step, ing.Pi, P, ing.Q_lq, ControllerConfig())
+    assert np.max(vf_lhs(P)) > 0.0
+    assert np.max(vf_lhs(ing.P_f)) <= 0.0
+    with pytest.raises(mpc.TerminalSetError, match="q_tilde_weight"):
+        terminal_set_radius(ing.consts.step, P, ing.Q_lq, ControllerConfig())
 
 
 def test_ingredients_build_without_scipy_stats():
@@ -393,7 +483,7 @@ def test_terminal_cost_zero_at_equilibrium(small_setup):
     for Nf in (0, 100):
         _, J, bviol, tviol = kernels.fhocp_forward(
             np.zeros(6), eq.xa0.copy(), eq.u0, eq.y0, *w.arrays(), w.U_o, w.b_o,
-            np.ascontiguousarray(ing.K_lq), eq.xa0, ing.Q, ing.R, ing.P_f, ing.Pi,
+            np.ascontiguousarray(ing.K_lq), eq.xa0, ing.Q, ing.R, ing.P_f, ing.P_f,
             ing.omega, 6, 15, Nf, 0.0, 0.0)
         assert J < 1e-18 and bviol <= 0.0 and tviol == 0.0
 
@@ -405,7 +495,7 @@ def test_terminal_cost_bounds_the_rolled_tail(small_setup):
     rng = np.random.default_rng(223)
     for level in (0.05, 0.25, 1.0):
         e = rng.normal(size=w.n + 1)
-        e /= np.sqrt(e @ ing.Pi @ e / (level * ing.omega))
+        e /= np.sqrt(e @ ing.P_f @ e / (level * ing.omega))
         tail = rolled_tail_cost(w, eq, ing, eq.xa0 + e, 2000)
         assert 0.0 < tail <= e @ ing.P_f @ e
 
@@ -416,7 +506,7 @@ def test_terminal_cost_matches_lq_cost_to_go_for_linear_system(small_setup):
     # nonlinearity is weak
     w, eq, ing, _ = small_setup
     _, P = lq_gain(ing.lin, ing.Q, ing.R)
-    np.testing.assert_allclose(P, ing.P_f - ing.Pi, rtol=0,
+    np.testing.assert_allclose(P, ing.P_f - margin(w, ing)[1], rtol=0,
                                atol=1e-12 * np.max(np.abs(ing.P_f)))
     rng = np.random.default_rng(227)
     e = 1e-4 * rng.normal(size=w.n + 1)
@@ -451,7 +541,7 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
     # start away from the equilibrium but inside the terminal set
     na = w.n + 1
     e = rng.normal(size=na)
-    e /= np.sqrt(e @ ing.Pi @ e / (0.5 * ing.omega))
+    e /= np.sqrt(e @ ing.P_f @ e / (0.5 * ing.omega))
     xa = eq.xa0 + e
     est = AugmentedState(xa[:w.n], xa[w.n:])
     sol = fhocp_solve(w, ing, cfg, est, xa[w.n:])
@@ -470,7 +560,7 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
         xit = xit + eq.y0 - y
     # the reported terminal level is that of the plan's state N_p
     eN = s.stacked() - eq.xa0
-    assert sol.terminal_level == pytest.approx(eN @ ing.Pi @ eN / ing.omega,
+    assert sol.terminal_level == pytest.approx(eN @ ing.P_f @ eN / ing.omega,
                                                rel=1e-9)
     assert sol.terminal_level <= 1.0 + mpc.CONSTRAINT_TOL
 
@@ -481,10 +571,29 @@ def test_fhocp_respects_input_box_and_improves_warm_start(small_setup):
         warm, np.ascontiguousarray(xa), xa[w.n:], eq.y0,
         *w.arrays(), w.U_o, w.b_o, np.ascontiguousarray(ing.K_lq), eq.xa0,
         np.ascontiguousarray(ing.Q), np.ascontiguousarray(ing.R),
-        np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.Pi),
+        np.ascontiguousarray(ing.P_f), np.ascontiguousarray(ing.P_f),
         ing.omega, cfg.N_c, cfg.N_p, cfg.N_f, 0.0, 0.0)
     if bv <= mpc.CONSTRAINT_TOL and tv <= mpc.CONSTRAINT_TOL * max(1, ing.omega):
         assert sol2.cost <= Jwarm + 1e-12
+
+
+def test_the_solver_constrains_the_set_the_radius_walk_sampled(small_setup, monkeypatch):
+    # every evaluation gets P_f in the kernels' terminal-set slot (Pi): the
+    # plan ends in e'P_f e <= omega, the sublevel set of V_f that
+    # terminal_set_radius certified
+    w, eq, ing, _ = small_setup
+    slot = list(inspect.signature(kernels.fhocp_forward_backward).parameters).index("Pi")
+    seen = []
+
+    def spy(*args, _fn=kernels.fhocp_forward_backward, **kwargs):
+        seen.append(args[slot])
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(kernels, "fhocp_forward_backward", spy)
+    e = np.full(w.n + 1, 0.1)
+    xa = eq.xa0 + e
+    fhocp_solve(w, ing, ControllerConfig(N_c=6, N_p=15), AugmentedState(xa[:w.n], xa[w.n:]),
+                xa[w.n:])
+    assert seen and all(Pi is ing.P_f for Pi in seen)
 
 
 def test_fhocp_nominal_cost_decreases_along_closed_loop(small_setup):
@@ -493,7 +602,7 @@ def test_fhocp_nominal_cost_decreases_along_closed_loop(small_setup):
     cfg = ControllerConfig(N_c=6, N_p=15)
     na = w.n + 1
     e = rng.normal(size=na)
-    e /= np.sqrt(e @ ing.Pi @ e / (0.3 * ing.omega))
+    e /= np.sqrt(e @ ing.P_f @ e / (0.3 * ing.omega))
     xa = eq.xa0 + e
     est = AugmentedState(xa[:w.n], xa[w.n:])
     xi = xa[w.n:].copy()

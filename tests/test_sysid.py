@@ -1,3 +1,6 @@
+import csv
+import time
+
 import numpy as np
 import pytest
 
@@ -374,6 +377,27 @@ def test_train_makes_one_loss_gradient_call_per_batch(monkeypatch):
     n_train = len(batch) - round(cfg.val_fraction * len(batch))
     assert len(calls) == cfg.epochs * int(np.ceil(n_train / cfg.batch_size)) == 18
     assert sum(calls) == cfg.epochs * n_train
+
+
+def test_each_epoch_records_its_batches_and_wall_time(tmp_path):
+    # 21 training sequences in batches of 4 make 6 Adam steps an epoch; the
+    # training log writes the two columns after the older ones
+    rng = np.random.default_rng(23)
+    batch = training_batch(rng, B=23)
+    cfg = TrainConfig(n_states=2, epochs=3, batch_size=4, washout=2,
+                      val_fraction=0.1)
+    t0 = time.perf_counter()
+    _, log = train(batch, cfg, 5)
+    total = time.perf_counter() - t0
+    assert [rec.batches for rec in log] == [6, 6, 6]
+    assert all(rec.wall_s > 0.0 for rec in log)
+    assert sum(rec.wall_s for rec in log) <= total
+    sysid.save_training_log(log, tmp_path / "train_log.csv")
+    rows = list(csv.DictReader(open(tmp_path / "train_log.csv")))
+    assert list(rows[0]) == ["epoch", "loss", "nu", "val_mse", "wall_s", "batches"]
+    assert [(float(r["loss"]), float(r["val_mse"]), float(r["wall_s"]), int(r["batches"]))
+            for r in rows] == [(rec.loss, rec.val_mse, rec.wall_s, rec.batches)
+                               for rec in log]
 
 
 def test_train_reduces_loss():
