@@ -13,8 +13,8 @@ cell                one GRU update, on a single vector or a matrix of rows.
 _scan               the open-loop rollout under given inputs: each step is
                     one _cell_step on a slot [1; u; x] of one preallocated
                     array, so it equals a loop of cell calls bit for bit.
-                    Simulation, the training loss and its gradient all run
-                    on it.
+                    Simulation and the training loss run on it; the
+                    gradient makes the same steps in its workspace.
 cell_jacobians      the Jacobians of that update with respect to x and u,
                     from the gates cell returned; for rows, one pair per row.
 AugmentedStep       the integrator-augmented model x+ = phi(x, v + xi),
@@ -32,8 +32,13 @@ reverse pass        the adjoint of a _scan (tbptt_loss_grad_batch).  The
                     factors of the cell's vector-Jacobian product that do
                     not depend on the adjoint come from the scan's gates for
                     all steps at once, so a reverse step makes only the
-                    adjoint's products; the weight gradients are outer sums
-                    over all steps afterwards.
+                    adjoint's products, seven NumPy calls; the weight
+                    gradients are outer sums over all steps afterwards.
+gradient workspace  every buffer of both passes and every per-step view
+                    into them, built once per (T, B, n, m) and cached for
+                    the two shapes of an epoch (grad_workspace), so a
+                    gradient call only writes its inputs and runs ufuncs;
+                    it returns only new arrays.
 
 The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
 the prediction horizon, 0 by default) and charges the quadratic terminal
@@ -68,6 +73,7 @@ augmented_rollout_cached.  Without an FhocpConstants they build the step
 from those arrays; ROADMAP item E moves perfbench off them.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -314,17 +320,16 @@ def augmented_tangent(step, XA, cache, Nc):
 # GRU rollouts and the truncated-BPTT loss/gradient
 # ---------------------------------------------------------------------------
 
-def _scan(cellp, x0, U, keep_gates=True):
+def _scan(cellp, x0, U):
     """Roll the cell over the inputs U (T, m, rows...) from x0 (n, rows...).
 
     Operands are features first, with the rows of a batch along the last
     axis.  Step k lives in the slot S[k] = [1; u_k; x_k] of one preallocated
     array, the gate input of the packed cell, whose ones row and inputs are
     written once; each step is one _cell_step that writes x+ into S[k + 1]
-    and the gates into a preallocated cache, so the states and gates equal a
-    loop of cell calls bit for bit.  Returns S (T+1, 1+m+n, rows...), whose
-    S[:, 1+m:] are the states, and the gates [z; f; r] (T, 3n, rows...) of
-    every step, or with keep_gates False of the last step only.
+    and the gates into one scratch buffer, so the states equal a loop of
+    cell calls bit for bit.  Returns S (T+1, 1+m+n, rows...), whose
+    S[:, 1+m:] are the states.
     """
     M, _, _, Ur = cellp
     T, m = U.shape[:2]
@@ -333,19 +338,16 @@ def _scan(cellp, x0, U, keep_gates=True):
     S[:, 0] = 1.0
     S[:T, 1:1 + m] = U
     S[0, 1 + m:] = x0
-    gates = np.empty((T if keep_gates else 1, 3 * n) + x0.shape[1:])
-    views = (gates, gates[:, :2 * n], gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:])
-    if not keep_gates:
-        views = tuple([v[0]] * T for v in views)
-    for g, x1, a, zf, z, f, r in zip(S, S[1:, 1 + m:], *views):
-        _cell_step(g, g[1 + m:], M, Ur, a, zf, z, f, r, x1)
-    return S, gates
+    a = np.empty((3 * n,) + x0.shape[1:])          # the gates [z; f; r]
+    gates = (a, a[:2 * n], a[:n], a[n:2 * n], a[2 * n:])
+    for g, x1 in zip(S, S[1:, 1 + m:]):
+        _cell_step(g, g[1 + m:], M, Ur, *gates, x1)
+    return S
 
 
 def gru_rollout(x0, useq, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
     """Open-loop state trajectory; row 0 is x0, row k+1 the state after u[k]."""
-    S, _ = _scan(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), x0, useq,
-                 keep_gates=False)
+    S = _scan(stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br), x0, useq)
     return S[:, useq.shape[1] + 1:]
 
 
@@ -377,12 +379,58 @@ def tbptt_loss_batch(Ub, Yb, X0b, Tw,
     E = np.empty((T, Yb.shape[2], B))
     x = X0b.T
     for k in range(0, T, LOSS_BLOCK_STEPS):
-        S, _ = _scan(cellp, x, U[k:k + LOSS_BLOCK_STEPS], keep_gates=False)
+        S = _scan(cellp, x, U[k:k + LOSS_BLOCK_STEPS])
         E[k:k + LOSS_BLOCK_STEPS] = _output_errors(
             S[:, 1 + m:], Yb[:, k:k + LOSS_BLOCK_STEPS], 0, Uo, bo)
         x = S[-1, 1 + m:]
     E = E[Tw:]
     return np.sum(E * E) / (T - Tw)
+
+
+class _GradWorkspace(NamedTuple):
+    """The buffers of one gradient shape (grad_workspace) and the per-step
+    views of both passes into them."""
+    S: np.ndarray          # (T+1, 1+m+n, B): the scan's slots [1; u; x]
+    GC: np.ndarray         # (T, 5n, B): [c_z; c_f; z; f; r] of every step
+    L: np.ndarray          # (T+1, 2n, B): [lam_k; dh scratch] of every step
+    DP: np.ndarray         # (T+1, 2n, B): [lam z; dh f] scratch, then DZF
+    DR: np.ndarray         # (T, n, B): da_r of every step
+    Ar: np.ndarray         # (T, n, B): (1-z)(1-r^2) of every step
+    tmp: np.ndarray        # (T, n, B): scratch of the factors
+    t: np.ndarray          # (n, B): one reverse step's dJ/dx
+    t2: np.ndarray         # (n, B): its [Uz; Uf]' [da_z; da_f] term
+    forward: tuple         # per step: (g, x, a, zf, z, f, r, x+) of _cell_step
+    reverse: tuple         # per step, last first: the reverse step's operands
+
+
+@functools.lru_cache(maxsize=2)
+def grad_workspace(T, B, n, m):
+    """The _GradWorkspace of tbptt_loss_grad_batch for T steps of B rows of
+    an n-state, m-input cell.
+
+    A training epoch makes full batches and at most one shorter last one,
+    so two shapes stay cached.  The arrays are shared by every call of
+    their shape: a call writes them all before it reads them, and returns
+    none of them, so calls of one shape must not run at the same time.
+    """
+    S = np.empty((T + 1, 1 + m + n, B))
+    S[:, 0] = 1.0
+    GC = np.empty((T, 5 * n, B))
+    L = np.empty((T + 1, 2 * n, B))
+    DP = np.empty((T + 1, 2 * n, B))
+    gates = GC[:, 2 * n:]
+    forward = tuple(zip(S[:T], S[:T, 1 + m:], gates, gates[:, :2 * n], gates[:, :n],
+                        gates[:, n:2 * n], gates[:, 2 * n:], S[1:, 1 + m:]))
+    DR, Ar, tmp = np.empty((T, n, B)), np.empty((T, n, B)), np.empty((T, n, B))
+    # step k reads [lam; dh] = L[k+1] and its factors [[c_z; c_f]; [z; f]];
+    # their product writes [da_z; da_f] into DP[k+1] and [lam z; dh f] into
+    # DP[k], which step k-1 then overwrites with its own [da_z; da_f]
+    reverse = tuple(zip(L[1:, :n], Ar, DR, L[1:, n:], L[1:],
+                        GC[:, :4 * n].reshape(T, 2, 2 * n, B),
+                        (DP[k:k + 2][::-1] for k in range(T)),
+                        DP[:T, :n], DP[:T, n:], DP[1:], L[:T, :n]))[::-1]
+    return _GradWorkspace(S, GC, L, DP, DR, Ar, tmp, np.empty((n, B)),
+                          np.empty((n, B)), forward, reverse)
 
 
 def tbptt_loss_grad_batch(Ub, Yb, X0b, Tw,
@@ -393,49 +441,62 @@ def tbptt_loss_grad_batch(Ub, Yb, X0b, Tw,
     da_r = lam (1-z)(1-r^2), dh = Ur' da_r, da_z = lam (x-r) z(1-z),
     da_f = dh x f(1-f) and dJ/dx = lam z + dh f + [Uz; Uf]' [da_z; da_f].
     The lam-free factors come from the cached gates for all steps at once,
-    so a step makes only the lam-dependent products, into preallocated
-    buffers; the weight gradients are outer sums over all steps afterwards.
+    so a step makes only the lam-dependent products: seven calls, of which
+    one broadcast product of [lam; dh] with [[c_z; c_f]; [z; f]] gives
+    [da_z; da_f] and [lam z; dh f] at once.  The weight gradients are outer
+    sums over all steps afterwards.  Every buffer and per-step view comes
+    from the shape's grad_workspace; only the returned arrays are new.
     """
     B, T, m = Ub.shape
     n = Uz.shape[0]
-    _, G, _, _ = cellp = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
-    S, gates = _scan(cellp, X0b.T, Ub.transpose(1, 2, 0))
+    M, G, _, _ = stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    ws = grad_workspace(T, B, n, m)
+    S, L, DR, Ar, tmp, t, t2 = ws.S, ws.L, ws.DR, ws.Ar, ws.tmp, ws.t, ws.t2
+    S[:T, 1:1 + m] = Ub.transpose(1, 2, 0)
+    S[0, 1 + m:] = X0b.T
+    for g, x, a, zf, z, f, r, x1 in ws.forward:
+        _cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
     UX, X = S[:T, 1:], S[:, 1 + m:]
-    Z, F, R = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+    Cz, Cf, Z, F, R = (ws.GC[:, k * n:(k + 1) * n] for k in range(5))
     E = _output_errors(X, Yb, Tw, Uo, bo)
     dE = (2.0 / (T - Tw)) * E
-    L = np.zeros((T + 1, n, B))         # dJ/dx_k: the output term, then what
-    L[Tw + 1:] = np.matmul(Uo.T, dE)    # step k pulls back is added
+    # lam_k = dJ/dx_k: the output term, then what step k pulls back is added
+    L[:Tw + 1, :n] = 0.0
+    L[Tw + 1:, :n] = np.matmul(Uo.T, dE)
 
     # the lam-free factors of every step
-    Ar = (1.0 - Z) * (1.0 - R * R)
-    Cz = (X[:-1] - R) * Z * (1.0 - Z)
-    Cf = X[:-1] * F * (1.0 - F)
+    np.subtract(1.0, Z, Ar)             # (1 - z)(1 - r^2)
+    np.multiply(R, R, tmp)
+    np.subtract(1.0, tmp, tmp)
+    np.multiply(Ar, tmp, Ar)
+    np.subtract(X[:-1], R, Cz)          # (x - r) z (1 - z)
+    np.multiply(Cz, Z, Cz)
+    np.subtract(1.0, Z, tmp)
+    np.multiply(Cz, tmp, Cz)
+    np.multiply(X[:-1], F, Cf)          # x f (1 - f)
+    np.subtract(1.0, F, tmp)
+    np.multiply(Cf, tmp, Cf)
     UrT, GxT = Ur.T.copy(), G[:, m:].T.copy()
-    DZF = np.empty((T, 2 * n, B))
-    DR = np.empty((T, n, B))
-    dh, t1, t2 = np.empty((n, B)), np.empty((n, B)), np.empty((n, B))
-    for lam, prev, dzf, dz, df, dr, ar, cz, cf, z, f in zip(*(A[::-1] for A in (
-            L[1:], L[:-1], DZF, DZF[:, :n], DZF[:, n:], DR, Ar, Cz, Cf, Z, F))):
+    for lam, ar, dr, dh, lam_dh, fac, out, pz, pf, dzf, prev in ws.reverse:
         np.multiply(lam, ar, dr)
         np.dot(UrT, dr, dh)
-        np.multiply(lam, cz, dz)
-        np.multiply(dh, cf, df)
-        np.multiply(lam, z, t1)
-        np.add(t1, np.multiply(dh, f, t2), t1)
-        np.add(t1, np.dot(GxT, dzf, t2), t1)
-        np.add(prev, t1, prev)
+        np.multiply(lam_dh, fac, out)
+        np.add(pz, pf, t)
+        np.dot(GxT, dzf, t2)
+        np.add(t, t2, t)
+        np.add(prev, t, prev)
 
     def outer_sum(A, C):
         """sum over steps and rows of A[k, :, b] C[k, :, b]'."""
         return np.tensordot(A, C, axes=((0, 2), (0, 2)))
 
+    DZF = ws.DP[1:]
     dG = outer_sum(DZF, UX)
     dbzf = DZF.sum(axis=(0, 2))
     return (np.sum(E * E) / (T - Tw),
             dG[:n, :m], dG[:n, m:], dbzf[:n], dG[n:, :m], dG[n:, m:], dbzf[n:],
-            outer_sum(DR, UX[:, :m]), outer_sum(DR, F * X[:-1]), DR.sum(axis=(0, 2)),
-            outer_sum(dE, X[Tw + 1:]), dE.sum(axis=(0, 2)))
+            outer_sum(DR, UX[:, :m]), outer_sum(DR, np.multiply(F, X[:-1], tmp)),
+            DR.sum(axis=(0, 2)), outer_sum(dE, X[Tw + 1:]), dE.sum(axis=(0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ fitted sample; the training seed is an argument of train, drawn from the
 experiment's root seed.  Each training batch is one loss_gradient call:
 its sequences run as rows of one scan and one reverse pass
 (kernels.tbptt_loss_grad_batch), and penalty_subgradient evaluates the
-certificate nu once for both the penalty and its subgradient.  Held-out
-validation runs the sequences as rows of the same scan
-(kernels.tbptt_loss_batch).
+certificate nu once for both the penalty and its subgradient, whose few
+rows that are not zero are added to the kernel's gradient in place.  train
+keeps the weights, Adam's two moments and the gradient as flat vectors, so
+an Adam step is a dozen NumPy calls on whole vectors, with the per-element
+arithmetic of Adam on each weight array.  Held-out validation runs the
+sequences as rows of the same scan (kernels.tbptt_loss_batch); each epoch
+records its wall time and that of its validation pass.
 """
 
 import csv
@@ -215,26 +219,27 @@ def _draw_x0(rng, count, n):
     return rng.uniform(-1.0, 1.0, size=(count, n))
 
 
-def _rows_subgrad(A, terms, coeff):
-    """coeff times the sum of d sign(A[i]) placed in row i, over (d, i) in
-    terms: the arithmetic of scaling zero-filled arrays, on the rows that
-    are not zero."""
-    g = np.zeros_like(A)
+def _penalty_rows(name, A, terms, coeff):
+    """The rows that are not zero of coeff times the sum of d sign(A[i])
+    placed in row i, over (d, i) in terms, as (name, i, row): the
+    arithmetic of scaling a zero-filled array, without the zeros."""
+    acc = {}
     for d, i in terms:
-        g[i] += d * np.sign(A[i])
-    for i in {i for _, i in terms}:
-        g[i] *= coeff
-    return g
+        s = d * np.sign(A[i])
+        acc[i] = acc[i] + s if i in acc else s
+    return [(name, i, s * coeff) for i, s in acc.items()]
 
 
 def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
     """The residual nu of w and a subgradient of rho(nu) with respect to
-    every weight array; returns (nu, grads).
+    the weights; returns (nu, rows).
 
     Each norm in nu is a max absolute row sum (|U|_inf, and |[W U b]|_inf
     in the gate bounds); its subgradient routes through its max row (lowest
     index on ties), entrywise through the sign.  Every row-sum vector is
-    formed once, and both its max and its argmax are taken from it.
+    formed once, and both its max and its argmax are taken from it.  The
+    subgradient is zero outside those rows, so rows lists only them, as
+    (weight name, row index, row values); U_o and b_o have none.
     """
     norm, row, stacked, srow = {}, {}, {}, {}
     for g in "zfr":
@@ -257,15 +262,13 @@ def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
     d_sf = nUr * sf * (1.0 - sf)
     d_pr = 0.25 * nUz / (1.0 - sz) * (1.0 - pr * pr)
     d_sz = 0.25 * (1.0 + pr) * nUz / (1.0 - sz) ** 2 * sz * (1.0 - sz)
-    grads = {}
+    rows = []
     for g, d_norm, d_gate in (("z", d_nUz, d_sz), ("f", d_nUf, d_sf), ("r", d_nUr, d_pr)):
         gate = [(d_gate, srow[g])]
-        grads[f"W_{g}"] = _rows_subgrad(getattr(w, f"W_{g}"), gate, coeff)
-        grads[f"U_{g}"] = _rows_subgrad(getattr(w, f"U_{g}"),
-                                        [(d_norm, row[g])] + gate, coeff)
-        grads[f"b_{g}"] = _rows_subgrad(getattr(w, f"b_{g}"), gate, coeff)
-    grads["U_o"], grads["b_o"] = np.zeros_like(w.U_o), np.zeros_like(w.b_o)
-    return float(nu), grads
+        for name, terms in ((f"W_{g}", gate), (f"U_{g}", [(d_norm, row[g])] + gate),
+                            (f"b_{g}", gate)):
+            rows += _penalty_rows(name, getattr(w, name), terms, coeff)
+    return float(nu), rows
 
 
 def loss_gradient(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig):
@@ -282,7 +285,9 @@ def loss_gradient(w: GruWeights, batch: SequenceBatch, x0s, cfg: TrainConfig):
     out = kernels.tbptt_loss_grad_batch(batch.U, batch.Y, x0s, cfg.washout,
                                         *w.arrays(), w.U_o, w.b_o)
     nu, pen = penalty_subgradient(w, cfg.rho_plus, cfg.rho_minus)
-    grads = {name: g + pen[name] for name, g in zip(WEIGHT_FIELDS, out[1:])}
+    grads = dict(zip(WEIGHT_FIELDS, out[1:]))
+    for name, i, g in pen:
+        grads[name][i] += g
     loss = float(out[0] + gru_model.stability_penalty(nu, cfg.rho_plus, cfg.rho_minus))
     return loss, grads
 
@@ -299,6 +304,7 @@ class EpochRecord:
     val_mse: float
     wall_s: float            # wall time of the epoch, validation included
     batches: int             # Adam steps of the epoch
+    val_s: float             # wall time of the epoch's validation pass
 
 
 def _open_loop_mse(w: GruWeights, U, Y, washout):
@@ -315,6 +321,23 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _adam_step(theta, grad, mom, vel, tmp, t, lr):
+    """Adam's step t on the flat weight vector theta, in place: the moments
+    mom and vel move towards grad, and theta by -lr mhat / (sqrt(vhat) + eps).
+    Each element sees the operations of the per-array form
+    theta - lr * (mom / b1c) / (sqrt(vel / b2c) + eps) in that order; grad
+    and tmp end as scratch."""
+    np.multiply(mom, ADAM_BETA1, mom)
+    np.add(mom, np.multiply(grad, 1.0 - ADAM_BETA1, tmp), mom)
+    np.multiply(vel, ADAM_BETA2, vel)
+    np.multiply(grad, 1.0 - ADAM_BETA2, tmp)
+    np.add(vel, np.multiply(tmp, grad, tmp), vel)
+    np.sqrt(np.divide(vel, 1.0 - ADAM_BETA2 ** t, tmp), tmp)
+    np.add(tmp, ADAM_EPS, tmp)
+    np.multiply(np.divide(mom, 1.0 - ADAM_BETA1 ** t, grad), lr, grad)
+    np.subtract(theta, np.divide(grad, tmp, grad), theta)
+
+
 def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
     """Adam on the truncated-BPTT loss; returns (weights, per-epoch log).
 
@@ -322,7 +345,9 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
     among epochs whose residual nu is negative the one with the best
     validation MSE wins (falling back to the overall best if none certifies).
     Deterministic for a fixed seed, which draws the initial weights, the
-    batch order and the initial states.
+    batch order and the initial states.  The weight arrays are views of one
+    flat vector in WEIGHT_FIELDS order, which _adam_step updates with the
+    flat moments and gradient.
     """
     if len(data) == 0:
         raise ValueError("empty training data")
@@ -336,9 +361,13 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
     train_idx = np.arange(0, len(data) - n_val)
     val = data.subset(np.arange(len(data) - n_val, len(data))) if n_val else None
 
-    params = {name: getattr(w, name).copy() for name in WEIGHT_FIELDS}
-    mom = {name: np.zeros_like(v) for name, v in params.items()}
-    vel = {name: np.zeros_like(v) for name, v in params.items()}
+    theta = np.concatenate([getattr(w, name) for name in WEIGHT_FIELDS], axis=None)
+    params, k = {}, 0
+    for name in WEIGHT_FIELDS:
+        a = getattr(w, name)
+        params[name] = theta[k:k + a.size].reshape(a.shape)
+        k += a.size
+    mom, vel, grad, tmp = (np.zeros_like(theta) for _ in range(4))
     t_adam = 0
 
     log = []
@@ -363,24 +392,19 @@ def train(data: SequenceBatch, cfg: TrainConfig, seed: int):
             epoch_loss += loss
             n_batches += 1
             t_adam += 1
-            b1c = 1.0 - ADAM_BETA1 ** t_adam
-            b2c = 1.0 - ADAM_BETA2 ** t_adam
-            for name in WEIGHT_FIELDS:
-                g = grads[name]
-                mom[name] = ADAM_BETA1 * mom[name] + (1.0 - ADAM_BETA1) * g
-                vel[name] = ADAM_BETA2 * vel[name] + (1.0 - ADAM_BETA2) * g * g
-                mhat = mom[name] / b1c
-                vhat = vel[name] / b2c
-                params[name] = params[name] - cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            np.concatenate([grads[name] for name in WEIGHT_FIELDS], axis=None, out=grad)
+            _adam_step(theta, grad, mom, vel, tmp, t_adam, cfg.lr)
 
         cur = snapshot()
         nu = gru_model.diss_residual(cur)
+        t_val = time.perf_counter()
         if val is not None:
             val_mse = _open_loop_mse(cur, val.U, val.Y, cfg.washout)
         else:
             val_mse = epoch_loss / max(n_batches, 1)
+        t1 = time.perf_counter()
         log.append(EpochRecord(epoch, epoch_loss / max(n_batches, 1), nu, val_mse,
-                               time.perf_counter() - t0, n_batches))
+                               t1 - t0, n_batches, t1 - t_val))
 
         cand = (not (nu < 0.0), val_mse, epoch)
         if best is None or cand < best[0]:
@@ -441,7 +465,7 @@ def load_timeseries_csv(path) -> TimeSeries:
 def save_training_log(log, path):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["epoch", "loss", "nu", "val_mse", "wall_s", "batches"])
+        wr.writerow(["epoch", "loss", "nu", "val_mse", "wall_s", "batches", "val_s"])
         for rec in log:
             wr.writerow([rec.epoch, repr(rec.loss), repr(rec.nu), repr(rec.val_mse),
-                         repr(rec.wall_s), rec.batches])
+                         repr(rec.wall_s), rec.batches, repr(rec.val_s)])

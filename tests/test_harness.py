@@ -80,11 +80,11 @@ def test_train_uncertified_exits_nonzero(tmp_path):
     assert (tmp_path / "weights.json").exists()
     # every column of the training log is a plain number
     rows = list(csv.reader(open(tmp_path / "train_log.csv")))
-    assert rows[0] == ["epoch", "loss", "nu", "val_mse", "wall_s", "batches"]
+    assert rows[0] == ["epoch", "loss", "nu", "val_mse", "wall_s", "batches", "val_s"]
     assert len(rows) == 3
     for row in rows[1:]:
         [float(v) for v in row]
-        assert float(row[4]) > 0.0 and int(row[5]) >= 1
+        assert float(row[4]) > float(row[6]) > 0.0 and int(row[5]) >= 1
 
 
 def test_train_zero_epochs_persists_init(tmp_path):

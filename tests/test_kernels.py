@@ -4,7 +4,9 @@ The references are written step by step on top of observer.augmented_step
 and the auxiliary law v = -K (xa - xa_eq), with the costs summed explicitly
 and the terminal cost e'P_f e charged at the last state, so that a kernel
 and its reference share no code beyond the GRU cell.  The training
-references loop kernels.cell forward and a test-local cell_vjp backward.
+references loop kernels.cell forward and a test-local cell_vjp backward;
+the gradient kernel must also equal, bit for bit, the former reverse pass
+of ten calls a step, kept here as ten_call_tbptt_grad.
 """
 
 import dataclasses
@@ -616,9 +618,111 @@ def test_tbptt_gradient_matches_the_cell_loop_reference(B, T, n, p, Tw):
     assert kernels.tbptt_loss_batch(Ub, Yb, X0b, Tw, *model) == got[0]
 
 
+def ten_call_tbptt_grad(Ub, Yb, X0b, Tw, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo):
+    """tbptt_loss_grad_batch with the former reverse pass: fresh buffers per
+    call, a loop of kernels.cell calls forward (the scan's states and gates,
+    bit for bit) and ten calls a reverse step, each product on its own."""
+    B, T, m = Ub.shape
+    n = Uz.shape[0]
+    _, G, _, _ = cellp = kernels.stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br)
+    S = np.empty((T + 1, 1 + m + n, B))
+    S[:, 0] = 1.0
+    S[:T, 1:1 + m] = Ub.transpose(1, 2, 0)
+    S[0, 1 + m:] = X0b.T
+    gates = np.empty((T, 3 * n, B))
+    for k in range(T):
+        x, z, f, r = kernels.cell(S[k, 1 + m:].T, Ub[:, k], *cellp)
+        S[k + 1, 1 + m:], gates[k] = x.T, np.hstack((z, f, r)).T
+    UX, X = S[:T, 1:], S[:, 1 + m:]
+    Z, F, R = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+    E = kernels._output_errors(X, Yb, Tw, Uo, bo)
+    dE = (2.0 / (T - Tw)) * E
+    L = np.zeros((T + 1, n, B))
+    L[Tw + 1:] = np.matmul(Uo.T, dE)
+    Ar = (1.0 - Z) * (1.0 - R * R)
+    Cz = (X[:-1] - R) * Z * (1.0 - Z)
+    Cf = X[:-1] * F * (1.0 - F)
+    UrT, GxT = Ur.T.copy(), G[:, m:].T.copy()
+    DZF = np.empty((T, 2 * n, B))
+    DR = np.empty((T, n, B))
+    dh, t1, t2 = np.empty((n, B)), np.empty((n, B)), np.empty((n, B))
+    for lam, prev, dzf, dz, df, dr, ar, cz, cf, z, f in zip(*(A[::-1] for A in (
+            L[1:], L[:-1], DZF, DZF[:, :n], DZF[:, n:], DR, Ar, Cz, Cf, Z, F))):
+        np.multiply(lam, ar, dr)
+        np.dot(UrT, dr, dh)
+        np.multiply(lam, cz, dz)
+        np.multiply(dh, cf, df)
+        np.multiply(lam, z, t1)
+        np.add(t1, np.multiply(dh, f, t2), t1)
+        np.add(t1, np.dot(GxT, dzf, t2), t1)
+        np.add(prev, t1, prev)
+
+    def outer_sum(A, C):
+        return np.tensordot(A, C, axes=((0, 2), (0, 2)))
+
+    dG = outer_sum(DZF, UX)
+    dbzf = DZF.sum(axis=(0, 2))
+    return (np.sum(E * E) / (T - Tw),
+            dG[:n, :m], dG[:n, m:], dbzf[:n], dG[n:, :m], dG[n:, m:], dbzf[n:],
+            outer_sum(DR, UX[:, :m]), outer_sum(DR, F * X[:-1]), DR.sum(axis=(0, 2)),
+            outer_sum(dE, X[Tw + 1:]), dE.sum(axis=(0, 2)))
+
+
+def assert_same_bits(got, ref):
+    assert len(got) == len(ref) == 1 + len(gru_model.WEIGHT_FIELDS)
+    for name, a, b in zip(("loss",) + gru_model.WEIGHT_FIELDS, got, ref):
+        assert np.shape(a) == np.shape(b), name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("B,T,n,p,Tw", [(2, 200, 10, 1, 50), (1, 200, 10, 1, 50),
+                                        (3, 60, 5, 2, 10), (2, 80, 6, 1, 0),
+                                        (8, 300, 10, 1, 50), (1, 30, 5, 1, 29),
+                                        (5, 7, 3, 1, 2)],
+                         ids=["desk", "one-row", "p=2", "no-washout", "8-rows",
+                              "one-sample", "short"])
+def test_tbptt_gradient_equals_the_ten_call_reverse_pass(B, T, n, p, Tw):
+    # the workspace and the seven-call reverse step keep the arithmetic of
+    # the former pass element for element: loss and all 11 gradients equal
+    Ub, Yb, X0b, model = training_batch(B, T, n, p, 463 + B + p + Tw)
+    assert_same_bits(kernels.tbptt_loss_grad_batch(Ub, Yb, X0b, Tw, *model),
+                     ten_call_tbptt_grad(Ub, Yb, X0b, Tw, *model))
+
+
+def test_the_gradient_workspace_keeps_no_state_between_calls():
+    # calls A, B, A of one shape and B = 1 and B = 2 calls interleaved give
+    # A's results bit for bit; no result shares memory with the workspace or
+    # with another call's results; a cold cache gives a warm one's bits
+    (Ua, Ya, Xa, ma), (Ub, Yb, Xb, mb) = (training_batch(2, 50, 6, 1, s)
+                                          for s in (467, 479))
+
+    def grad(U, Y, X0, model):
+        return kernels.tbptt_loss_grad_batch(U, Y, X0, 10, *model)
+
+    kernels.grad_workspace.cache_clear()
+    first = grad(Ua, Ya, Xa, ma)
+    results = [first, grad(Ub, Yb, Xb, mb), grad(Ua, Ya, Xa, ma)]
+    assert_same_bits(results[2], first)
+    one_row = grad(Ub[:1], Yb[:1], Xb[:1], mb)
+    results += [one_row, grad(Ua, Ya, Xa, ma), grad(Ub[:1], Yb[:1], Xb[:1], mb)]
+    assert_same_bits(results[4], first)
+    assert_same_bits(results[5], one_row)
+    assert kernels.grad_workspace.cache_info().currsize == 2
+    buffers = [a for B in (1, 2) for a in kernels.grad_workspace(50, B, 6, 1)
+               if isinstance(a, np.ndarray)]
+    arrays = [a for res in results for a in res[1:]]
+    for k, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, buf) for buf in buffers)
+        assert not any(np.shares_memory(a, b) for b in arrays[k // 11 * 11 + 11:])
+    kernels.grad_workspace.cache_clear()
+    assert_same_bits(grad(Ua, Ya, Xa, ma), first)
+    assert_same_bits(grad(Ub[:1], Yb[:1], Xb[:1], mb), one_row)
+
+
 def test_scan_states_equal_the_cell_loop():
-    # gru_rollout on one row, and the training scan on rows: the states (and
-    # the gates) equal a loop of kernels.cell calls bit for bit
+    # gru_rollout on one row, the validation scan and the gradient's forward
+    # pass in its workspace on rows: the states (and the gradient's gates)
+    # equal a loop of kernels.cell calls bit for bit
     Ub, _, X0b, model = training_batch(8, 120, 10, 1, 457)
     cellp = kernels.stack_gates(*model[:9])
     X = kernels.gru_rollout(X0b[0], Ub[0], *model[:9])
@@ -629,12 +733,15 @@ def test_scan_states_equal_the_cell_loop():
         x = kernels.cell(x, u, *cellp)[0]
         np.testing.assert_array_equal(X[k + 1], x)
     for B in (1, 2, 8):
-        S, gates = kernels._scan(cellp, X0b[:B].T, Ub[:B].transpose(1, 2, 0))
+        S = kernels._scan(cellp, X0b[:B].T, Ub[:B].transpose(1, 2, 0))
+        kernels.tbptt_loss_grad_batch(Ub[:B], Ub[:B], X0b[:B], 0, *model)
+        ws = kernels.grad_workspace(120, B, 10, 1)
         x = X0b[:B]
         for k in range(Ub.shape[1]):
             x, *zfr = kernels.cell(x, Ub[:B, k], *cellp)
             np.testing.assert_array_equal(S[k + 1, 2:].T, x)
-            np.testing.assert_array_equal(gates[k].T, np.hstack(zfr))
+            np.testing.assert_array_equal(ws.S[k + 1, 2:].T, x)
+            np.testing.assert_array_equal(ws.GC[k, 20:].T, np.hstack(zfr))
 
 
 def test_a_gradient_call_packs_the_cell_once_and_calls_no_cell(monkeypatch):

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from grumpc import gru_model, sysid
+from grumpc import gru_model, kernels, sysid
 from grumpc.sysid import (NormalizationMap, SequenceBatch, TimeSeries,
                           TrainConfig, fit_index, generate_mprs,
                           loss_gradient, make_sequences, mse, normalize,
@@ -290,8 +290,17 @@ def reference_penalty_subgradient(w, rho_plus, rho_minus):
     return float(nu), grads
 
 
+def penalty_gradients(w, rho_plus, rho_minus):
+    """penalty_subgradient's rows placed into zero-filled weight arrays."""
+    nu, rows = sysid.penalty_subgradient(w, rho_plus, rho_minus)
+    grads = {name: np.zeros_like(getattr(w, name)) for name in gru_model.WEIGHT_FIELDS}
+    for name, i, g in rows:
+        grads[name][i] += g
+    return nu, grads
+
+
 def test_penalty_subgradient_equals_the_zero_filled_form():
-    # each row sum formed once, only the rows that are not zero written: nu
+    # each row sum formed once, only the rows that are not zero formed: nu
     # and every gradient array equal the reference bit for bit, ties included
     rng = np.random.default_rng(17)
     for k in range(200):
@@ -300,7 +309,7 @@ def test_penalty_subgradient_equals_the_zero_filled_form():
         if k % 5 == 0:      # tied rows: the lowest index wins on both sides
             w = w.replace(U_r=np.round(w.U_r, 1), W_z=np.zeros_like(w.W_z))
         rho = (float(rng.uniform(1e-3, 1.0)), float(rng.uniform(1e-6, 1e-2)))
-        nu, grads = sysid.penalty_subgradient(w, *rho)
+        nu, grads = penalty_gradients(w, *rho)
         ref_nu, ref = reference_penalty_subgradient(w, *rho)
         assert nu == ref_nu
         assert grads.keys() == ref.keys()
@@ -312,9 +321,9 @@ def test_penalty_gradient_scales_linearly_with_rho_plus():
     rng = np.random.default_rng(16)
     w = gru_model.random_weights(3, 1, 1, rng, scale=2.0)   # nu > 0 for sure
     assert gru_model.diss_residual(w) > 0
-    nu, g1 = sysid.penalty_subgradient(w, 1e-2, 1e-6)
+    nu, g1 = penalty_gradients(w, 1e-2, 1e-6)
     assert nu == gru_model.diss_residual(w)
-    _, g2 = sysid.penalty_subgradient(w, 2e-2, 1e-6)
+    _, g2 = penalty_gradients(w, 2e-2, 1e-6)
     for name in gru_model.WEIGHT_FIELDS:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-18)
 
@@ -381,7 +390,8 @@ def test_train_makes_one_loss_gradient_call_per_batch(monkeypatch):
 
 def test_each_epoch_records_its_batches_and_wall_time(tmp_path):
     # 21 training sequences in batches of 4 make 6 Adam steps an epoch; the
-    # training log writes the two columns after the older ones
+    # validation pass is part of the epoch's wall time; the training log
+    # writes the three columns after the older ones
     rng = np.random.default_rng(23)
     batch = training_batch(rng, B=23)
     cfg = TrainConfig(n_states=2, epochs=3, batch_size=4, washout=2,
@@ -390,14 +400,92 @@ def test_each_epoch_records_its_batches_and_wall_time(tmp_path):
     _, log = train(batch, cfg, 5)
     total = time.perf_counter() - t0
     assert [rec.batches for rec in log] == [6, 6, 6]
-    assert all(rec.wall_s > 0.0 for rec in log)
+    assert all(rec.wall_s > rec.val_s > 0.0 for rec in log)
     assert sum(rec.wall_s for rec in log) <= total
     sysid.save_training_log(log, tmp_path / "train_log.csv")
     rows = list(csv.DictReader(open(tmp_path / "train_log.csv")))
-    assert list(rows[0]) == ["epoch", "loss", "nu", "val_mse", "wall_s", "batches"]
-    assert [(float(r["loss"]), float(r["val_mse"]), float(r["wall_s"]), int(r["batches"]))
-            for r in rows] == [(rec.loss, rec.val_mse, rec.wall_s, rec.batches)
-                               for rec in log]
+    assert list(rows[0]) == ["epoch", "loss", "nu", "val_mse", "wall_s", "batches",
+                             "val_s"]
+    assert [(float(r["loss"]), float(r["val_mse"]), float(r["wall_s"]), int(r["batches"]),
+             float(r["val_s"])) for r in rows] == [
+        (rec.loss, rec.val_mse, rec.wall_s, rec.batches, rec.val_s) for rec in log]
+
+
+def reference_train(data, cfg, seed):
+    """sysid.train with Adam run on each weight array on its own, and the
+    penalty's zero-filled gradient (reference_penalty_subgradient) added to
+    each kernel gradient.  Returns (weights, [(epoch, loss, nu, val_mse,
+    batches)])."""
+    rng = np.random.default_rng(seed)
+    m, p = data.U.shape[2], data.Y.shape[2]
+    w = gru_model.random_weights(cfg.n_states, m, p, rng)
+    n_val = int(round(cfg.val_fraction * len(data)))
+    train_idx = np.arange(0, len(data) - n_val)
+    val = data.subset(np.arange(len(data) - n_val, len(data)))
+    params = {name: getattr(w, name).copy() for name in gru_model.WEIGHT_FIELDS}
+    mom = {name: np.zeros_like(v) for name, v in params.items()}
+    vel = {name: np.zeros_like(v) for name, v in params.items()}
+    b1, b2 = sysid.ADAM_BETA1, sysid.ADAM_BETA2
+    t_adam, log, best = 0, [], None
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(train_idx)
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch = data.subset(idx)
+            x0s = rng.uniform(-1.0, 1.0, size=(len(idx), cfg.n_states))
+            cur = gru_model.GruWeights(n=cfg.n_states, m=m, p=p, **params)
+            out = kernels.tbptt_loss_grad_batch(batch.U, batch.Y, x0s, cfg.washout,
+                                                *cur.arrays(), cur.U_o, cur.b_o)
+            nu, pen = reference_penalty_subgradient(cur, cfg.rho_plus, cfg.rho_minus)
+            grads = {name: g + pen[name]
+                     for name, g in zip(gru_model.WEIGHT_FIELDS, out[1:])}
+            epoch_loss += float(out[0] + gru_model.stability_penalty(
+                nu, cfg.rho_plus, cfg.rho_minus))
+            n_batches += 1
+            t_adam += 1
+            b1c = 1.0 - b1 ** t_adam
+            b2c = 1.0 - b2 ** t_adam
+            for name in gru_model.WEIGHT_FIELDS:
+                g = grads[name]
+                mom[name] = b1 * mom[name] + (1.0 - b1) * g
+                vel[name] = b2 * vel[name] + (1.0 - b2) * g * g
+                mhat = mom[name] / b1c
+                vhat = vel[name] / b2c
+                params[name] = params[name] - cfg.lr * mhat / (np.sqrt(vhat) + sysid.ADAM_EPS)
+        cur = gru_model.GruWeights(n=cfg.n_states, m=m, p=p, **params)
+        nu = gru_model.diss_residual(cur)
+        val_mse = float(kernels.tbptt_loss_batch(
+            val.U, val.Y, np.zeros((len(val), cfg.n_states)), cfg.washout,
+            *cur.arrays(), cur.U_o, cur.b_o) / (len(val) * p))
+        log.append((epoch, epoch_loss / n_batches, nu, val_mse, n_batches))
+        cand = (not (nu < 0.0), val_mse, epoch)
+        if best is None or cand < best[0]:
+            best = (cand, cur)
+    return best[1], log
+
+
+@pytest.mark.parametrize("lr,rho_plus", [(5e-3, 1e-2), (5e-2, 0.1)],
+                         ids=["desk-rates", "certifies-in-epoch-1"])
+def test_train_equals_the_per_array_adam_reference(lr, rho_plus):
+    # 11 training sequences in batches of 2 (the last one of 1 row): the
+    # flat Adam state, the penalty's rows and the gradient workspace give
+    # the weights and every log field but the timings bit for bit; at the
+    # larger rates nu turns negative after the first epoch, so both penalty
+    # branches and the certified model selection run
+    rng = np.random.default_rng(29)
+    U = rng.uniform(-1, 1, (12, 24, 1))
+    data = SequenceBatch(U, np.tanh(np.cumsum(U, axis=1) * 0.2), np.arange(12), 24, 1)
+    cfg = TrainConfig(n_states=4, epochs=3, batch_size=2, washout=3, T_s=24, tau=1,
+                      lr=lr, rho_plus=rho_plus)
+    w, log = train(data, cfg, 31)
+    ref_w, ref_log = reference_train(data, cfg, 31)
+    for name in gru_model.WEIGHT_FIELDS:
+        assert np.array_equal(getattr(w, name), getattr(ref_w, name)), name
+    assert [(r.epoch, r.loss, r.nu, r.val_mse, r.batches) for r in log] == ref_log
+    assert [r.batches for r in log] == [6, 6, 6]
+    if rho_plus == 0.1:
+        assert log[0].nu > 0.0 > log[1].nu
 
 
 def test_train_reduces_loss():
