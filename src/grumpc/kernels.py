@@ -27,18 +27,40 @@ AugmentedStep       the integrator-augmented model x+ = phi(x, v + xi),
                     gates and x+ equal a cell call bit for bit, and xi+ one
                     product Mxi slot: 13 NumPy calls a step.  Single plans,
                     the sequential clamp and the terminal-sample blocks all
-                    go through it.
+                    go through it, in the workspaces below.
 reverse pass        the adjoint of a _scan (tbptt_loss_grad_batch).  The
                     factors of the cell's vector-Jacobian product that do
                     not depend on the adjoint come from the scan's gates for
                     all steps at once, so a reverse step makes only the
                     adjoint's products, seven NumPy calls; the weight
                     gradients are outer sums over all steps afterwards.
-gradient workspace  every buffer of both passes and every per-step view
-                    into them, built once per (T, B, n, m) and cached for
-                    the two shapes of an epoch (grad_workspace), so a
-                    gradient call only writes its inputs and runs ufuncs;
-                    it returns only new arrays.
+
+Workspaces.  The gradient and the FHOCP evaluation take their working
+buffers, and every per-step view into them, from a functools.lru_cache
+keyed by shape and built on the first call of that shape; a call writes its
+inputs and runs ufuncs on them.
+grad_workspace      (T, B, n, m): both passes of tbptt_loss_grad_batch; the
+                    two shapes of an epoch (full and last batch) stay cached.
+rollout_workspace   (T, N_v, n, p, rows): augmented_rollout's slots S, with
+                    their ones row written once, the gates and the moves,
+                    with the view tuples of the free and the law steps.  A
+                    plan, its clamp and the terminal-sample blocks: rows of
+                    at most TERMINAL_BLOCK stay cached (four shapes), a
+                    larger one-off batch builds its own and drops it.
+tangent_workspace   (T, N_c, n, p): augmented_tangent's [A_i B_i] and
+                    tangents W, whose constant identity, zero and unit
+                    direction entries are written once, and cell_jacobians'
+                    buffers.
+residual_workspace  (T, n+p, p, N_p, N_c p): the deviations, r and Jr with
+                    the views of their blocks.
+Every entry a call reads it has written first (the law's u and dv too,
+which a product reads through a zero coefficient), so a call's bits do not
+depend on what ran before.  The rollout and the tangent return views of
+their workspace, valid until the next call of the same shape; every entry
+point above them returns fresh arrays: the gradient's results,
+fhocp_forward_backward's g, H and states, fhocp_residuals' r, Jr and
+states, the clamp's moves and states and terminal_samples_check's values.
+Calls of one shape must not run at the same time.
 
 The shooting objective rolls N_p + N_f steps (N_f auxiliary-law steps past
 the prediction horizon, 0 by default) and charges the quadratic terminal
@@ -57,7 +79,7 @@ of the rollout in one cell_jacobians call on its cached gates and steps the
 tangents of all free-move coordinates at once, one product [A_i B_i] W_i a
 step, laid out features before directions so that each block of Jr (stages,
 moves, terminal state, active box rows, terminal penalty) is one product
-written straight into a preallocated Jr.  fhocp_forward_backward turns r
+written straight into the workspace's Jr.  fhocp_forward_backward turns r
 and Jr into the gradient 2 Jr'r and the Gauss-Newton Hessian 2 Jr'Jr that
 the solver in mpc steps on.  Both also hand back the states 0..Np of the
 rollout they scored, so the solver never rolls a plan again to report its
@@ -111,6 +133,12 @@ def stack_gates(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br):
 _HALF = np.array(0.5)
 _ONE = np.ones(1)
 
+# the calls of the step loops, bound once: a module global costs one lookup
+# where np.tanh costs two, and _dot is np.dot without its __array_function__
+# dispatcher; together about 35 us of a 40-step rollout
+_dot = np.dot._implementation
+_tanh, _multiply, _add, _subtract = np.tanh, np.multiply, np.add, np.subtract
+
 
 def _cell_step(g, x, M, Ur, a, zf, z, f, r, x_next):
     """One cell update of the gate inputs g = [1; u; x], features first.
@@ -122,16 +150,16 @@ def _cell_step(g, x, M, Ur, a, zf, z, f, r, x_next):
     scratch until then.  cell and augmented_rollout both step through here,
     so a rollout equals a loop of cell calls bit for bit.
     """
-    np.dot(M, g, a)
-    np.tanh(zf, zf)                     # logistic(a) = 0.5 + 0.5 tanh(a/2),
-    np.multiply(zf, _HALF, zf)          # which overflows at no a
-    np.add(zf, _HALF, zf)
-    np.multiply(f, x, x_next)
-    r += np.dot(Ur, x_next)
-    np.tanh(r, r)
-    np.subtract(x, r, x_next)
-    np.multiply(z, x_next, x_next)
-    np.add(r, x_next, x_next)
+    _dot(M, g, a)
+    _tanh(zf, zf)                       # logistic(a) = 0.5 + 0.5 tanh(a/2),
+    _multiply(zf, _HALF, zf)            # which overflows at no a
+    _add(zf, _HALF, zf)
+    _multiply(f, x, x_next)
+    r += _dot(Ur, x_next)
+    _tanh(r, r)
+    _subtract(x, r, x_next)
+    _multiply(z, x_next, x_next)
+    _add(r, x_next, x_next)
 
 
 def cell(x, u, M, G, Wr, Ur):
@@ -161,27 +189,50 @@ def cell_next(x, u, M, Ur):
     return a[3 * n:]
 
 
-def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):
+def _jacobian_buffers(rows, n, m):
+    """Fresh buffers of cell_jacobians for the rows shape of an n-state,
+    m-input cell: two factor vectors, the products Y and J and the views of
+    their x-column diagonals."""
+    c, d = np.empty(rows + (n,)), np.empty(rows + (n,))
+    Y, J = np.empty(rows + (n, m + n)), np.empty(rows + (n, m + n))
+
+    def diag(A):
+        """The diagonal of the x columns of every (n, m+n) block of A."""
+        return A.reshape(rows + (-1,))[..., m::n + m + 1]
+    return c, d, Y, J, diag(Y), diag(J)
+
+
+def cell_jacobians(x, u, z, f, r, M, G, Wr, Ur, buffers=None):
     """Jacobians (dx+/dx, dx+/du) of one cell at (x, u).
 
     z, f and r are the gates cell returned at (x, u); rows in, rows out:
-    for T rows the results are (T, n, n) and (T, n, m).
+    for T rows the results are (T, n, n) and (T, n, m).  Every
+    intermediate goes into buffers (_jacobian_buffers of the rows' shape,
+    fresh when None); the results are views of its J.
     """
     n, m = x.shape[-1], u.shape[-1]
-
-    def diag(A):
-        """The diagonal of the x columns of every (n, m+n) block of a fresh A."""
-        return A.reshape(A.shape[:-2] + (-1,))[..., m::n + m + 1]
-
+    c, d, Y, J, dY, dJ = _jacobian_buffers(x.shape[:-1], n, m) if buffers is None else buffers
     # d(Wr u + Ur (f*x))/d[u x] = [Wr 0] + Ur (diag(x f(1-f)) [Wf Uf] + [0 diag(f)])
-    Y = (x * f * (1.0 - f))[..., None] * G[n:]
-    diag(Y)[...] += f
-    J = Ur @ Y
-    J[..., :m] += Wr
-    J *= ((1.0 - z) * (1.0 - r * r))[..., None]
-    J += ((x - r) * z * (1.0 - z))[..., None] * G[:n]
-    diag(J)[...] += z
-    return J[..., m:], J[..., :m]
+    np.multiply(x, f, c)
+    np.subtract(1.0, f, d)
+    np.multiply(c, d, c)
+    np.multiply(c[..., None], G[n:], Y)
+    np.add(dY, f, dY)
+    np.matmul(Ur, Y, out=J)
+    Ju = J[..., :m]
+    np.add(Ju, Wr, Ju)
+    np.subtract(1.0, z, d)                  # J *= (1-z)(1-r^2)
+    np.multiply(r, r, c)
+    np.subtract(1.0, c, c)
+    np.multiply(d, c, c)
+    np.multiply(J, c[..., None], J)
+    np.subtract(x, r, c)                    # J += (x-r) z(1-z) [Wz Uz]
+    np.multiply(c, z, c)
+    np.multiply(c, d, c)
+    np.multiply(c[..., None], G[:n], Y)
+    np.add(J, Y, J)
+    np.add(dJ, z, dJ)
+    return J[..., m:], Ju
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +269,48 @@ def augmented_step_matrices(cellp, Uo, bo, y0, law):
     return AugmentedStep(cellp, Uo, bo, y0, law, Mxi, Ka)
 
 
+# the rows of one terminal-set check block (mpc.terminal_set_radius): the
+# largest batch whose rollout workspace stays cached; a larger one-off batch
+# builds its workspace afresh and drops it
+TERMINAL_BLOCK = 1024
+
+
+class _RolloutWorkspace(NamedTuple):
+    """The buffers of one rollout shape (rollout_workspace), the per-step
+    views of its two loops and the views it returns."""
+    S: np.ndarray          # (T+1, 1+p+n+p, rows...): the slots [1; u; x; xi]
+    moves: np.ndarray      # (T, p, rows...): the moves applied
+    free: tuple            # per free step: (s, g, x, a, zf, z, f, r, x+, xi+, u, xi, v)
+    law: tuple             # per law step: (s, g, x, a, zf, z, f, r, x+, xi+, u)
+    law_moves: tuple       # (u, xi, v) of all law steps, for v = u - xi
+    out: tuple             # (XA, moves, (U, Z, F, R)), rows before features
+
+
+@functools.lru_cache(maxsize=4)
+def rollout_workspace(T, Nv, n, p, rows):
+    """The _RolloutWorkspace of augmented_rollout for T steps, Nv of them
+    free, of an n-state, p-output augmented model on rows (a shape).
+
+    The ones row of the slots is written once.  A controller process rolls
+    at most a plan's shape, its clamp's and a terminal block or two, so
+    four shapes stay cached.  The arrays are shared by every call of their
+    shape: a call writes them before it reads them.
+    """
+    S = np.empty((T + 1, 1 + p + n + p) + rows)
+    S[:, 0] = 1.0
+    gates = np.empty((T, 3 * n) + rows)
+    moves = np.empty((T, p) + rows)
+    U, X, XI = S[:, 1:1 + p], S[:, 1 + p:1 + p + n], S[:, 1 + p + n:]
+    steps = tuple(zip(S[:T], S[:T, :1 + p + n], X[:T], gates, gates[:, :2 * n],
+                      gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:], X[1:], XI[1:], U))
+    free = tuple(st + (xi, v) for st, xi, v in zip(steps[:Nv], XI, moves))
+    out = (S[:, 1 + p:].swapaxes(1, -1), moves.swapaxes(1, -1),
+           tuple(A.swapaxes(1, -1) for A in (U[:T], gates[:, :n], gates[:, n:2 * n],
+                                              gates[:, 2 * n:])))
+    return _RolloutWorkspace(S, moves, free, steps[Nv:], (U[Nv:T], XI[Nv:T], moves[Nv:]),
+                             out)
+
+
 def augmented_rollout(step, xa0, V, T, box_offset=None):
     """Roll the augmented model of the AugmentedStep step T steps from xa0
     (a vector or rows).
@@ -228,54 +321,74 @@ def augmented_rollout(step, xa0, V, T, box_offset=None):
     free move is first clamped so that xi~ + v stays in [-1, 1].
 
     Step i lives in S[i] = [1; u; x; xi] (u = v + xi, the cell input) of
-    one preallocated array, features first and the rows of a batch along a
-    last axis.  A free step writes u = v + xi; a law step gets u from one
-    product Ka S[i].  Then _cell_step writes x+ straight into S[i + 1] and
-    the gates into a preallocated cache, and one product Mxi S[i] writes
-    xi+ there too: 13 NumPy calls a step.  The gates act on S[i, :1+m+n]
-    = [1; u; x] as in cell, so a step's gates and x+ equal a cell call on
-    its (x, u) bit for bit, and with features first every gate of a batch
-    is a contiguous block.  The law's moves are recovered after the loop
-    as u - xi.
+    the shape's rollout_workspace, features first and the rows of a batch
+    along a last axis.  A free step writes u = v + xi; a law step gets u
+    from one product Ka S[i].  Then _cell_step writes x+ straight into
+    S[i + 1] and the gates into the workspace, and one product Mxi S[i]
+    writes xi+ there too: 13 NumPy calls a step on views built with the
+    workspace.  The gates act on S[i, :1+m+n] = [1; u; x] as in cell, so a
+    step's gates and x+ equal a cell call on its (x, u) bit for bit, and
+    with features first every gate of a batch is a contiguous block.  The
+    law's moves are recovered after the loop as u - xi.
     Returns the states (T+1, ..., n+p), the moves applied (T, ..., p) and
-    the cache (U, Z, F, R) of cell inputs and gates for the tangent, as
-    views of those arrays in that (steps, rows, features) order.
+    the cache (U, Z, F, R) of cell inputs and gates for the tangent, in
+    that (steps, rows, features) order.  They are views of the workspace:
+    valid until the next rollout of the same shape, so a caller that keeps
+    one copies it.
     """
     M, Ur, Mxi, Ka = step.cell[0], step.cell[3], step.Mxi, step.Ka
     p, n = step.Uo.shape
-    Nv = len(V)
     rows = xa0.shape[:-1]
-    S = np.empty((T + 1, 1 + p + n + p) + rows)
-    S[:, 0] = 1.0
-    S[0, 1 + p:] = xa0.T
-    gates = np.empty((T, 3 * n) + rows)
-    moves = np.empty((T, p) + rows)
-    U, X, XI = S[:, 1:1 + p], S[:, 1 + p:1 + p + n], S[:, 1 + p + n:]
-    if Nv:
-        moves[:Nv] = V
-    if T > Nv:
-        U[Nv:T] = 0.0               # Ka's zero columns read u: keep it finite
-    # the views every step passes to _cell_step and to the xi+ product
-    steps = (S[:T], S[:T, :1 + p + n], X[:T], gates, gates[:, :2 * n], gates[:, :n],
-             gates[:, n:2 * n], gates[:, 2 * n:], X[1:], XI[1:])
-    for s, g, x, a, zf, z, f, r, x1, xi1, u, xi, v in zip(
-            *(A[:Nv] for A in steps), U, XI, moves):
+    ws = (rollout_workspace if math.prod(rows) <= TERMINAL_BLOCK
+          else rollout_workspace.__wrapped__)(T, len(V), n, p, rows)
+    ws.S[0, 1 + p:] = xa0.T
+    if ws.free:
+        ws.moves[:len(V)] = V
+    if ws.law:
+        ws.law_moves[0][...] = 0.0      # Ka's zero columns read u: keep it finite
+    for s, g, x, a, zf, z, f, r, x1, xi1, u, xi, v in ws.free:
         if box_offset is not None:
             np.clip(v, -1.0 - (xi + box_offset), 1.0 - (xi + box_offset), v)
-        np.add(v, xi, u)
+        _add(v, xi, u)
         _cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
-        np.dot(Mxi, s, xi1)
-    for s, g, x, a, zf, z, f, r, x1, xi1, u in zip(
-            *(A[Nv:] for A in steps), U[Nv:]):
-        np.dot(Ka, s, u)
+        _dot(Mxi, s, xi1)
+    for s, g, x, a, zf, z, f, r, x1, xi1, u in ws.law:
+        _dot(Ka, s, u)
         _cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
-        np.dot(Mxi, s, xi1)
-    if T > Nv:
-        np.subtract(U[Nv:T], XI[Nv:T], moves[Nv:])
-    # back to the callers' layout, rows before features
-    return (S[:, 1 + p:].swapaxes(1, -1), moves.swapaxes(1, -1),
-            tuple(A.swapaxes(1, -1) for A in (U[:T], gates[:, :n],
-                                               gates[:, n:2 * n], gates[:, 2 * n:])))
+        _dot(Mxi, s, xi1)
+    if ws.law:
+        np.subtract(*ws.law_moves)
+    return ws.out
+
+
+class _TangentWorkspace(NamedTuple):
+    """The buffers of one tangent shape (tangent_workspace) and the views of
+    its step loop and its results."""
+    jac: tuple             # cell_jacobians' buffers (_jacobian_buffers) for T rows
+    AB: np.ndarray         # (T, na, na+p): [A_i B_i]
+    KB: np.ndarray         # (T-Nc, n, na): Ju K of the law steps
+    W: np.ndarray          # (T+1, na+p, Nc p): [dxa_i; dv_i]
+    steps: tuple           # per step: ([A_i B_i], W[i], dxa_{i+1})
+    out: tuple             # (state tangents, move tangents)
+
+
+@functools.lru_cache(maxsize=2)
+def tangent_workspace(T, Nc, n, p):
+    """The _TangentWorkspace of augmented_tangent for T steps, Nc of them
+    free, of an n-state, p-output augmented model.
+
+    The entries that no step's linearization changes are written once: the
+    integrator rows' identity and zero B block, the zero B block of the law
+    steps, dxa_0 = 0 and the unit directions dv_i = e_d of the free moves.
+    """
+    na, D = n + p, Nc * p
+    AB = np.zeros((T, na, na + p))
+    AB[:, n:, n:na] = np.eye(p)
+    W = np.zeros((T + 1, na + p, D))
+    d = np.arange(D)
+    W[d // p, na + d % p, d] = 1.0              # dv_i = e_d for i < Nc
+    return _TangentWorkspace(_jacobian_buffers((T,), n, p), AB, np.empty((T - Nc, n, na)),
+                             W, tuple(zip(AB, W, W[1:, :na])), (W[:, :na], W[:T, na:]))
 
 
 def augmented_tangent(step, XA, cache, Nc):
@@ -289,31 +402,32 @@ def augmented_tangent(step, XA, cache, Nc):
     steps at once; the law folds into A_i - B_i K (and B_i = 0) for
     i >= Nc.  The tangents of step i are stacked as W[i] = [dxa_i; dv_i],
     so a step is one product dxa_{i+1} = [A_i B_i] W[i]; the law's dv
-    follow after the loop.  The integrator rows [-Uo I] are a view of the
-    step's Mxi.
+    follow after the loop.  Every buffer comes from the shape's
+    tangent_workspace.
     Returns the state tangents (T+1, n+p, Nc p) and move tangents
     (T, p, Nc p), features before directions, so that every block of the
-    residual Jacobian is one product with them.
+    residual Jacobian is one product with them.  They are views of the
+    workspace, valid until the next tangent of the same shape.
     """
     p, n = step.Uo.shape
-    na, D = n + p, Nc * p
+    na = n + p
     K = step.law[0]
     U, Z, F, R = cache
     T = len(U)
-    Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *step.cell)
-    AB = np.zeros((T, na, na + p))             # [A_i B_i]
+    ws = tangent_workspace(T, Nc, n, p)
+    AB, W = ws.AB, ws.W
+    Jx, Ju = cell_jacobians(XA[:T, :n], U, Z, F, R, *step.cell, buffers=ws.jac)
     AB[:, :n, :n] = Jx
     AB[:, :n, n:na] = Ju
-    AB[:, n:, :na] = step.Mxi[:, 1 + p:]
+    AB[:, n:, :n] = step.Mxi[:, 1 + p:1 + p + n]   # -Uo
     AB[:Nc, :n, na:] = Ju[:Nc]
-    AB[Nc:, :n, :na] -= Ju[Nc:] @ K             # A_i - B_i K
-    W = np.zeros((T + 1, na + p, D))
-    d = np.arange(D)
-    W[d // p, na + d % p, d] = 1.0              # dv_i = e_d for i < Nc
-    for ab, w, dxa1 in zip(AB, W, W[1:, :na]):
-        np.dot(ab, w, dxa1)
+    law = AB[Nc:, :n, :na]                     # A_i - B_i K
+    np.subtract(law, np.matmul(Ju[Nc:], K, out=ws.KB), law)
+    W[Nc:T, na:] = 0.0                         # the law's dv: written after the loop
+    for ab, w, dxa1 in ws.steps:
+        _dot(ab, w, dxa1)
     np.matmul(-K, W[Nc:T, :na], out=W[Nc:T, na:])
-    return W[:, :na], W[:T, na:]
+    return ws.out
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +713,18 @@ def _quad(E, M):
     return np.sum(E * (E @ M.T), axis=-1)
 
 
+# the box [-1, 1] as arrays
+_LOWER, _UPPER = np.array(-1.0), np.array(1.0)
+
+
 def _box_excess(W):
-    """Signed excess of W over [-1, 1] and the largest violation (>= 0)."""
-    return W - np.clip(W, -1.0, 1.0), np.max(np.abs(W), initial=1.0) - 1.0
+    """Signed excess of W over [-1, 1] and the largest violation (>= 0).
+
+    The clip and the max are their ufuncs, as np.clip and np.max end up
+    calling them, without those functions' Python wrappers (about 5 us of
+    an evaluation)."""
+    return (W - np.minimum(np.maximum(W, _LOWER), _UPPER),
+            np.maximum.reduce(np.abs(W), axis=None, initial=1.0) - 1.0)
 
 
 def _root(M):
@@ -623,7 +746,33 @@ def fhocp_constants(step, Qmat, Rmat, Pf):
     return FhocpConstants(step, (_root(Qmat), _root(Rmat), _root(Pf)))
 
 
-def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
+class _ResidualWorkspace(NamedTuple):
+    """The buffers of one residual shape (residual_workspace) and the views
+    of their blocks."""
+    E: np.ndarray          # (T+1, n+p): the deviations xa_i - xa_eq
+    r: np.ndarray          # the residuals; the terminal penalty is the last row
+    Jr: np.ndarray         # (len(r), Nc p): their Jacobian
+    r_blocks: tuple        # stages (T, n+p), moves (T, p), terminal, box (Np, p), cost rows
+    Jr_blocks: tuple       # stages (T, n+p, D), moves (T, p, D), terminal, box
+
+
+@functools.lru_cache(maxsize=2)
+def residual_workspace(T, na, p, Np, D):
+    """The _ResidualWorkspace of T stages of an na-state augmented model
+    with p inputs, the first Np stages boxed, and D free-move coordinates."""
+    k1, k2 = T * na, T * (na + p)
+    st, mv, term, box = (slice(0, k1), slice(k1, k2), slice(k2, k2 + na),
+                         slice(k2 + na, k2 + na + Np * p))
+    r = np.empty(box.stop + 1)
+    Jr = np.empty((len(r), D))
+    return _ResidualWorkspace(
+        np.empty((T + 1, na)), r, Jr,
+        (r[st].reshape(T, na), r[mv].reshape(T, p), r[term], r[box].reshape(Np, p),
+         r[:box.start]),
+        (Jr[st].reshape(T, na, D), Jr[mv].reshape(T, p, D), Jr[term], Jr[box]))
+
+
+def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term, ws):
     """Residuals r of one rollout; r'r is the penalized cost.
 
     With roots (Lq, Lr, Lf), Q = Lq Lq', R = Lr Lr' and P_f = Lf Lf', the
@@ -631,34 +780,23 @@ def _residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
     they sum to e'Q_lq e, Q_lq = Q + K'R K), e'Lf at the last state,
     sqrt(mu_box) times the excess of xi~ + v = xi + xi_off + v over [-1, 1]
     for i < Np, and sqrt(mu_term) max(s, 0) with s = e_Np'Pi e_Np - omega;
-    each block is written into one preallocated r (_blocks gives its rows).
-    Returns (r, (J_pen, J, box_viol, term_viol), box excess, Pi e_Np).
+    each block is written into the r of the residual_workspace ws.
+    Returns ((J_pen, J, box_viol, term_viol), box excess, Pi e_Np).
     """
     Lq, Lr, Lf = roots
-    T, p = V.shape
-    na = XA.shape[1]
-    E = XA - xa_eq
+    p = V.shape[1]
+    E, r = ws.E, ws.r
+    stages, moves, term, box, cost = ws.r_blocks
+    np.subtract(XA, xa_eq, E)
     over, box_viol = _box_excess(XA[:Np, -p:] + xi_off + V[:Np])
     PeN = Pi @ E[Np]
     s = float(E[Np] @ PeN) - omega
-    st, mv, term, box = _blocks(T, na, p, Np)
-    r = np.empty(box.stop + 1)
-    np.matmul(E[:-1], Lq, out=r[st].reshape(T, na))
-    np.matmul(V, Lr, out=r[mv].reshape(T, p))
-    np.dot(E[-1], Lf, out=r[term])
-    np.multiply(over, math.sqrt(mu_box), out=r[box].reshape(Np, p))
+    np.matmul(E[:-1], Lq, out=stages)
+    np.matmul(V, Lr, out=moves)
+    np.dot(E[-1], Lf, out=term)
+    np.multiply(over, math.sqrt(mu_box), out=box)
     r[-1] = math.sqrt(mu_term) * max(s, 0.0)
-    cost = r[:box.start]
-    return (r, (float(r @ r), float(cost @ cost), float(box_viol), max(s, 0.0)),
-            over, PeN)
-
-
-def _blocks(T, na, p, Np):
-    """The row ranges of r's stage, move, terminal and box blocks; the
-    terminal penalty is the last row."""
-    k1, k2 = T * na, T * (na + p)
-    return (slice(0, k1), slice(k1, k2), slice(k2, k2 + na),
-            slice(k2 + na, k2 + na + Np * p))
+    return (float(r @ r), float(cost @ cost), float(box_viol), max(s, 0.0)), over, PeN
 
 
 def terminal_samples_check(E, step, Pf, Qlq):
@@ -691,7 +829,16 @@ def augmented_rollout_cached(xa0, V, y0,
     step = _positional_step(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0,
                             (None, None))
     XA, _, (_, Z, F, R) = augmented_rollout(step, xa0, V, len(V))
-    return XA, Z, F, R
+    return XA.copy(), Z.copy(), F.copy(), R.copy()
+
+
+def _fhocp_consts(consts, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+                  Klq, xa_eq, Qmat, Rmat, Pf):
+    """consts, or without it the FhocpConstants of the adapters' arrays."""
+    if consts is not None:
+        return consts
+    return fhocp_constants(_positional_step(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+                                            y0, (Klq, xa_eq)), Qmat, Rmat, Pf)
 
 
 def fhocp_forward(vflat, xa_init, xi_init, y0,
@@ -702,12 +849,40 @@ def fhocp_forward(vflat, xa_init, xi_init, y0,
 
     Returns (J_pen, J, box_viol, term_viol).
     """
-    if consts is None:
-        consts = fhocp_constants(_positional_step(
-            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, (Klq, xa_eq)), Qmat, Rmat, Pf)
+    consts = _fhocp_consts(consts, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+                           Klq, xa_eq, Qmat, Rmat, Pf)
+    p, n = consts.step.Uo.shape
     XA, V, _ = augmented_rollout(consts.step, xa_init, vflat.reshape(Nc, -1), Np + Nf)
-    return _residuals(XA, V, xi_init - xa_init[len(bz):], xa_eq, consts.roots,
-                      Pi, omega, Np, mu_box, mu_term)[1]
+    ws = residual_workspace(Np + Nf, n + p, p, Np, Nc * p)
+    return _residuals(XA, V, xi_init - xa_init[n:], xa_eq, consts.roots,
+                      Pi, omega, Np, mu_box, mu_term, ws)[0]
+
+
+def _residual_jacobian(vflat, xa_init, xi_init, xa_eq, Pi, omega, Nc, Np, Nf,
+                       mu_box, mu_term, consts):
+    """The costs (J_pen, J, box_viol, term_viol) of one plan, its residuals
+    r, their Jacobian Jr and the states of its rollout, the last three as
+    views of the kernels' workspaces (fhocp_residuals)."""
+    step = consts.step
+    p, n = step.Uo.shape
+    T = Np + Nf
+    XA, V, cache = augmented_rollout(step, xa_init, vflat.reshape(Nc, -1), T)
+    ws = residual_workspace(T, n + p, p, Np, Nc * p)
+    cost, over, PeN = _residuals(XA, V, xi_init - xa_init[n:], xa_eq, consts.roots,
+                                 Pi, omega, Np, mu_box, mu_term, ws)
+    dXA, dV = augmented_tangent(step, XA, cache, Nc)
+    Lq, Lr, Lf = consts.roots
+    stages, moves, term, box = ws.Jr_blocks
+    np.matmul(Lq.T, dXA[:T], out=stages)
+    np.matmul(Lr.T, dV, out=moves)
+    np.dot(Lf.T, dXA[T], out=term)
+    box[...] = 0.0
+    i, j = np.nonzero(over)
+    if len(i):
+        box[i * p + j] = math.sqrt(mu_box) * (dXA[i, n + j] + dV[i, j])
+    Jr = ws.Jr
+    Jr[-1] = math.sqrt(mu_term) * (2.0 * (PeN @ dXA[Np])) if cost[3] > 0.0 else 0.0
+    return cost, ws.r, Jr, XA
 
 
 def fhocp_residuals(vflat, xa_init, xi_init, y0,
@@ -718,34 +893,16 @@ def fhocp_residuals(vflat, xa_init, xi_init, y0,
 
     The tangents of augmented_tangent follow the linearization of the same
     rollout at its cached gates; each block of Jr is one product with them,
-    written into one preallocated Jr (the box block only on its active
-    rows).  Returns (J_pen, J, box_viol, term_viol, r, Jr, XA) with
-    Jr = dr/dv of shape (len(r), Nc p) and XA the states 0..Np of the
-    rollout.
+    written into the Jr of the shape's residual_workspace (the box block
+    only on its active rows).  Returns (J_pen, J, box_viol, term_viol, r,
+    Jr, XA) with Jr = dr/dv of shape (len(r), Nc p) and XA the states
+    0..Np of the rollout, all fresh arrays.
     """
-    n = len(bz)
-    if consts is None:
-        consts = fhocp_constants(_positional_step(
-            Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, (Klq, xa_eq)), Qmat, Rmat, Pf)
-    XA, V, cache = augmented_rollout(consts.step, xa_init, vflat.reshape(Nc, -1),
-                                     Np + Nf)
-    r, cost, over, PeN = _residuals(XA, V, xi_init - xa_init[n:], xa_eq,
-                                    consts.roots, Pi, omega, Np, mu_box, mu_term)
-    dXA, dV = augmented_tangent(consts.step, XA, cache, Nc)
-    T, p, D = dV.shape
-    na = n + p
-    Lq, Lr, Lf = consts.roots
-    st, mv, term, box = _blocks(T, na, p, Np)
-    Jr = np.empty((len(r), D))
-    np.matmul(Lq.T, dXA[:T], out=Jr[st].reshape(T, na, D))
-    np.matmul(Lr.T, dV, out=Jr[mv].reshape(T, p, D))
-    np.dot(Lf.T, dXA[T], out=Jr[term])
-    Jr[box] = 0.0
-    i, j = np.nonzero(over)
-    if len(i):
-        Jr[box][i * p + j] = math.sqrt(mu_box) * (dXA[i, n + j] + dV[i, j])
-    Jr[-1] = math.sqrt(mu_term) * (2.0 * (PeN @ dXA[Np])) if cost[3] > 0.0 else 0.0
-    return (*cost, r, Jr, XA[:Np + 1])
+    consts = _fhocp_consts(consts, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+                           Klq, xa_eq, Qmat, Rmat, Pf)
+    cost, r, Jr, XA = _residual_jacobian(vflat, xa_init, xi_init, xa_eq, Pi, omega,
+                                         Nc, Np, Nf, mu_box, mu_term, consts)
+    return (*cost, r.copy(), Jr.copy(), XA[:Np + 1].copy())
 
 
 def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
@@ -757,13 +914,14 @@ def fhocp_forward_backward(vflat, xa_init, xi_init, y0,
     Jacobian Jr (fhocp_residuals).
 
     Returns (J_pen, J, grad, box_viol, term_viol, H, XA), XA the states
-    0..Np of the rollout.
+    0..Np of the rollout; all arrays are fresh.
     """
-    Jp, J, box_viol, term_viol, r, Jr, XA = fhocp_residuals(
-        vflat, xa_init, xi_init, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
-        Klq, xa_eq, Qmat, Rmat, Pf, Pi, omega, Nc, Np, Nf, mu_box, mu_term,
-        consts=consts)
-    return Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr), XA
+    consts = _fhocp_consts(consts, y0, Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo,
+                           Klq, xa_eq, Qmat, Rmat, Pf)
+    (Jp, J, box_viol, term_viol), r, Jr, XA = _residual_jacobian(
+        vflat, xa_init, xi_init, xa_eq, Pi, omega, Nc, Np, Nf, mu_box, mu_term, consts)
+    return (Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr),
+            XA[:Np + 1].copy())
 
 
 def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
@@ -774,8 +932,8 @@ def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
     Walks the prediction once; at each free step v(i) is clipped into
     [-1 - xi~(i), 1 - xi~(i)] before advancing.  The auxiliary-law tail is
     left untouched.  Of consts it uses the packed step.  Returns the
-    clamped free moves, the states 0..Np of the clamped plan and the tail's
-    residual box violation.
+    clamped free moves, the states 0..Np of the clamped plan (both fresh
+    arrays) and the tail's residual box violation.
     """
     step = (_positional_step(Wz, Uz, bz, Wf, Uf, bf, Wr, Ur, br, Uo, bo, y0, (Klq, xa_eq))
             if consts is None else consts.step)
@@ -783,4 +941,4 @@ def fhocp_clip_restore(vflat, xa_init, xi_init, y0,
     XA, V, _ = augmented_rollout(step, xa_init, vflat.reshape(Nc, -1), Np,
                                  box_offset=xi_off)
     _, tail_viol = _box_excess(XA[Nc:Np, len(bz):] + xi_off + V[Nc:])
-    return V[:Nc].ravel(), XA, float(tail_viol)
+    return V[:Nc].flatten(), XA.copy(), float(tail_viol)

@@ -303,11 +303,12 @@ def lyapunov_Pi(lin: LinearizedAugmented, K_lq, Q_tilde, tol=1e-14):
 # the radius walk: the first radius tried, the factor between radii tried,
 # the radius below which no terminal set is found, and the samples per
 # terminal_samples_check call and per block of the direction build (bounds
-# their working memory; a trial stops at its first failing block)
+# their working memory; a trial stops at its first failing block; the
+# kernels keep the rollout workspace of a block)
 OMEGA_MAX = 10.0
 TERMINAL_SHRINK = 0.8
 TERMINAL_MIN_OMEGA = 1e-12
-TERMINAL_BLOCK = 1024
+TERMINAL_BLOCK = kernels.TERMINAL_BLOCK
 
 
 @functools.cache

@@ -236,20 +236,20 @@ def penalty_subgradient(w: GruWeights, rho_plus, rho_minus):
 
     Each norm in nu is a max absolute row sum (|U|_inf, and |[W U b]|_inf
     in the gate bounds); its subgradient routes through its max row (lowest
-    index on ties), entrywise through the sign.  Every row-sum vector is
-    formed once, and both its max and its argmax are taken from it.  The
-    subgradient is zero outside those rows, so rows lists only them, as
-    (weight name, row index, row values); U_o and b_o have none.
+    index on ties), entrywise through the sign.  The row sums of the three
+    gates are formed at once, on the z, f and r arrays stacked, and both
+    the maxima and the argmaxima are taken from them.  The subgradient is
+    zero outside those rows, so rows lists only them, as (weight name, row
+    index, row values); U_o and b_o have none.
     """
-    norm, row, stacked, srow = {}, {}, {}, {}
-    for g in "zfr":
-        W, U, b = getattr(w, f"W_{g}"), getattr(w, f"U_{g}"), getattr(w, f"b_{g}")
-        sums = np.sum(np.abs(U), axis=1)
-        norm[g], row[g] = float(np.max(sums)), int(np.argmax(sums))
-        sums = np.sum(np.abs(W), axis=1) + sums + np.abs(b)
-        stacked[g], srow[g] = float(np.max(sums)), int(np.argmax(sums))
-    gb = gru_model.bounds_from_norms(stacked["z"], stacked["r"], stacked["f"])
-    nUr, nUf, nUz = norm["r"], norm["f"], norm["z"]
+    sums = np.sum(np.abs(np.stack((w.U_z, w.U_f, w.U_r))), axis=2)     # |U_g| rows
+    ssums = (np.sum(np.abs(np.stack((w.W_z, w.W_f, w.W_r))), axis=2) + sums
+             + np.abs(np.stack((w.b_z, w.b_f, w.b_r))))                # |[W U b]_g| rows
+    nUz, nUf, nUr = np.max(sums, axis=1).tolist()
+    Sz, Sf, Sr = np.max(ssums, axis=1).tolist()
+    row = dict(zip("zfr", np.argmax(sums, axis=1).tolist()))
+    srow = dict(zip("zfr", np.argmax(ssums, axis=1).tolist()))
+    gb = gru_model.bounds_from_norms(Sz, Sr, Sf)
     sz, pr, sf = gb.sigma_z_bar, gb.phi_r_bar, gb.sigma_f_bar
 
     nu = gru_model.contraction(nUr, nUf, nUz, gb) - 1.0

@@ -312,3 +312,25 @@ def test_a_plan_at_the_equilibrium_ends_without_a_linear_solve(monkeypatch):
     ing, cfg, est, xi, warm = solves[1]
     sol = mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
     assert sol.iterations >= 1 and len(solved) > sol.iterations
+
+
+def test_a_solution_keeps_its_plan_and_trajectory_through_later_solves(monkeypatch):
+    # the kernels evaluate in workspaces that every later evaluation writes:
+    # a returned plan and trajectory, of a clamped solve after an unfiltered
+    # step to pH 7.4 and of regulate ticks, stay as they were returned and
+    # equal a fresh rollout of the plan
+    w, solves = recorded_solves(monkeypatch, [7.0, 7.4, 7.4, 7.4])
+    clamps = []
+    clip = kernels.fhocp_clip_restore
+    monkeypatch.setattr(kernels, "fhocp_clip_restore",
+                        lambda *a, **k: clamps.append(1) or clip(*a, **k))
+    sols = [mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+            for ing, cfg, est, xi, warm in solves]
+    assert clamps
+    kept = [(sol.v.copy(), sol.trajectory.copy()) for sol in sols]
+    for ing, cfg, est, xi, warm in solves[::-1]:
+        mpc.fhocp_solve(w, ing, cfg, est, xi, warm_start=warm)
+    for sol, (v, XA), (ing, cfg, est, xi, _) in zip(sols, kept, solves):
+        np.testing.assert_array_equal(sol.v, v)
+        np.testing.assert_array_equal(sol.trajectory, XA)
+        np.testing.assert_array_equal(XA, rollout(w, ing, cfg, est, sol.v)[0])

@@ -6,11 +6,15 @@ and the terminal cost e'P_f e charged at the last state, so that a kernel
 and its reference share no code beyond the GRU cell.  The training
 references loop kernels.cell forward and a test-local cell_vjp backward;
 the gradient kernel must also equal, bit for bit, the former reverse pass
-of ten calls a step, kept here as ten_call_tbptt_grad.
+of ten calls a step, kept here as ten_call_tbptt_grad.  Likewise the FHOCP
+evaluation in its workspaces must equal, bit for bit, the former one that
+made every array afresh (fresh_rollout, fresh_tangent, fresh_evaluation).
 """
 
 import dataclasses
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -972,3 +976,371 @@ def test_sigmoid_stable_at_extremes():
         assert out[0] == 0.0 or out[0] < 1e-300
         assert out[-1] == 1.0
         assert out[2] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the FHOCP evaluation before its workspaces, kept as the bit-for-bit
+# reference of the workspace kernels: every array is fresh in every call
+# ---------------------------------------------------------------------------
+
+def fresh_rollout(step, xa0, V, T, box_offset=None):
+    """augmented_rollout with a fresh S, gate buffer and moves per call and
+    the per-step views made by its loops."""
+    M, Ur, Mxi, Ka = step.cell[0], step.cell[3], step.Mxi, step.Ka
+    p, n = step.Uo.shape
+    Nv = len(V)
+    rows = xa0.shape[:-1]
+    S = np.empty((T + 1, 1 + p + n + p) + rows)
+    S[:, 0] = 1.0
+    S[0, 1 + p:] = xa0.T
+    gates = np.empty((T, 3 * n) + rows)
+    moves = np.empty((T, p) + rows)
+    U, X, XI = S[:, 1:1 + p], S[:, 1 + p:1 + p + n], S[:, 1 + p + n:]
+    if Nv:
+        moves[:Nv] = V
+    if T > Nv:
+        U[Nv:T] = 0.0
+    steps = (S[:T], S[:T, :1 + p + n], X[:T], gates, gates[:, :2 * n], gates[:, :n],
+             gates[:, n:2 * n], gates[:, 2 * n:], X[1:], XI[1:])
+    for s, g, x, a, zf, z, f, r, x1, xi1, u, xi, v in zip(
+            *(A[:Nv] for A in steps), U, XI, moves):
+        if box_offset is not None:
+            np.clip(v, -1.0 - (xi + box_offset), 1.0 - (xi + box_offset), v)
+        np.add(v, xi, u)
+        kernels._cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
+        np.dot(Mxi, s, xi1)
+    for s, g, x, a, zf, z, f, r, x1, xi1, u in zip(*(A[Nv:] for A in steps), U[Nv:]):
+        np.dot(Ka, s, u)
+        kernels._cell_step(g, x, M, Ur, a, zf, z, f, r, x1)
+        np.dot(Mxi, s, xi1)
+    if T > Nv:
+        np.subtract(U[Nv:T], XI[Nv:T], moves[Nv:])
+    return (S[:, 1 + p:].swapaxes(1, -1), moves.swapaxes(1, -1),
+            tuple(A.swapaxes(1, -1) for A in (U[:T], gates[:, :n],
+                                               gates[:, n:2 * n], gates[:, 2 * n:])))
+
+
+def fresh_cell_jacobians(x, u, z, f, r, M, G, Wr, Ur):
+    """cell_jacobians with every intermediate a fresh temporary."""
+    n, m = x.shape[-1], u.shape[-1]
+
+    def diag(A):
+        return A.reshape(A.shape[:-2] + (-1,))[..., m::n + m + 1]
+
+    Y = (x * f * (1.0 - f))[..., None] * G[n:]
+    diag(Y)[...] += f
+    J = Ur @ Y
+    J[..., :m] += Wr
+    J *= ((1.0 - z) * (1.0 - r * r))[..., None]
+    J += ((x - r) * z * (1.0 - z))[..., None] * G[:n]
+    diag(J)[...] += z
+    return J[..., m:], J[..., :m]
+
+
+def fresh_tangent(step, XA, cache, Nc):
+    """augmented_tangent with zero-filled AB and W in every call."""
+    p, n = step.Uo.shape
+    na, D = n + p, Nc * p
+    K = step.law[0]
+    U, Z, F, R = cache
+    T = len(U)
+    Jx, Ju = fresh_cell_jacobians(XA[:T, :n], U, Z, F, R, *step.cell)
+    AB = np.zeros((T, na, na + p))
+    AB[:, :n, :n] = Jx
+    AB[:, :n, n:na] = Ju
+    AB[:, n:, :na] = step.Mxi[:, 1 + p:]
+    AB[:Nc, :n, na:] = Ju[:Nc]
+    AB[Nc:, :n, :na] -= Ju[Nc:] @ K
+    W = np.zeros((T + 1, na + p, D))
+    d = np.arange(D)
+    W[d // p, na + d % p, d] = 1.0
+    for ab, w, dxa1 in zip(AB, W, W[1:, :na]):
+        np.dot(ab, w, dxa1)
+    np.matmul(-K, W[Nc:T, :na], out=W[Nc:T, na:])
+    return W[:, :na], W[:T, na:]
+
+
+def fresh_blocks(T, na, p, Np):
+    k1, k2 = T * na, T * (na + p)
+    return (slice(0, k1), slice(k1, k2), slice(k2, k2 + na),
+            slice(k2 + na, k2 + na + Np * p))
+
+
+def fresh_box_excess(W):
+    return W - np.clip(W, -1.0, 1.0), np.max(np.abs(W), initial=1.0) - 1.0
+
+
+def fresh_residuals(XA, V, xi_off, xa_eq, roots, Pi, omega, Np, mu_box, mu_term):
+    """The residuals r of a rollout in a fresh r, with (J_pen, J, box_viol,
+    term_viol), the box excess and Pi e_Np."""
+    Lq, Lr, Lf = roots
+    T, p = V.shape
+    na = XA.shape[1]
+    E = XA - xa_eq
+    over, box_viol = fresh_box_excess(XA[:Np, -p:] + xi_off + V[:Np])
+    PeN = Pi @ E[Np]
+    s = float(E[Np] @ PeN) - omega
+    st, mv, term, box = fresh_blocks(T, na, p, Np)
+    r = np.empty(box.stop + 1)
+    np.matmul(E[:-1], Lq, out=r[st].reshape(T, na))
+    np.matmul(V, Lr, out=r[mv].reshape(T, p))
+    np.dot(E[-1], Lf, out=r[term])
+    np.multiply(over, math.sqrt(mu_box), out=r[box].reshape(Np, p))
+    r[-1] = math.sqrt(mu_term) * max(s, 0.0)
+    cost = r[:box.start]
+    return (r, (float(r @ r), float(cost @ cost), float(box_viol), max(s, 0.0)),
+            over, PeN)
+
+
+class Problem(NamedTuple):
+    """One FHOCP's model, auxiliary law, weights and terminal radius."""
+    w: gru_model.GruWeights
+    consts: kernels.FhocpConstants
+    K: np.ndarray
+    xa_eq: np.ndarray
+    y0: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    Pf: np.ndarray
+    omega: float
+
+    def args(self, vflat, xa0, xi0, Nc, Np, Nf, mu_box, mu_term):
+        """The 27 positional arguments of fhocp_forward(_backward)."""
+        w = self.w
+        return (vflat, xa0, xi0, self.y0, *w.arrays(), w.U_o, w.b_o, self.K, self.xa_eq,
+                self.Q, self.R, self.Pf, self.Pf, self.omega, Nc, Np, Nf, mu_box, mu_term)
+
+
+def problem_of(w, ing):
+    return Problem(w, ing.consts, ing.K_lq, ing.eq.xa0, ing.eq.y0, ing.Q, ing.R, ing.P_f,
+                   float(ing.omega))
+
+
+def random_problem(seed, p):
+    """A 5-state, p-output model with a random law, a random P_f and
+    omega 1."""
+    rng = np.random.default_rng(seed)
+    w = scaled_certified_weights(rng, n=5, p=p, target=-0.1)
+    na = 5 + p
+    K = rng.normal(0.0, 0.3, (p, na))
+    xa_eq, y0 = rng.uniform(-0.5, 0.5, na), rng.uniform(-0.5, 0.5, p)
+    A = rng.normal(size=(na, na))
+    Pf = A @ A.T + na * np.eye(na)
+    Q, R = np.eye(na), np.eye(p)
+    consts = kernels.fhocp_constants(
+        kernels.augmented_step_matrices(w.cell, w.U_o, w.b_o, y0, (K, xa_eq)), Q, R, Pf)
+    return Problem(w, consts, K, xa_eq, y0, Q, R, Pf, 1.0)
+
+
+def fresh_evaluation(prob, vflat, xa0, xi0, Nc, Np, Nf, mu_box, mu_term):
+    """The former fhocp_residuals: (J_pen, J, box_viol, term_viol, r, Jr, XA)."""
+    step = prob.consts.step
+    p, n = step.Uo.shape
+    XA, V, cache = fresh_rollout(step, xa0, vflat.reshape(Nc, -1), Np + Nf)
+    r, cost, over, PeN = fresh_residuals(XA, V, xi0 - xa0[n:], prob.xa_eq, prob.consts.roots,
+                                         prob.Pf, prob.omega, Np, mu_box, mu_term)
+    dXA, dV = fresh_tangent(step, XA, cache, Nc)
+    T, p, D = dV.shape
+    Lq, Lr, Lf = prob.consts.roots
+    st, mv, term, box = fresh_blocks(T, n + p, p, Np)
+    Jr = np.empty((len(r), D))
+    np.matmul(Lq.T, dXA[:T], out=Jr[st].reshape(T, n + p, D))
+    np.matmul(Lr.T, dV, out=Jr[mv].reshape(T, p, D))
+    np.dot(Lf.T, dXA[T], out=Jr[term])
+    Jr[box] = 0.0
+    i, j = np.nonzero(over)
+    if len(i):
+        Jr[box][i * p + j] = math.sqrt(mu_box) * (dXA[i, n + j] + dV[i, j])
+    Jr[-1] = math.sqrt(mu_term) * (2.0 * (PeN @ dXA[Np])) if cost[3] > 0.0 else 0.0
+    return (*cost, r, Jr, XA[:Np + 1])
+
+
+def fresh_forward_backward(*args):
+    Jp, J, box_viol, term_viol, r, Jr, XA = fresh_evaluation(*args)
+    return Jp, J, 2.0 * (r @ Jr), box_viol, term_viol, 2.0 * (Jr.T @ Jr), XA
+
+
+def fresh_clip_restore(prob, vflat, xa0, xi0, Nc, Np):
+    n = prob.w.n
+    xi_off = xi0 - xa0[n:]
+    XA, V, _ = fresh_rollout(prob.consts.step, xa0, vflat.reshape(Nc, -1), Np,
+                             box_offset=xi_off)
+    _, tail_viol = fresh_box_excess(XA[Nc:Np, n:] + xi_off + V[Nc:])
+    return V[:Nc].ravel(), XA, float(tail_viol)
+
+
+def fresh_terminal_check(E, step, Pf, Qlq):
+    xa_eq = step.law[1]
+    e_next = fresh_rollout(step, xa_eq + E, (), 1)[0][1] - xa_eq
+    return kernels._quad(e_next, Pf) + kernels._quad(E, Qlq - Pf)
+
+
+def assert_equal_bits(got, ref):
+    """Equal lengths, and every entry equal in shape and in every bit."""
+    assert len(got) == len(ref)
+    for k, (a, b) in enumerate(zip(got, ref)):
+        assert np.shape(a) == np.shape(b), k
+        assert np.array_equal(a, b), k
+
+
+def exact_cases(setup, pinned):
+    """(label, problem, (N_c, N_p, N_f), plan, start, integrator, penalty
+    weights) of the shapes the workspace kernels must match bit for bit."""
+    (w_s, ing_s), (w, ing, cfg) = setup, pinned
+    desk, small = problem_of(w, ing), problem_of(w_s, ing_s)
+    rng = np.random.default_rng(491)
+    xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
+    xi0 = xa0[w.n:] + rng.normal(0.0, 0.02, w.p)
+    xs0 = ing_s.eq.xa0 + offset(ing_s, rng, 0.5)
+    far = ing_s.eq.xa0 + offset(ing_s, rng, 3.0)
+    p2, p1 = random_problem(493, 2), random_problem(495, 1)
+    x2 = p2.xa_eq + rng.normal(0.0, 0.1, 7)
+    x1 = p1.xa_eq + rng.normal(0.0, 0.1, 6)
+    return [
+        ("desk zero plan", desk, (cfg.N_c, cfg.N_p, cfg.N_f), np.zeros(cfg.N_c * w.p),
+         xa0, xi0, (1e3, 1e3)),
+        ("desk warm plan", desk, (cfg.N_c, cfg.N_p, cfg.N_f),
+         rng.normal(0.0, 0.05, cfg.N_c * w.p), xa0, xi0, (1e5, 1e5)),
+        ("test model", small, (N_C, N_P, N_F), rng.normal(0.0, 0.1, N_C * w_s.p),
+         xs0, xs0[w_s.n:], (1e3, 1e3)),
+        ("N_c = N_p", desk, (12, 12, 0), rng.normal(0.0, 0.05, 12 * w.p), xa0, xi0,
+         (1e3, 1e3)),
+        ("p = 2", p2, (5, 16, 3), rng.normal(0.0, 0.1, 10), x2,
+         x2[5:] + rng.normal(0.0, 0.05, 2), (1e3, 1e3)),
+        ("another model of the test shape", p1, (N_C, N_P, N_F),
+         rng.normal(0.0, 0.1, N_C), x1, x1[5:], (1e3, 1e3)),
+        ("box", desk, (cfg.N_c, cfg.N_p, cfg.N_f), rng.normal(0.0, 1.5, cfg.N_c * w.p),
+         xa0, xi0, (1e3, 1e3)),
+        ("terminal penalty", small._replace(omega=1e-4), (N_C, N_P, N_F),
+         rng.normal(0.0, 0.02, N_C * w_s.p), far, far[w_s.n:], (30.0, 10.0)),
+    ]
+
+
+def test_workspace_kernels_equal_the_fresh_evaluation(setup, pinned):
+    # the rollout (with its clamp), the tangent, the residuals with their
+    # Jacobian, the gradient and Hessian and the objective alone, each
+    # against the former evaluation that allocates every array afresh: equal
+    # bit for bit, at the desk and test shapes, N_c = N_p, p = 2, for a
+    # second model of one shape and with the box and terminal penalty rows
+    # active
+    for label, prob, (Nc, Np, Nf), vflat, xa0, xi0, mu in exact_cases(setup, pinned):
+        step = prob.consts.step
+        V = vflat.reshape(Nc, -1)
+        XA, moves, cache = kernels.augmented_rollout(step, xa0, V, Np + Nf)
+        ref = fresh_rollout(step, xa0, V, Np + Nf)
+        assert_equal_bits((XA, moves) + cache, ref[:2] + ref[2])
+        assert_equal_bits(kernels.augmented_tangent(step, XA, cache, Nc),
+                          fresh_tangent(step, *ref[::2], Nc))
+        args = (vflat, xa0, xi0, Nc, Np, Nf, *mu)
+        fb = kernels.fhocp_forward_backward(*prob.args(*args), consts=prob.consts)
+        assert_equal_bits(fb, fresh_forward_backward(prob, *args))
+        assert_equal_bits(kernels.fhocp_residuals(*prob.args(*args), consts=prob.consts),
+                          fresh_evaluation(prob, *args))
+        assert_equal_bits(kernels.fhocp_forward(*prob.args(*args), consts=prob.consts),
+                          fresh_evaluation(prob, *args)[:4])
+        clip = kernels.fhocp_clip_restore(*prob.args(*args)[:17], Nc, Np, consts=prob.consts)
+        assert_equal_bits(clip, fresh_clip_restore(prob, vflat, xa0, xi0, Nc, Np))
+        if label == "box":
+            assert fb[3] > 0.0 and np.any(clip[0] != vflat)
+        if label == "terminal penalty":
+            assert fb[4] > 0.0
+
+
+@pytest.mark.parametrize("rows", [mpc.TERMINAL_BLOCK, 7, 1])
+def test_terminal_samples_check_equals_the_fresh_rollout(pinned, rows):
+    w, ing, cfg = pinned
+    rng = np.random.default_rng(497)
+    E = rng.normal(0.0, 0.05, (rows, w.n + w.p))
+    for _ in range(2):
+        got = kernels.terminal_samples_check(E, ing.consts.step, ing.P_f, ing.Q_lq)
+        np.testing.assert_array_equal(
+            got, fresh_terminal_check(E, ing.consts.step, ing.P_f, ing.Q_lq))
+
+
+WORKSPACES = (kernels.rollout_workspace, kernels.tangent_workspace,
+              kernels.residual_workspace)
+
+
+def workspace_buffers(ws):
+    """The arrays that own the memory of every array in a workspace."""
+    out = []
+    for a in ws:
+        if isinstance(a, tuple):
+            out += workspace_buffers(a)
+        elif isinstance(a, np.ndarray):
+            while a.base is not None:
+                a = a.base
+            if not any(a is b for b in out):
+                out.append(a)
+    return out
+
+
+def test_the_fhocp_workspaces_keep_no_state_between_calls(pinned):
+    # a plan's evaluation, a terminal block, a clamp that binds, a plan of
+    # another horizon and the positional rollout, interleaved A, B, A after
+    # plans of NaN moves:
+    # every call gives the bits of a cold cache, and no result shares memory
+    # with a workspace or with the result of another call
+    w, ing, cfg = pinned
+    prob, step, n, p = problem_of(w, ing), ing.consts.step, w.n, w.p
+    rng = np.random.default_rng(499)
+    xa0 = ing.eq.xa0 + offset(ing, rng, 0.5)
+    xi0 = xa0[n:] + 0.1
+    E = rng.normal(0.0, 0.05, (mpc.TERMINAL_BLOCK, n + p))
+    plan, big, short = (rng.normal(0.0, s, k * p) for s, k in ((0.05, cfg.N_c),
+                                                                (2.0, cfg.N_c), (0.05, 10)))
+    calls = {
+        "plan": lambda: kernels.fhocp_forward_backward(
+            *prob.args(plan, xa0, xi0, cfg.N_c, cfg.N_p, 0, 1e3, 1e3), consts=prob.consts),
+        "terminal block": lambda: (kernels.terminal_samples_check(E, step, ing.P_f, ing.Q_lq),),
+        "clamp": lambda: kernels.fhocp_clip_restore(
+            *prob.args(big, xa0, xi0, cfg.N_c, cfg.N_p, 0, 0, 0)[:17], cfg.N_c, cfg.N_p,
+            consts=prob.consts),
+        "other horizon": lambda: kernels.fhocp_forward_backward(
+            *prob.args(short, xa0, xi0, 10, 25, 0, 1e3, 1e3), consts=prob.consts),
+        "positional rollout": lambda: kernels.augmented_rollout_cached(
+            xa0, plan.reshape(cfg.N_c, p), ing.eq.y0, *w.arrays(), w.U_o, w.b_o),
+    }
+    cold = {}
+    for name, call in calls.items():
+        for ws in WORKSPACES:
+            ws.cache_clear()
+        cold[name] = call()
+    assert np.any(cold["clamp"][0] != big)
+    # a plan of non-finite moves leaves NaN in every buffer it writes
+    for Nc, Np in ((cfg.N_c, cfg.N_p), (10, 25)):
+        assert np.isnan(kernels.fhocp_forward_backward(
+            *prob.args(np.full(Nc * p, np.nan), xa0, xi0, Nc, Np, 0, 1e3, 1e3),
+            consts=prob.consts)[0])
+    kept = list(cold.values())
+    for name in ("plan", "terminal block", "plan", "clamp", "plan", "other horizon",
+                 "plan", "positional rollout", "plan", "clamp", "terminal block",
+                 "other horizon", "positional rollout", "clamp"):
+        kept.append(calls[name]())
+        assert_equal_bits(kept[-1], cold[name])
+    buffers = workspace_buffers(
+        [kernels.rollout_workspace(T, Nv, n, p, rows)
+         for T, Nv, rows in ((cfg.N_p, cfg.N_c, ()), (1, 0, (mpc.TERMINAL_BLOCK,)),
+                             (25, 10, ()), (cfg.N_c, cfg.N_c, ()))]
+        + [kernels.tangent_workspace(T, Nc, n, p) for T, Nc in ((cfg.N_p, cfg.N_c), (25, 10))]
+        + [kernels.residual_workspace(T, n + p, p, T, Nc * p)
+           for T, Nc in ((cfg.N_p, cfg.N_c), (25, 10))])
+    assert [ws.cache_info().currsize for ws in WORKSPACES] == [4, 2, 2]
+    arrays = [[a for a in res if isinstance(a, np.ndarray)] for res in kept]
+    for k, res in enumerate(arrays):
+        for a in res:
+            assert not any(np.shares_memory(a, buf) for buf in buffers)
+            assert not any(np.shares_memory(a, b) for other in arrays[k + 1:] for b in other)
+
+
+def test_a_large_batch_leaves_no_rollout_workspace(pinned):
+    # more rows than a terminal block (a one-off audit batch) roll in a
+    # workspace of their own that is dropped afterwards
+    w, ing, cfg = pinned
+    E = np.random.default_rng(503).normal(0.0, 0.05, (mpc.TERMINAL_BLOCK + 1, w.n + w.p))
+    before = kernels.rollout_workspace.cache_info()
+    got = kernels.terminal_samples_check(E, ing.consts.step, ing.P_f, ing.Q_lq)
+    after = kernels.rollout_workspace.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    np.testing.assert_array_equal(
+        got, fresh_terminal_check(E, ing.consts.step, ing.P_f, ing.Q_lq))
