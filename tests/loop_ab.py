@@ -15,7 +15,8 @@ each side's median and quartiles of the controller's ticks per second (the
 ticks over the summed wall time of RecedingHorizonController.step), the
 rounds the change won, and whether both sides applied equal inputs (as
 bytes) and made equal evaluations, iterations, rejections and exits tick for
-tick.  Pin BLAS to one thread in the environment (OPENBLAS_NUM_THREADS=1)
+tick; where they do not, the largest difference of the applied inputs
+(normalized) and the number of ticks whose counts or exit differ.  Pin BLAS to one thread in the environment (OPENBLAS_NUM_THREADS=1)
 for timings comparable with perfbench.
 
 Benchmark processes of one unchanged tree spread with the phase of a shared
@@ -138,6 +139,13 @@ def main(argv=None):
     counts = [t[1:] for t in p.records] == [t[1:] for t in c.records]
     print(f"applied inputs equal: {'yes' if inputs else 'no'}; evaluations, "
           f"iterations, rejections and stops equal: {'yes' if counts else 'no'}")
+    if not (inputs and counts):
+        du = max(np.max(np.abs(np.frombuffer(a[0]) - np.frombuffer(b[0])))
+                 for a, b in zip(p.records, c.records))
+        ticks = sum(a[1:] != b[1:] for a, b in zip(p.records, c.records))
+        print(f"largest applied input difference {du:.3e} (normalized); ticks with "
+              f"other evaluations, iterations, rejections or stop: {ticks} of "
+              f"{len(p.records)}")
     return 0
 
 

@@ -54,6 +54,10 @@ def test_the_kernels_the_benchmark_calls_by_position_keep_their_arguments():
     assert positional(kernels.augmented_rollout_cached)[1] == "V"
     assert positional(kernels.gru_rollout)[1] == "useq"
     assert positional(kernels.tbptt_loss_grad_batch)[0] == "Ub"
+    # cases.py builds the terminal cost with lq_gain(lin, Q, R) and
+    # lyapunov_Pi(lin, K, Q_tilde)
+    assert positional(mpc.lq_gain) == ["lin", "Q", "R"]
+    assert positional(mpc.lyapunov_Pi) == ["lin", "K_lq", "Q_tilde"]
 
 
 def test_the_controller_config_keeps_the_terminal_horizon():

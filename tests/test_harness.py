@@ -535,12 +535,13 @@ def test_bad_training_settings_are_refused_at_load(key, value):
 
 @pytest.mark.parametrize("key,value", [
     ("terminal_samples", 0), ("q_tilde_weight", 0.0),
-    ("ref_filter_window", 0), ("q_weight", 0.0), ("N_f", -1), ("r_weight", -1.0)])
+    ("ref_filter_window", 0), ("q_weight", 0.0), ("N_f", -1), ("r_weight", -1.0),
+    ("r_weight", 0.0)])
 def test_bad_controller_settings_are_refused_at_load(key, value):
     # each would pass an unchecked terminal set (no samples, no margin Pi
-    # inside P_f), or fail every ingredient build (r_weight -1: the Riccati
-    # iteration diverges), the reference filter or the first solve (N_f -1:
-    # a broadcast error) in the loop
+    # inside P_f), or fail every ingredient build (r_weight 0 or -1: the
+    # Riccati doubling needs R^-1 of a positive definite R), the reference
+    # filter or the first solve (N_f -1: a broadcast error) in the loop
     doc = json.loads((CONFIGS / "desk.json").read_text())
     doc["controller"][key] = value
     with pytest.raises(CommandError, match=key):

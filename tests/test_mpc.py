@@ -22,6 +22,7 @@ def small_model():
 
 
 SMALL_CFG = ControllerConfig(terminal_samples=2560)
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +157,107 @@ def test_lq_gain_matches_scipy_dare(small_setup):
     Q, R = np.eye(na), np.eye(1)
     K, P = lq_gain(lin, Q, R)
     P_ref = solve_discrete_are(lin.A_a, lin.B_a, Q, R)
-    assert np.max(np.abs(P - P_ref)) / np.max(np.abs(P_ref)) < 1e-9
+    assert np.max(np.abs(P - P_ref)) / np.max(np.abs(P_ref)) < 1e-13
     cl = np.max(np.abs(np.linalg.eigvals(lin.A_a - lin.B_a @ K)))
     assert cl < 1.0 - 1e-6
+
+
+def fixed_point_lq_gain(lin, Q, R, tol=1e-12, max_iter=200000):
+    """The fixed-point Riccati iteration lq_gain ran before the doubling:
+    the reference its K and P are held to."""
+    A, B = lin.A_a, lin.B_a
+    P = Q.copy()
+    for _ in range(max_iter):
+        BtP = B.T @ P
+        K = np.linalg.solve(R + BtP @ B, BtP @ A)
+        P_next = Q + A.T @ P @ (A - B @ K)
+        res = np.max(np.abs(P_next - P))
+        P = 0.5 * (P_next + P_next.T)
+        if res < tol:
+            break
+    else:
+        raise AssertionError("reference Riccati iteration did not converge")
+    BtP = B.T @ P
+    return np.linalg.solve(R + BtP @ B, BtP @ A), P
+
+
+def series_lyapunov_Pi(lin, K_lq, Q_tilde, tol=1e-14):
+    """The doubling series lyapunov_Pi ran before the shared doubling: the
+    reference its Pi equals bit for bit."""
+    Acl = lin.A_a - lin.B_a @ K_lq
+    Pi = Q_tilde.copy()
+    M = Acl.copy()
+    for _ in range(200):
+        inc = M.T @ Pi @ M
+        Pi = Pi + inc
+        if np.max(np.abs(inc)) < tol * max(1.0, np.max(np.abs(Pi))):
+            break
+        M = M @ M
+    return 0.5 * (Pi + Pi.T)
+
+
+def scalar_lin(a, b):
+    return mpc.LinearizedAugmented(A_a=np.array([[a]]), B_a=np.array([[b]]),
+                                   C_a=np.array([[1.0]]))
+
+
+@pytest.fixture(scope="module")
+def pinned_linearizations():
+    """The pinned model's augmented linearization at pH 6.5 to 8.0 in steps
+    of 0.05, the setpoints of tests/terminal_audit.py."""
+    w = gru_model.load_weights(FIXTURE / "weights.json")
+    nmap = sysid.NormalizationMap.load(FIXTURE / "normalization.json")
+    return [linearize_augmented(w, find_equilibrium(w, nmap.normalize_y([ph])))
+            for ph in np.round(np.arange(6.5, 8.0 + 1e-9, 0.05), 2)]
+
+
+def riccati_cases(small_setup, pinned_linearizations):
+    """(lin, Q, R, Q_tilde) of the small model, the scalar systems and the
+    pinned model at every audit setpoint, with the desk weights."""
+    w, eq, _, _ = small_setup
+    cases = [(linearize_augmented(w, eq), np.eye(w.n + 1), np.eye(1),
+              SMALL_CFG.q_tilde_weight * np.eye(w.n + 1))]
+    cases += [(scalar_lin(a, b), np.eye(1), np.eye(1), np.array([[2.5]]))
+              for a, b in ((0.5, 1.0), (0.8, 0.0), (0.5, 0.0), (0.0, 0.0), (1.5, 1.0))]
+    ctl = ControllerConfig()
+    cases += [(lin, ctl.q_weight * np.eye(len(lin.A_a)), ctl.r_weight * np.eye(1),
+               ctl.q_tilde_weight * np.eye(len(lin.A_a)))
+              for lin in pinned_linearizations]
+    return cases
+
+
+def test_lq_gain_matches_the_fixed_point_reference(small_setup, pinned_linearizations):
+    # the reference stops at a 1e-12 step of a linear iteration, up to
+    # 7.2e-13 of its largest entry from SciPy's P on the small model, where
+    # the doubling lies within 4e-14: K and P agree to 2e-12 of their
+    # largest entries (at worst 8.1e-13 on the small model, 3.7e-13 on the
+    # pinned one)
+    for lin, Q, R, _ in riccati_cases(small_setup, pinned_linearizations):
+        K, P = lq_gain(lin, Q, R)
+        K_ref, P_ref = fixed_point_lq_gain(lin, Q, R)
+        assert np.max(np.abs(P - P_ref)) <= 2e-12 * np.max(np.abs(P_ref))
+        assert np.max(np.abs(K - K_ref)) <= 2e-12 * np.max(np.abs(K_ref))
+
+
+def test_lyapunov_Pi_equals_the_series_reference(small_setup, pinned_linearizations):
+    # with G = 0 the doubling makes the series' arithmetic step for step
+    for lin, Q, R, Q_tilde in riccati_cases(small_setup, pinned_linearizations):
+        K = lq_gain(lin, Q, R)[0]
+        np.testing.assert_array_equal(lyapunov_Pi(lin, K, Q_tilde),
+                                      series_lyapunov_Pi(lin, K, Q_tilde))
+
+
+@pytest.mark.parametrize("a, b, q, message", [
+    (1.2, 0.0, 1.0, "non-finite"),          # no stabilizing solution
+    (1e200, 1.0, 1.0, "non-finite"),        # A W^-1 A overflows
+    (1.0, 0.0, 1.0, "did not converge"),    # P doubles every step
+    (0.5, 1.0, np.nan, "non-finite")])
+def test_riccati_failures_raise_riccati_error(a, b, q, message):
+    # ingredients_for turns RiccatiError into a failed rebuild; a
+    # LinAlgError would crash the loop
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(mpc.RiccatiError, match=message):
+        lq_gain(scalar_lin(a, b), np.array([[q]]), np.eye(1))
 
 
 def test_dare_residual(small_setup):
@@ -267,9 +366,6 @@ def test_terminal_radius_sampled_soundness(small_setup):
         nxt, _ = observer.augmented_step(w, s, vlq, eq.y0)
         en = nxt.stacked() - eq.xa0
         assert en @ ing.P_f @ en <= ing.omega + 1e-9
-
-
-FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
 
 
 def pinned_ingredients(ph):
