@@ -6,6 +6,10 @@ defaults when omitted) and --out, and all but plot-export --seed (overrides
 the config seed).  All randomness flows from the single root seed, split
 per component.
 
+closed_loop is the one closed-loop tick: it runs a controller on a plant,
+one tick per reference value, and yields a Tick record of each.
+run-closed-loop and the closed loops of the tests run through it.
+
 ExperimentConfig is made of the settings of each layer, each defined once:
 the train section is sysid.TrainConfig and the controller section
 mpc.ControllerConfig; data, observer and scenario are defined here.  Their
@@ -19,6 +23,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 import types
@@ -73,6 +78,9 @@ class ScenarioSection:
                 t for t, _ in self.reference_program) > 0.0:
             raise ValueError("reference_program must have an entry at t = 0, "
                              f"not {self.reference_program!r}")
+        if not self.settle_minutes >= 0.0:
+            raise ValueError("settle_minutes must be nonnegative, "
+                             f"not {self.settle_minutes!r}")
 
 
 def _fits(tp, value):
@@ -113,6 +121,15 @@ class ExperimentConfig:
         if not self.u_min < self.u_max:
             raise ValueError(f"u_min ({self.u_min!r}) must be below "
                              f"u_max ({self.u_max!r})")
+        self.scenario_ticks()
+
+    def scenario_ticks(self) -> int:
+        """Ticks of the scenario; refuses a duration that holds none."""
+        n = self.scenario.duration_h * 3600.0 / self.tau_s
+        if not (math.isfinite(n) and round(n) >= 1):
+            raise ValueError(f"scenario.duration_h ({self.scenario.duration_h!r}) "
+                             f"must hold at least one tick of tau_s = {self.tau_s!r} s")
+        return int(round(n))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -362,6 +379,42 @@ class _ModelPlant:
 
 
 @dataclass
+class Tick:
+    """One tick of closed_loop."""
+    k: int
+    ref_ph: float
+    y_meas: float                 # pH: output-additive disturbance and noise added
+    u_applied: float              # mL/s, as the plant received it
+    u_norm: np.ndarray            # the controller's input, normalized
+    info: mpc.StepInfo
+    step_ms: float                # wall time of ctl.step
+    clipped: bool                 # the input left [u_min, u_max] and was clipped
+
+
+def closed_loop(cfg, ctl, plant, nmap, refs_ph, sched, noise_ph):
+    """Run ctl on plant for one tick per reference value, yielding a Tick each.
+
+    A tick measures the plant, adds the output-additive disturbance and
+    noise_ph[k] (pH), steps the controller, denormalizes its input, clips it
+    into [cfg.u_min, cfg.u_max] and advances the plant.  It reads no other
+    field of cfg and calls only the methods named here, so the objects of
+    another source tree can be driven as well.
+    """
+    for k, ref in enumerate(refs_ph):
+        t_now = k * cfg.tau_s
+        y_meas = plant.measure() + sched.at(t_now, "output-additive") + noise_ph[k]
+        t0 = time.perf_counter()
+        u_norm, info = ctl.step(nmap.normalize_y([y_meas]), nmap.normalize_y([ref]))
+        step_ms = (time.perf_counter() - t0) * 1e3
+        u_phys = float(nmap.denormalize_u(u_norm)[0])
+        clipped = not (cfg.u_min - 1e-9 <= u_phys <= cfg.u_max + 1e-9)
+        if clipped:
+            u_phys = float(np.clip(u_phys, cfg.u_min, cfg.u_max))
+        plant.advance(u_phys, t_now, sched)
+        yield Tick(k, ref, y_meas, u_phys, u_norm, info, step_ms, clipped)
+
+
+@dataclass
 class RunMetrics:
     nu: float
     rho_A_delta: float
@@ -399,9 +452,8 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
         raise CommandError("observer gains do not certify for these weights")
 
     sc = cfg.scenario
-    tau_s = cfg.tau_s
-    K = int(round(sc.duration_h * 3600.0 / tau_s))
-    t_h = np.arange(K) * tau_s / 3600.0
+    K = cfg.scenario_ticks()
+    t_h = np.arange(K) * cfg.tau_s / 3600.0
 
     prog = sorted((float(t), float(v)) for t, v in sc.reference_program)
     raw_ref = np.empty(K)
@@ -423,32 +475,22 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
     else:
         raise CommandError(f"unknown scenario plant {sc.plant!r}")
 
-    rng_noise = cfg.component_seed("scenario-noise")
-    y_half = float(nmap.y_half[0])
+    noise_ph = np.zeros(K)
+    if sc.noise_std_y_norm > 0.0:
+        noise_ph = (cfg.component_seed("scenario-noise").normal(
+            0.0, sc.noise_std_y_norm, K) * float(nmap.y_half[0]))
 
     ctl = mpc.RecedingHorizonController(w, gains, cfg.controller)
     ctl.reset(nmap.normalize_y([refs_ph[0]]))
 
-    rows = []
-    violations = 0
-    saturated = 0
+    rows, violations, saturated = [], 0, 0
     t0 = time.time()
-    for k in range(K):
-        t_now = k * tau_s
-        y_true = plant.measure()
-        y_meas = y_true + sched.at(t_now, "output-additive")
-        if sc.noise_std_y_norm > 0.0:
-            y_meas += rng_noise.normal(0.0, sc.noise_std_y_norm) * y_half
-        u_norm, info = ctl.step(nmap.normalize_y([y_meas]),
-                                nmap.normalize_y([refs_ph[k]]))
-        u_phys = float(nmap.denormalize_u(u_norm)[0])
-        if not (cfg.u_min - 1e-9 <= u_phys <= cfg.u_max + 1e-9):
-            violations += 1
-            u_phys = float(np.clip(u_phys, cfg.u_min, cfg.u_max))
-        if abs(abs(u_norm[0]) - 1.0) < 1e-12:
+    for tick in closed_loop(cfg, ctl, plant, nmap, refs_ph, sched, noise_ph):
+        info = tick.info
+        violations += tick.clipped
+        if abs(abs(tick.u_norm[0]) - 1.0) < 1e-12:
             saturated += 1
-        plant.advance(u_phys, t_now, sched)
-        rows.append((k, refs_ph[k], y_meas, u_phys, float(info.v[0]),
+        rows.append((tick.k, tick.ref_ph, tick.y_meas, tick.u_applied, float(info.v[0]),
                      float(info.xi[0]), info.cost, info.iterations,
                      int(info.feasible), info.evals, info.terminal_level,
                      info.rejections, info.solve_ms, info.stop, info.build_ms,
@@ -471,7 +513,8 @@ def cmd_run_closed_loop(cfg: ExperimentConfig, out_dir) -> dict:
     win_metrics = []
     for lo, hi in windows:
         msk = (t_h >= lo) & (t_h < hi)
-        win_metrics.append((lo, hi, float(np.max(np.abs(err[msk])))))
+        if msk.any():
+            win_metrics.append((lo, hi, float(np.max(np.abs(err[msk])))))
     max_settled = max((m[2] for m in win_metrics), default=float("nan"))
 
     metrics = RunMetrics(

@@ -496,9 +496,11 @@ def fhocp_solve(w: GruWeights, ing: TerminalIngredients, cfg: ControllerConfig,
                 xa_hat: AugmentedState, xi_true, warm_start=None) -> FhocpSolution:
     """Penalized single shooting over the free moves v(0..N_c-1).
 
-    The penalized objective is a sum of squares r(v)'r(v)
-    (kernels.fhocp_residuals), minimized by Levenberg-Marquardt
-    Gauss-Newton on the exact Jacobian J of r: each step solves
+    The penalized objective is a sum of squares r(v)'r(v), minimized by
+    Levenberg-Marquardt Gauss-Newton on the exact Jacobian J of r; every
+    iterate and trial step is evaluated by kernels.fhocp_forward_backward
+    (cost, gradient 2 J'r and Hessian 2 J'J), the clamped plan by
+    kernels.fhocp_forward.  Each step solves
     (J'J + lam diag(J'J)) dv = -J'r and is accepted when it lowers the
     penalized cost; lam falls after an accepted step and rises after a
     rejected one.  The penalty weights rise over MU_SCHEDULE.  A penalty

@@ -5,19 +5,21 @@
 
 Loads the src/grumpc package of each tree under its own package name
 (train_ab.load_package), so both run in one process.  A round runs one
-closed loop per side, the first side switching every round: the pinned
-model of the tree's perfbench/fixture controls harness._PhPlant from the
-nominal point for --ticks ticks, with seeded measurement noise.  regulate
-holds pH 7.0 under seeded two-tick disturbance windows on the output, the
-buffer flow and the base flow every 24 ticks; track steps the setpoint by
-0.2 pH every 18 ticks, through the controller's reference filter.  It prints
-each side's median and quartiles of the controller's ticks per second (the
-ticks over the summed wall time of RecedingHorizonController.step), the
-rounds the change won, and whether both sides applied equal inputs (as
-bytes) and made equal evaluations, iterations, rejections and exits tick for
-tick; where they do not, the largest difference of the applied inputs
-(normalized) and the number of ticks whose counts or exit differ.  Pin BLAS to one thread in the environment (OPENBLAS_NUM_THREADS=1)
-for timings comparable with perfbench.
+closed loop per side, the first side switching every round.  The change
+tree's harness.closed_loop drives both, so a parent that predates it can be
+timed too: each runs its tree's pinned model (perfbench/fixture) on its
+tree's harness._PhPlant from the nominal point for --ticks ticks, with
+seeded measurement noise.  regulate holds pH 7.0 under seeded two-tick
+disturbance windows on the output, the buffer flow and the base flow every
+24 ticks; track steps the setpoint by 0.2 pH every 18 ticks, through the
+controller's reference filter.  It prints each side's median and quartiles
+of the controller's ticks per second (the ticks over the summed wall time of
+its step), the rounds the change won, and whether both sides applied equal
+inputs (as bytes) and made equal evaluations, iterations, rejections and
+exits tick for tick; where they do not, the largest difference of the
+applied inputs (normalized) and the number of ticks whose counts or exit
+differ.  Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) for timings
+comparable with perfbench.
 
 Benchmark processes of one unchanged tree spread with the phase of a shared
 host by more than a kernel change moves them; alternating loops in one
@@ -27,7 +29,6 @@ process keeps both sides in the same phase.
 import argparse
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -83,23 +84,19 @@ class Side:
                                                      self.cfg, self.p)
         self.rates, self.records = [], None
 
-    def run(self):
-        """One closed loop; records its ticks/s and its per-tick record."""
-        h, cfg, nmap, sched = self.h, self.cfg, self.nmap, self.sched
-        plant = h._PhPlant(cfg, self.p)
-        ctl = h.mpc.RecedingHorizonController(self.w, self.gains, cfg.controller)
-        ctl.reset(nmap.normalize_y([self.refs[0]]))
-        records, spent = [], 0.0
-        for k, ref in enumerate(self.refs):
-            t_now = k * cfg.tau_s
-            y = plant.measure() + sched.at(t_now, "output-additive") + self.noise[k]
-            t0 = time.perf_counter()
-            u, info = ctl.step(nmap.normalize_y([y]), nmap.normalize_y([ref]))
-            spent += time.perf_counter() - t0
-            plant.advance(float(nmap.denormalize_u(u)[0]), t_now, sched)
-            records.append((u.tobytes(), info.evals, info.iterations, info.rejections,
-                            info.stop))
-        self.rates.append(len(self.refs) / spent)
+    def run(self, closed_loop):
+        """One closed loop driven by closed_loop; records its ticks/s and its
+        per-tick record."""
+        ctl = self.h.mpc.RecedingHorizonController(self.w, self.gains, self.cfg.controller)
+        ctl.reset(self.nmap.normalize_y([self.refs[0]]))
+        plant = self.h._PhPlant(self.cfg, self.p)
+        records, spent_ms = [], 0.0
+        for t in closed_loop(self.cfg, ctl, plant, self.nmap, self.refs, self.sched,
+                             self.noise):
+            spent_ms += t.step_ms
+            records.append((t.u_norm.tobytes(), t.info.evals, t.info.iterations,
+                            t.info.rejections, t.info.stop))
+        self.rates.append(len(self.refs) / (spent_ms / 1e3))
         if self.records is None:
             self.records = records
         elif records != self.records:
@@ -122,9 +119,10 @@ def main(argv=None):
                   args.seed, args.ticks),
              Side("change", args.change_tree, "grumpc_ab_change", args.workload,
                   args.seed, args.ticks)]
+    closed_loop = sides[1].h.closed_loop
     for r in range(args.rounds):
         for side in sides if r % 2 == 0 else sides[::-1]:
-            side.run()
+            side.run(closed_loop)
 
     p, c = sides
     print(f"{args.workload}, seed {args.seed}, {args.ticks} ticks per loop, "

@@ -109,11 +109,8 @@ def recorded_solves(monkeypatch, refs_ph, disturbances=()):
                        np.copy(xi), None if warm_start is None else warm_start.copy()))
         return solve(w, ing, fcfg, est, xi, warm_start)
     monkeypatch.setattr(mpc, "fhocp_solve", record)
-    for k, ref in enumerate(refs_ph):
-        t = k * cfg.tau_s
-        y = plant.measure() + sched.at(t, "output-additive")
-        u, _ = ctl.step(nmap.normalize_y([y]), nmap.normalize_y([ref]))
-        plant.advance(float(nmap.denormalize_u(u)[0]), t, sched)
+    for _ in harness.closed_loop(cfg, ctl, plant, nmap, refs_ph, sched, np.zeros(len(refs_ph))):
+        pass
     monkeypatch.setattr(mpc, "fhocp_solve", solve)
     return w, solves
 

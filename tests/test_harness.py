@@ -285,6 +285,83 @@ def test_closed_loop_is_offset_free_under_a_persistent_input_disturbance(
     assert sum(i.iterations for i in infos) > sum(i.rejections for i in infos)
 
 
+def test_a_settling_window_without_a_tick_is_not_reported(tmp_path):
+    # an event at 0.05 h in a run of 0.0501 h (18 ticks, the last at
+    # 0.0472 h) with no settling time opens the window [0.05, 0.0501), which
+    # holds no tick: its empty maximum failed the command after the run,
+    # with closed_loop.csv written and metrics.json not
+    cfg, _, ph_mid = mid_range_config(tmp_path)
+    cfg.scenario.duration_h = 0.0501
+    cfg.scenario.settle_minutes = 0.0
+    cfg.scenario.reference_program = [[0.0, ph_mid], [0.05, ph_mid]]
+    metrics = harness.cmd_run_closed_loop(cfg, tmp_path)
+    assert [list(w[:2]) for w in metrics["windows"]] == [[0.0, 0.05]]
+    assert metrics["max_settled_error"] == metrics["windows"][0][2]
+    assert json.loads((tmp_path / "metrics.json").read_text())["windows"] == [
+        list(w) for w in metrics["windows"]]
+    assert len(list(csv.reader(open(tmp_path / "closed_loop.csv")))) == 1 + 18
+
+
+def test_inputs_outside_the_box_are_clipped_and_counted(tmp_path):
+    # the normalization map's input range, 10.2-18.2 mL/s, is wider than the
+    # config's box, 11.2-17.2: under a persistent input disturbance of
+    # -3.5 mL/s the controller asks for more than 17.2.  The plant receives
+    # the clipped input, each such tick is a violation, both files are
+    # written and the command fails
+    cfg, nmap, _ = mid_range_config(tmp_path)
+    wide = sysid.NormalizationMap(nmap.u_center, [4.0], nmap.y_center, nmap.y_half)
+    wide.save(tmp_path / "normalization.json")
+    cfg.scenario.duration_h = 0.1
+    cfg.scenario.disturbances = [[0.01, 0.1, "input-additive", -3.5]]
+    with pytest.raises(CommandError, match="input constraint violations"):
+        harness.cmd_run_closed_loop(cfg, tmp_path)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    rows = list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]
+    u = np.array([float(r[3]) for r in rows])
+    # the controller's input: its move plus the integrator, in the unit box
+    asked = wide.denormalize_u(np.clip([float(r[4]) + float(r[5]) for r in rows],
+                                       -1.0, 1.0))
+    outside = (asked < 11.2 - 1e-9) | (asked > 17.2 + 1e-9)
+    assert metrics["constraint_violations"] == int(outside.sum()) > 0
+    np.testing.assert_array_equal(u, np.where(outside, np.clip(asked, 11.2, 17.2), asked))
+    assert np.all((u >= 11.2) & (u <= 17.2))
+    # the recorded inputs, replayed on a fresh model plant, give the recorded
+    # measurements: the plant received the clipped inputs
+    plant = harness._ModelPlant(cfg, gru_model.load_weights(tmp_path / "weights.json"),
+                                wide, float(rows[0][1]))
+    sched = plant_sim.DisturbanceSchedule(
+        [(a * 3600.0, b * 3600.0, ch, v) for a, b, ch, v in cfg.scenario.disturbances])
+    for k, (row, u_k) in enumerate(zip(rows, u)):
+        assert plant.measure() == float(row[2])
+        plant.advance(u_k, k * cfg.tau_s, sched)
+
+
+def test_scenario_noise_follows_the_seed(tmp_path):
+    # measurement noise of scenario.noise_std_y_norm from the scenario-noise
+    # stream of the root seed: the same seed measures the same values,
+    # another seed others, and a noise-free run others again
+    cfg, nmap, _ = mid_range_config(tmp_path)
+    cfg.scenario.duration_h = 0.05
+    path = tmp_path / "cfg.json"
+
+    def y_meas(noise, seed):
+        cfg.scenario.noise_std_y_norm = noise
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert harness.main(["run-closed-loop", "--config", str(path), "--out",
+                             str(tmp_path), "--seed", str(seed)]) == 0
+        return [float(r[2]) for r in list(csv.reader(open(tmp_path / "closed_loop.csv")))[1:]]
+
+    noisy = y_meas(0.003, 1)
+    assert y_meas(0.003, 1) == noisy
+    assert y_meas(0.003, 2) != noisy
+    clean = y_meas(0.0, 1)
+    assert clean != noisy
+    # the first tick measures the same state with and without noise
+    cfg.seed = 1
+    first = cfg.component_seed("scenario-noise").normal(0.0, 0.003) * float(nmap.y_half[0])
+    assert noisy[0] - clean[0] == pytest.approx(first, rel=1e-9)
+
+
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
 
 
@@ -565,15 +642,22 @@ def test_bad_plant_settings_are_refused_at_load(key, value):
         ExperimentConfig(**{key: value})
 
 
-@pytest.mark.parametrize("value", [[], [[0.5, 7.2]], [[1.8, 7.8], [0.2, 7.0]]],
-                         ids=["empty", "late", "late-unsorted"])
-def test_bad_scenario_settings_are_refused_at_load(value):
+@pytest.mark.parametrize("key,value", [
+    ("reference_program", []), ("reference_program", [[0.5, 7.2]]),
+    ("reference_program", [[1.8, 7.8], [0.2, 7.0]]), ("duration_h", 0.001),
+    ("duration_h", 0.0), ("duration_h", -1.0), ("settle_minutes", -1.0)],
+    ids=["empty", "late", "late-unsorted", "duration-under-a-tick", "duration-zero",
+         "duration-negative", "settle-negative"])
+def test_bad_scenario_settings_are_refused_at_load(key, value):
     # run-closed-loop fills a tick's reference only from the first entry on,
     # so a program that is empty or starts after t = 0 tracked uninitialized
-    # memory (values like 6.9e-310) in its first ticks
+    # memory (values like 6.9e-310) in its first ticks; a run of no tick
+    # failed at its first reference (an IndexError, or "negative dimensions
+    # are not allowed"), and a negative settling time opened each settling
+    # window before its event
     doc = json.loads((CONFIGS / "desk.json").read_text())
-    doc["scenario"]["reference_program"] = value
-    with pytest.raises(CommandError, match="reference_program"):
+    doc["scenario"][key] = value
+    with pytest.raises(CommandError, match=key):
         ExperimentConfig.from_dict(doc)
 
 

@@ -942,15 +942,10 @@ def pinned_regulate(ticks):
     noise = np.random.default_rng(31).normal(0.0, 0.005, ticks)
     ctl = mpc.RecedingHorizonController(w, observer.load_gains(FIXTURE / "gains.json"),
                                         cfg.controller)
-    ref = nmap.normalize_y([7.0])
-    ctl.reset(ref)
-    out = []
-    for k in range(ticks):
-        y = plant.measure() + noise[k]
-        u, info = ctl.step(nmap.normalize_y([y]), ref)
-        plant.advance(float(nmap.denormalize_u(u)[0]), k * tau, sched)
-        out.append((u[0], info.iterations, info.evals, info.rejections))
-    return out
+    ctl.reset(nmap.normalize_y([7.0]))
+    return [(t.u_norm[0], t.info.iterations, t.info.evals, t.info.rejections)
+            for t in harness.closed_loop(cfg, ctl, plant, nmap, np.full(ticks, 7.0), sched,
+                                         noise)]
 
 
 def test_closed_loop_agrees_with_the_stepwise_tangent(monkeypatch):
